@@ -18,8 +18,6 @@ import numpy as np
 
 from .analytic import (
     FunctionSpec,
-    Polynomial,
-    PowerSeries,
     derivative,
     evaluate,
     sample_circle,
@@ -34,9 +32,9 @@ from .functionals import (
     circle_image_length,
     diameter,
     disk_n_diameter,
-    is_univalent_sampled,
     n_diameter,
     radius,
+    resolve_area_method,
 )
 
 REPORT_NAMES = (
@@ -388,12 +386,7 @@ def check_polya_chain(
     Returns the Polya report (against the capacity upper bound) and the
     n-diameter report, with estimator errors folded into each tolerance.
     """
-    if area_method == "auto":
-        area_method = (
-            "series"
-            if isinstance(spec, (Polynomial, PowerSeries)) and is_univalent_sampled(spec, r)
-            else "raster"
-        )
+    area_method = resolve_area_method(spec, r, area_method)
     if area_method == "series":
         a = area_univalent_series(spec, r)
     else:

@@ -45,9 +45,9 @@ from .functionals import (
     capacity_bracket,
     circle_image_length,
     diameter,
-    is_univalent_sampled,
     n_diameter,
     radius,
+    resolve_area_method,
 )
 from .growth import KINDS, default_grid, phi_curve
 from .hyperbolic import check_density_lower_bound
@@ -121,14 +121,6 @@ def parse_spec(text: str) -> FunctionSpec:
         raise DiskGeomError(f"spec file {text!r} does not parse: {exc}") from exc
 
 
-def _auto_area_method(spec: FunctionSpec, r: float, method: str) -> str:
-    if method != "auto":
-        return method
-    if isinstance(spec, (Polynomial, PowerSeries)) and bool(is_univalent_sampled(spec, r)):
-        return "series"
-    return "raster"
-
-
 def _eval_functional(spec: FunctionSpec, args) -> FunctionalValue:
     kind = args.kind
     r = args.r
@@ -144,7 +136,7 @@ def _eval_functional(spec: FunctionSpec, args) -> FunctionalValue:
             area_method=args.area_method,
         )
     if kind == "area":
-        method = _auto_area_method(spec, r, args.area_method)
+        method = resolve_area_method(spec, r, args.area_method)
         if method == "series":
             return area_univalent_series(spec, r)
         return area(spec, r, resolution=args.resolution)
@@ -235,7 +227,7 @@ def _run_one_check(name: str, spec: FunctionSpec, args) -> list:
     if name == "schur":
         return [check_schur(spec, args.r, tol=args.tol)]
     if name == "isoperimetric":
-        method = _auto_area_method(spec, args.r, args.area_method)
+        method = resolve_area_method(spec, args.r, args.area_method)
         if method == "series":
             a = area_univalent_series(spec, args.r)
         else:

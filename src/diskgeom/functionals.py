@@ -2,15 +2,21 @@
 
 Estimators: radius and diameter from boundary samples (max-modulus
 arguments put every extreme point on the image of the circle), the
-n-point diameter by multi-start exchange optimization, set area by an
-adaptive quadtree rasterizer, perimeter by quadrature of |f'| over the
-circle, and a two-sided capacity bracket.
+n-point diameter by multi-start exchange optimization, perimeter by
+quadrature of |f'| over the circle, and a two-sided capacity bracket.
+
+Set area and univalence share one mechanism, the refined boundary curve
+f(r T) and the argument principle: the winding number of f(r T) around w
+counts the preimages of w in r D, so the set area is the area where it is
+positive, and f is injective on r D exactly when f' has no zeros there and
+f(r T) is a simple curve (Darboux-Picard).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -42,8 +48,6 @@ DEFAULT_SAMPLES = 4096
 DEFAULT_RESOLUTION = 1024
 DEFAULT_RESTARTS = 8
 SAMPLE_CAP = 2**24
-# Sampled |f'| maxima get this headroom when used as a local Lipschitz bound.
-DERIV_SAFETY = 1.25
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,11 @@ class FunctionalValue:
 
 @dataclass(frozen=True)
 class UnivalenceResult:
-    """Sampled injectivity verdict; false results carry a colliding pair."""
+    """Injectivity verdict on a closed disk.
+
+    A false verdict carries a witness: a critical point as (z, z), or two
+    boundary points (z1, z2) with f(z1) = f(z2).
+    """
 
     ok: bool
     witness: Optional[tuple] = None
@@ -375,7 +383,7 @@ def n_diameter(
     )
 
 
-# ---- area by adaptive rasterization ----
+# ---- area by winding-number fill of the boundary curve ----
 
 
 @dataclass
@@ -387,40 +395,86 @@ class RasterResult:
     y0: float
     cell_w: float
     cell_h: float
-    resolution: int
     samples_used: int
     hits: np.ndarray
     boundary: np.ndarray
 
 
-def _refine_boundary(spec, r, target_step, budget_left, m0=4096):
-    """Circle-image samples with adjacent spacing <= target_step."""
-    angles = 2.0 * np.pi * np.arange(m0) / m0
-    values = evaluate(spec, r * np.exp(1j * angles))
-    used = m0
+def _refine_circle(fn, r, values, too_coarse, budget):
+    """Bisect the angle steps of samples of fn on |z| = r until none is too coarse.
+
+    values holds fn at the angles 2 pi k / m; too_coarse(values) flags step
+    k -> k+1 (the last step closes the circle).  Returns the sorted angles,
+    the values and the number of samples evaluated.
+    """
+    angles = 2.0 * np.pi * np.arange(values.size) / values.size
+    used = values.size
     for _ in range(40):
-        gaps = np.abs(np.roll(values, -1) - values)
-        bad = np.nonzero(gaps > target_step)[0]
+        bad = np.nonzero(too_coarse(values))[0]
         if bad.size == 0:
-            break
-        next_angles = angles[(bad + 1) % angles.size]
-        next_angles = np.where(next_angles <= angles[bad], next_angles + 2.0 * np.pi, next_angles)
-        mid = 0.5 * (angles[bad] + next_angles)
+            return angles, values, used
+        mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
         used += mid.size
-        if used > budget_left:
+        if used > budget:
             raise ResourceError("boundary refinement exceeded the sample budget")
-        new_vals = evaluate(spec, r * np.exp(1j * mid))
-        angles = np.concatenate([angles, np.mod(mid, 2.0 * np.pi)])
-        values = np.concatenate([values, new_vals])
-        order = np.argsort(angles)
-        angles, values = angles[order], values[order]
-    return values, used
+        angles = np.insert(angles, bad + 1, mid)
+        values = np.insert(values, bad + 1, fn(r * np.exp(1j * mid)))
+    raise ResourceError("boundary refinement did not converge in 40 passes")
 
 
-def _mark(grid, pts, x0, y0, cell_w, cell_h, resolution):
-    ix = np.clip(((pts.real - x0) / cell_w).astype(int), 0, resolution - 1)
-    iy = np.clip(((pts.imag - y0) / cell_h).astype(int), 0, resolution - 1)
-    grid[iy, ix] = True
+def _boundary_curve(
+    spec: FunctionSpec,
+    r: float,
+    resolution: int = DEFAULT_RESOLUTION,
+    sample_cap: int = SAMPLE_CAP,
+):
+    """The closed polyline f(r T) with steps of at most half a grid cell.
+
+    The grid has resolution^2 cells over the padded bounding box of the
+    curve.  Returns (angles, values, (x0, y0, cell_w, cell_h), samples
+    used).  A box without extent gets cells of zero size, and the curve
+    is then not refined.
+    """
+    probe = sample_circle(spec, r, 4096).values
+    lo_x, hi_x = float(np.min(probe.real)), float(np.max(probe.real))
+    lo_y, hi_y = float(np.min(probe.imag)), float(np.max(probe.imag))
+    gap = float(np.max(np.abs(np.roll(probe, -1) - probe)))
+    pad = 2.0 * gap + 1e-12 + 0.002 * max(hi_x - lo_x, hi_y - lo_y)
+    lo_x, hi_x, lo_y, hi_y = lo_x - pad, hi_x + pad, lo_y - pad, hi_y + pad
+    width, height = hi_x - lo_x, hi_y - lo_y
+    if width <= 0.0 or height <= 0.0 or width + height < 1e-280:
+        angles = 2.0 * np.pi * np.arange(probe.size) / probe.size
+        return angles, probe, (lo_x, lo_y, 0.0, 0.0), probe.size
+    cell_w, cell_h = width / resolution, height / resolution
+    step = 0.5 * min(cell_w, cell_h)
+    angles, values, used = _refine_circle(
+        partial(evaluate, spec), r, probe,
+        lambda w: np.abs(np.roll(w, -1) - w) > step, sample_cap,
+    )
+    return angles, values, (lo_x, lo_y, cell_w, cell_h), used
+
+
+def _winding_numbers(values, x0, y0, cell_w, cell_h, resolution) -> np.ndarray:
+    """Winding number of the closed polyline around every cell centre.
+
+    Nonzero-winding scanline fill: each crossing of a row of centres adds
+    its direction to a difference array at the first centre right of it,
+    and a cumulative sum along the row counts the signed crossings to the
+    left of each centre.  Steps of at most half a cell cross at most one
+    row, so each step contributes at most one entry.
+    """
+    u = (values.real - x0) / cell_w - 0.5
+    v = (values.imag - y0) / cell_h - 0.5
+    u1, v1 = np.roll(u, -1), np.roll(v, -1)
+    row = np.ceil(np.minimum(v, v1))
+    keep = (row < np.maximum(v, v1)) & (row >= 0) & (row < resolution)
+    u, v, u1, v1, row = u[keep], v[keep], u1[keep], v1[keep], row[keep]
+    x = u + (row - v) / (v1 - v) * (u1 - u)
+    col = np.clip(np.floor(x) + 1, 0, resolution).astype(np.int64)
+    flat = row.astype(np.int64) * (resolution + 1) + col
+    diff = np.bincount(flat, weights=np.sign(v1 - v), minlength=resolution * (resolution + 1))
+    # A counterclockwise curve goes up right of its interior.
+    return -np.cumsum(diff.reshape(resolution, resolution + 1), axis=1)[:, :resolution]
 
 
 def _rasterize(
@@ -431,109 +485,24 @@ def _rasterize(
 ) -> RasterResult:
     """Rasterize f(r D) on a resolution^2 grid over the image bounding box.
 
-    Source samples come from a quadtree over the disk, split until the
-    local Lipschitz bound (sampled |f'| with headroom) moves the square's
-    image by at most half a cell, so marked cells cover the image up to
-    the boundary band.  Holes are genuine and are never filled.
+    By the argument principle the winding number of f(r T) around w counts
+    the preimages of w in r D, so a cell is hit when the winding number at
+    its centre is positive or the boundary curve passes through it.  The
+    boundary cells are the band where coverage is ambiguous.  Holes are
+    genuine and are never filled.
     """
-    budget = sample_cap
-    probe = sample_circle(spec, r, 4096).values
-    budget -= probe.size
-    lo_x, hi_x = float(np.min(probe.real)), float(np.max(probe.real))
-    lo_y, hi_y = float(np.min(probe.imag)), float(np.max(probe.imag))
-    gap = float(np.max(np.abs(np.roll(probe, -1) - probe)))
-    pad = 2.0 * gap + 1e-12 + 0.002 * max(hi_x - lo_x, hi_y - lo_y)
-    lo_x, hi_x, lo_y, hi_y = lo_x - pad, hi_x + pad, lo_y - pad, hi_y + pad
-    width, height = hi_x - lo_x, hi_y - lo_y
-    if width <= 0.0 or height <= 0.0 or width + height < 1e-280:
-        return RasterResult(0, 0, 0.0, lo_x, lo_y, 0.0, 0.0, resolution, 4096,
-                            np.zeros((1, 1), bool), np.zeros((1, 1), bool))
-    cell_w, cell_h = width / resolution, height / resolution
-    cell = min(cell_w, cell_h)
-
-    hits = np.zeros((resolution, resolution), dtype=bool)
+    _, values, (x0, y0, cell_w, cell_h), used = _boundary_curve(spec, r, resolution, sample_cap)
+    if cell_w == 0.0:
+        empty = np.zeros((1, 1), bool)
+        return RasterResult(0, 0, 0.0, x0, y0, 0.0, 0.0, used, empty, empty)
     boundary = np.zeros((resolution, resolution), dtype=bool)
-
-    bvals, bused = _refine_boundary(spec, r, 0.5 * cell, budget)
-    budget -= bused
-    _mark(boundary, bvals, lo_x, lo_y, cell_w, cell_h, resolution)
-
-    # Quadtree over the source disk.  A node becomes a leaf once its
-    # image fits within a few grid cells; the leaf is then filled with a
-    # regular source lattice whose image step is below half a cell.
-    # This keeps derivative probing (5 points per node) a negligible
-    # fraction of the budget.
-    cx = np.array([0.0])
-    cy = np.array([0.0])
-    half = r
-    used = 4096 + bused
-    sqrt2 = np.sqrt(2.0)
-    min_half = r * 2.0**-30
-    max_lattice = 32
-    for _ in range(64):
-        if not cx.size:
-            break
-        centers = cx + 1j * cy
-        keep = np.abs(centers) - half * sqrt2 <= r
-        cx, cy, centers = cx[keep], cy[keep], centers[keep]
-        if not cx.size:
-            break
-        # Local derivative majorant from center and corner probes plus a
-        # first-order remainder via |f''|, all clipped into the disk.
-        probes = np.stack(
-            [
-                centers,
-                centers + half * (1 + 1j),
-                centers + half * (1 - 1j),
-                centers + half * (-1 + 1j),
-                centers + half * (-1 - 1j),
-            ]
-        )
-        mags = np.abs(probes)
-        over = mags > r
-        probes[over] *= r / mags[over]
-        used += 2 * probes.size
-        if used > sample_cap:
-            raise ResourceError(
-                f"rasterization needs more than {sample_cap} samples at resolution {resolution}"
-            )
-        d1max = np.max(np.abs(derivative(spec, probes)), axis=0)
-        d2max = np.max(np.abs(second_derivative(spec, probes)), axis=0)
-        dmax = DERIV_SAFETY * (d1max + sqrt2 * half * d2max)
-        # Lattice size needed for image steps of at most cell / 4.
-        lattice_n = np.ceil(4.0 * sqrt2 * half * dmax / cell).astype(int)
-        leaf = (lattice_n <= max_lattice) | (half <= min_half)
-        for s in np.unique(lattice_n[leaf]):
-            group = centers[leaf & (lattice_n == s)]
-            s = min(max(int(s), 1), max_lattice)
-            offs = (np.arange(s) + 0.5) / s * 2.0 - 1.0
-            ox, oy = np.meshgrid(offs, offs)
-            lattice = (ox + 1j * oy).ravel() * half
-            pts = (group[:, None] + lattice[None, :]).ravel()
-            mag = np.abs(pts)
-            step = 2.0 * half / s
-            near = mag <= r + sqrt2 * step
-            pts, mag = pts[near], mag[near]
-            out = mag > r
-            pts[out] *= r / mag[out]
-            if pts.size:
-                used += pts.size
-                if used > sample_cap:
-                    raise ResourceError(
-                        f"rasterization needs more than {sample_cap} samples "
-                        f"at resolution {resolution}"
-                    )
-                _mark(hits, evaluate(spec, pts), lo_x, lo_y, cell_w, cell_h, resolution)
-        scx, scy = cx[~leaf], cy[~leaf]
-        q = half / 2.0
-        cx = np.concatenate([scx - q, scx - q, scx + q, scx + q])
-        cy = np.concatenate([scy - q, scy + q, scy - q, scy + q])
-        half = q
-    hit_count = int(np.count_nonzero(hits))
-    boundary_count = int(np.count_nonzero(boundary))
+    ix = np.clip(((values.real - x0) / cell_w).astype(int), 0, resolution - 1)
+    iy = np.clip(((values.imag - y0) / cell_h).astype(int), 0, resolution - 1)
+    boundary[iy, ix] = True
+    hits = (_winding_numbers(values, x0, y0, cell_w, cell_h, resolution) > 0.5) | boundary
     return RasterResult(
-        hit_count, boundary_count, cell_w * cell_h, lo_x, lo_y, cell_w, cell_h,
-        resolution, used, hits, boundary,
+        int(np.count_nonzero(hits)), int(np.count_nonzero(boundary)), cell_w * cell_h,
+        x0, y0, cell_w, cell_h, used, hits, boundary,
     )
 
 
@@ -543,10 +512,12 @@ def area(
     resolution: int = DEFAULT_RESOLUTION,
     sample_cap: int = SAMPLE_CAP,
 ) -> FunctionalValue:
-    """Set area of f(r D) (no multiplicity) by adaptive rasterization.
+    """Set area of f(r D) (no multiplicity) from a winding-number raster.
 
-    Error estimate is the total area of cells met by the image of the
-    circle |z| = r, the band where coverage is ambiguous.
+    The value is the area of the cells that f(r D) meets: positive winding
+    number of f(r T) at the centre, or a cell the curve passes through.
+    The error estimate is the area of the boundary cells, the band where
+    coverage is ambiguous.  sample_cap bounds the boundary samples.
     """
     raster = _rasterize(spec, r, resolution=resolution, sample_cap=sample_cap)
     value = raster.hit_count * raster.cell_area
@@ -613,9 +584,9 @@ def perimeter_univalent(
 ) -> FunctionalValue:
     """Perimeter of f(r D) for injective f, by quadrature of |f'| over r T.
 
-    Raises UnivalenceError when the sampled injectivity check fails.  For
-    series specs with sampled zero-free derivative the value is
-    cross-checked against the square-root-series identity.
+    Raises UnivalenceError when is_univalent_sampled finds f not injective
+    on the closed disk.  For series specs with sampled zero-free derivative
+    the value is cross-checked against the square-root-series identity.
     """
     uni = is_univalent_sampled(spec, r)
     if not uni:
@@ -642,71 +613,120 @@ def perimeter_univalent(
 # ---- univalence ----
 
 
-def is_univalent_sampled(
-    spec: FunctionSpec, r: float, m: int = 512, circles: int = 16
-) -> UnivalenceResult:
-    """Sampled injectivity of f on r D over nested circles.
+def _critical_point(
+    spec: FunctionSpec, r: float, z: np.ndarray, d: np.ndarray, count: int
+) -> complex:
+    """One of the count zeros of f' in r D, from samples d = f'(z) on r T.
 
-    Distant source samples with nearby images are candidate collisions;
-    each is refined by a Gauss-Newton descent on |f(z1) - f(z2)|.  A true
-    verdict is a high-confidence sampled claim, not a proof.
+    The contour moments (1 / 2 pi i) integral of z^k f''/f' dz, summed
+    over the refined steps, are the power sums of the zeros; Newton's
+    identities turn them into a polynomial whose roots Newton's method on
+    f' then polishes.  Returns the root where |f'| is least.
     """
-    radii = r * (np.arange(1, circles + 1) / circles)
-    zs = []
-    spacing = []
-    for rho in radii:
-        ang = 2.0 * np.pi * np.arange(m) / m
-        zs.append(rho * np.exp(1j * ang))
-        spacing.append(np.full(m, max(2.0 * np.pi * rho / m, r / circles)))
-    z = np.concatenate(zs)
-    h_src = np.concatenate(spacing)
-    w = evaluate(spec, z)
-    d1 = np.abs(derivative(spec, z))
-    scale = float(np.max(np.abs(w - np.mean(w)))) * 2.0 + 1e-300
-    dmax = float(np.max(d1))
-    crit = np.nonzero(d1 < 1e-12 * (1.0 + dmax))[0]
-    if crit.size:
-        z0 = complex(z[crit[0]])
-        return UnivalenceResult(False, (z0, z0), "vanishing derivative")
+    dlog = np.log(np.roll(d, -1) / d)
+    zm = 0.5 * (z + np.roll(z, -1))
+    sums = [complex(np.sum(zm**k * dlog)) / (2j * np.pi) for k in range(1, count + 1)]
+    e = [1.0 + 0j]
+    for k in range(1, count + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
+    roots = np.roots([(-1) ** k * e[k] for k in range(count + 1)])
+    roots = np.where(np.abs(roots) < r, roots, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(20):
+            nxt = roots - derivative(spec, roots) / second_derivative(spec, roots)
+            roots = np.where(np.abs(nxt) < r, nxt, roots)
+    return complex(roots[np.argmin(np.abs(derivative(spec, roots)))])
 
-    s_img = d1 * h_src
-    tree = cKDTree(np.column_stack([w.real, w.imag]))
-    neighborhoods = tree.query_ball_point(
-        np.column_stack([w.real, w.imag]), 3.0 * s_img, workers=-1
+
+def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
+    """Two points of r T at least min_sep apart with the same image, or None.
+
+    Candidates are proper crossings of segments of the boundary polyline,
+    whose midpoints lie within the longest step of each other; Newton's
+    method on the two boundary angles then solves the two real equations
+    f(r e^(i t1)) = f(r e^(i t2)).  The diagonal t1 = t2 solves them too,
+    hence the separation floor.
+    """
+    angles, w, _, _ = _boundary_curve(spec, r)
+    seg = np.roll(w, -1) - w
+    mid = w + 0.5 * seg
+    pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
+        float(np.max(np.abs(seg))), output_type="ndarray"
     )
-    cand = []
-    for i, group in enumerate(neighborhoods):
-        for j in group:
-            if j <= i:
-                continue
-            if abs(z[i] - z[j]) > 4.0 * (h_src[i] + h_src[j]):
-                cand.append((abs(w[i] - w[j]), i, j))
-    cand.sort(key=lambda t: t[0])
-    for _, i, j in cand[:200]:
-        z1, z2 = complex(z[i]), complex(z[j])
-        for _ in range(40):
-            f1, f2 = complex(evaluate(spec, z1)), complex(evaluate(spec, z2))
-            big_f = f1 - f2
-            if abs(big_f) < 1e-11 * scale:
-                break
-            g1, g2 = complex(derivative(spec, z1)), complex(derivative(spec, z2))
-            denom = abs(g1) ** 2 + abs(g2) ** 2
-            if denom < 1e-300:
-                break
-            step1 = -np.conj(g1) * big_f / denom
-            step2 = np.conj(g2) * big_f / denom
-            if abs(step1) + abs(step2) < 1e-16 * (1.0 + abs(z1) + abs(z2)):
-                break
-            z1, z2 = z1 + step1, z2 + step2
-            if abs(z1) > r:
-                z1 *= r / abs(z1)
-            if abs(z2) > r:
-                z2 *= r / abs(z2)
-        f1, f2 = complex(evaluate(spec, z1)), complex(evaluate(spec, z2))
-        sep_floor = 4.0 * (h_src[i] + h_src[j])
-        if abs(f1 - f2) < 1e-9 * scale and abs(z1 - z2) > sep_floor:
-            return UnivalenceResult(False, (z1, z2), "image collision")
+    i, j = pairs[:, 0], pairs[:, 1]
+    apart = (np.abs(i - j) > 1) & (np.abs(i - j) < w.size - 1)
+    i, j = i[apart], j[apart]
+    c1, c2 = _cross(seg[i], w[j] - w[i]), _cross(seg[i], w[j] + seg[j] - w[i])
+    c3, c4 = _cross(seg[j], w[i] - w[j]), _cross(seg[j], w[i] + seg[i] - w[j])
+    proper = (c1 * c2 < 0.0) & (c3 * c4 < 0.0)
+    i, j, c1, c2, c3, c4 = (a[proper] for a in (i, j, c1, c2, c3, c4))
+    widths = np.append(angles[1:], 2.0 * np.pi) - angles
+    t1 = angles[i] + c3 / (c3 - c4) * widths[i]
+    t2 = angles[j] + c1 / (c1 - c2) * widths[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(20):
+            z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
+            gap = evaluate(spec, z1) - evaluate(spec, z2)
+            g1, g2 = 1j * z1 * derivative(spec, z1), -1j * z2 * derivative(spec, z2)
+            det = _cross(g1, g2)
+            t1, t2 = t1 - _cross(gap, g2) / det, t2 - _cross(g1, gap) / det
+        z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
+        scale = 2.0 * float(np.max(np.abs(w - np.mean(w)))) + 1e-300
+        ok = (np.abs(evaluate(spec, z1) - evaluate(spec, z2)) < 1e-9 * scale) & (
+            np.abs(z1 - z2) > min_sep
+        )
+    if not np.any(ok):
+        return None
+    k = int(np.flatnonzero(ok)[0])
+    return complex(z1[k]), complex(z2[k])
+
+
+def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
+    """Injectivity of f on the closed disk r D by the Darboux-Picard theorem.
+
+    For f analytic on a neighbourhood of the disk, f is injective exactly
+    when f' has no zeros there and f(r T) is a simple curve.  The zeros of
+    f' are counted by the turning of arg f' along r T, sampled until each
+    step turns by less than pi / 8.  Self-crossings of f(r T) are searched
+    on the boundary polyline of the default raster (steps of half a cell)
+    and confirmed by Newton's method.  A false verdict carries a critical
+    point (z, z) or a colliding pair (z1, z2).
+    """
+    m0 = 4096
+    d0 = derivative(spec, r * np.exp(2j * np.pi * np.arange(m0) / m0))
+    tiny = 1e-12 * (1.0 + float(np.max(np.abs(d0))))
+
+    def turns_fast(d):
+        nxt = np.roll(d, -1)
+        fast = np.abs(np.angle(nxt * np.conj(d))) >= np.pi / 8.0
+        return fast & (np.minimum(np.abs(d), np.abs(nxt)) > tiny)
+
+    angles, d, _ = _refine_circle(partial(derivative, spec), r, d0, turns_fast, SAMPLE_CAP)
+    z = r * np.exp(1j * angles)
+    k = int(np.argmin(np.abs(d)))
+    if abs(d[k]) <= tiny:
+        return UnivalenceResult(False, (complex(z[k]), complex(z[k])), "vanishing derivative")
+    count = int(round(float(np.sum(np.angle(np.roll(d, -1) * np.conj(d)))) / (2.0 * np.pi)))
+    if count > 0:
+        zc = _critical_point(spec, r, z, d, count)
+        return UnivalenceResult(False, (zc, zc), "vanishing derivative")
+    # f is locally injective, so a genuine collision is not within one
+    # initial grid step of the diagonal.
+    pair = _self_crossing(spec, r, 2.0 * np.pi * r / m0)
+    if pair is not None:
+        return UnivalenceResult(False, pair, "image collision")
     return UnivalenceResult(True, None, "")
+
+
+def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> str:
+    """The area method to use on r D: "auto" picks the exact coefficient
+    series when the spec is coefficient-backed and injective on r D, and
+    the raster otherwise; "series" and "raster" pass through."""
+    if method != "auto":
+        return method
+    if isinstance(spec, (Polynomial, PowerSeries)) and is_univalent_sampled(spec, r):
+        return "series"
+    return "raster"
 
 
 # ---- capacity bracket ----
@@ -728,13 +748,7 @@ def capacity_bracket(
     Estimator errors are propagated outward into the interval; the value
     is the midpoint.  The bracket_inverted flag signals under-resolution.
     """
-    if area_method == "auto":
-        area_method = (
-            "series"
-            if isinstance(spec, (Polynomial, PowerSeries)) and is_univalent_sampled(spec, r)
-            else "raster"
-        )
-    if area_method == "series":
+    if resolve_area_method(spec, r, area_method) == "series":
         a = area_univalent_series(spec, r)
     else:
         a = area(spec, r, resolution=resolution)

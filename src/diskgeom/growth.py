@@ -18,8 +18,6 @@ import numpy as np
 
 from .analytic import (
     FunctionSpec,
-    Polynomial,
-    PowerSeries,
     derivative,
     spec_hash,
 )
@@ -35,9 +33,9 @@ from .functionals import (
     circle_image_length,
     diameter,
     disk_n_diameter,
-    is_univalent_sampled,
     n_diameter,
     radius,
+    resolve_area_method,
 )
 
 KINDS = ("rad", "diam", "ndiam", "cap", "area", "perim")
@@ -179,12 +177,12 @@ def phi_curve(
 ) -> GrowthCurve:
     """Normalized growth curve of one functional kind over a radius grid.
 
-    area_method "auto" uses the exact coefficient series when the spec is
-    coefficient-backed and passes the sampled univalence check on the
-    largest grid radius, otherwise the rasterizer.  The capacity curve
-    takes the bracket's upper endpoint as its value, so its verdicts test
-    the estimator, not the true capacity; the curve carries a
-    cap_upper_estimate flag as a reminder.
+    area_method "auto" is resolved once, at the largest grid radius, by
+    resolve_area_method: the exact coefficient series when the spec is
+    coefficient-backed and injective on that disk, otherwise the raster.
+    The capacity curve takes the bracket's upper endpoint as its value, so
+    its verdicts test the estimator, not the true capacity; the curve
+    carries a cap_upper_estimate flag as a reminder.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown functional kind {kind!r}")
@@ -196,10 +194,7 @@ def phi_curve(
 
     flags: tuple = ()
     if kind in ("area", "cap") and area_method == "auto":
-        series_ok = isinstance(spec, (Polynomial, PowerSeries)) and bool(
-            is_univalent_sampled(spec, float(grid[-1]))
-        )
-        area_method = "series" if series_ok else "raster"
+        area_method = resolve_area_method(spec, float(grid[-1]), area_method)
         flags = flags + (f"area_method={area_method}",)
     if kind == "cap":
         flags = flags + ("cap_upper_estimate",)

@@ -58,6 +58,14 @@ def test_eval_json_payload(capsys):
     assert payload["value"] == pytest.approx(1.0, abs=1e-8)
     assert payload["seed"] == 0
     assert len(payload["spec"]) == 12
+    # z^2 is not injective, so "auto" takes the raster at the default
+    # resolution 1024; the image is the disk of radius r^2.
+    code, out, _ = run_cli(
+        capsys, "eval", "--spec", "poly[0,0,1]", "--kind", "area", "--r", "0.7",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["value"] - np.pi * 0.7**4) <= 3.0 * payload["abs_error"]
 
 
 def test_eval_csv_row(capsys):

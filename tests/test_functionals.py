@@ -21,6 +21,7 @@ from diskgeom import (
     circle_image_length,
     diameter,
     disk_n_diameter,
+    evaluate,
     is_univalent_sampled,
     n_diameter,
     perimeter_univalent,
@@ -118,6 +119,9 @@ def test_area_raster_square_map_no_multiplicity():
     # double-count.
     fv = area(SQUARE, 0.7, resolution=512)
     assert abs(fv.value - np.pi * 0.49**2) <= 3.0 * fv.abs_error
+    for r in (0.5, 0.7):
+        fv = area(SQUARE, r)
+        assert abs(fv.value - np.pi * r**4) <= 3.0 * fv.abs_error
 
 
 def test_area_series_koebe_like():
@@ -155,13 +159,24 @@ def test_perimeter_univalent_rejects_square_map():
 
 
 def test_univalence_square_map_fails_by_collision():
-    # The sampled circles avoid the origin, so z^2 is caught by its exact
-    # antipodal collisions f(z) = f(-z) rather than by f'(0) = 0.
+    # z^2 also has the antipodal collisions f(z) = f(-z), but the zero of
+    # f' at the origin is found first; the collision verdict is checked on
+    # the annulus cover below.
     res = is_univalent_sampled(SQUARE, 0.5)
     assert not res
-    assert res.reason == "image collision"
+    assert res.reason == "vanishing derivative"
     z1, z2 = res.witness
-    assert abs(z1 + z2) <= 1e-9
+    assert z1 == z2
+    assert abs(z1) <= 1e-12
+
+
+def ac10_polynomial(index: int) -> Polynomial:
+    """Polynomial index (0-based) of the acceptance test AC10's random stream."""
+    rng = np.random.default_rng(SEED)
+    for _ in range(index):
+        rng.standard_normal(6)
+        rng.standard_normal(6)
+    return Polynomial(tuple(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
 
 
 def test_univalence_detects_critical_point_on_sample():
@@ -173,20 +188,38 @@ def test_univalence_detects_critical_point_on_sample():
     z1, z2 = res.witness
     assert z1 == z2
     assert abs(z1 - 0.25) <= 1e-12
+    # Critical points just inside the circle, at |z| = 0.2995 and 0.581.
+    for index, r, radius_c in ((8, 0.3, 0.2995), (11, 0.6, 0.581)):
+        spec = ac10_polynomial(index)
+        res = is_univalent_sampled(spec, r)
+        assert not res
+        assert res.reason == "vanishing derivative"
+        z1, z2 = res.witness
+        assert z1 == z2
+        assert abs(abs(z1) - radius_c) <= 5e-4
+        roots = np.roots(np.polyder(np.array(spec.coeffs[::-1])))
+        assert np.min(np.abs(roots - z1)) <= 1e-9
 
 
 def test_univalence_detects_collision_annulus_cover():
     # Above the threshold radius tanh(pi / (2 c)) the cover wraps.
-    res = is_univalent_sampled(AnnulusCover(1.0), 0.95)
-    assert not res
-    z1, z2 = res.witness
-    assert abs(z1 - z2) > 1e-3
+    cases = [(1.0, 0.95)] + [(c, np.tanh(np.pi / (2.0 * c)) + 1e-3) for c in (1.0, 3.0)]
+    for c, r in cases:
+        spec = AnnulusCover(c)
+        res = is_univalent_sampled(spec, r)
+        assert not res
+        assert res.reason == "image collision"
+        z1, z2 = res.witness
+        assert abs(z1 - z2) > 1e-3
+        assert abs(complex(evaluate(spec, z1)) - complex(evaluate(spec, z2))) <= 1e-9
 
 
 def test_univalence_accepts_injective_maps():
     assert is_univalent_sampled(KOEBE_LIKE, 0.9)
     assert is_univalent_sampled(Moebius(0.0, 0.3, 1.0), 0.9)
     assert is_univalent_sampled(AnnulusCover(1.0), 0.9)
+    for c in (1.0, 3.0):
+        assert is_univalent_sampled(AnnulusCover(c), np.tanh(np.pi / (2.0 * c)) - 1e-3)
 
 
 def test_capacity_bracket_identity_is_tight():
