@@ -4,7 +4,8 @@ Each checker returns an InequalityReport with lhs, rhs, slack and an
 equality flag at an explicit tolerance.  Open-disk quantities such as
 Diam f(D) are estimated by polynomial extrapolation of the functional
 over radii approaching 1, with a quadratic-versus-cubic stability guard;
-sampling alone cannot reach the open-disk sup.
+sampling alone cannot reach the open-disk sup.  The estimators, disk
+values and report names of the growth checks come from functionals.KINDS.
 """
 
 from __future__ import annotations
@@ -22,36 +23,16 @@ from .analytic import (
     evaluate,
     sample_circle,
     scale_spec,
-    second_derivative,
     taylor_coefficients,
 )
 from .errors import DomainError, NormalizationError
 from .functionals import (
-    area,
-    area_univalent_series,
-    circle_image_length,
-    diameter,
+    _area_by_method,
+    _circle_max,
     disk_n_diameter,
+    functional_kind,
     n_diameter,
-    radius,
     resolve_area_method,
-)
-
-REPORT_NAMES = (
-    "SchwarzGrowth",
-    "LandauToeplitz",
-    "NDiamGrowth",
-    "CapGrowth",
-    "AreaGrowth",
-    "PerimGrowth",
-    "Don",
-    "Poukka",
-    "Schur",
-    "Isoperimetric",
-    "Polya",
-    "AreaDn",
-    "Hadamard",
-    "DensityLower",
 )
 
 DEFAULT_EQUALITY_TOL = 1e-6
@@ -60,17 +41,6 @@ EXTRAPOLATION_RADII = (0.996, 0.997, 0.998, 0.999)
 # Relative disagreement between quadratic and cubic extrapolation that
 # marks the estimate unstable.
 EXTRAPOLATION_GUARD = 5e-3
-_DISK_VALUES = {"rad": 1.0, "diam": 2.0, "cap": 1.0, "area": np.pi, "perim": 2.0 * np.pi}
-
-_GROWTH_NAMES = {
-    "rad": "SchwarzGrowth",
-    "diam": "LandauToeplitz",
-    "ndiam": "NDiamGrowth",
-    "cap": "CapGrowth",
-    "area": "AreaGrowth",
-    "perim": "PerimGrowth",
-}
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -101,8 +71,11 @@ def report_to_json(report: InequalityReport) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _make_report(name: str, lhs: float, rhs: float, tol: float, context: dict) -> InequalityReport:
-    slack = rhs - lhs
+def _make_report(
+    name: str, lhs: float, rhs: float, tol: float, context: dict, reverse: bool = False
+) -> InequalityReport:
+    """Report on lhs <= rhs, or on lhs >= rhs when reverse is set."""
+    slack = lhs - rhs if reverse else rhs - lhs
     return InequalityReport(
         name=name, lhs=float(lhs), rhs=float(rhs), slack=float(slack),
         equality=bool(abs(slack) <= tol), tol=float(tol), context=context,
@@ -132,35 +105,19 @@ def disk_functional_estimate(
 ):
     """Open-disk functional of f(D), extrapolated from radii near 1.
 
-    Returns (value, abs_error).  Smooth boundary-driven kinds (rad, diam,
-    ndiam, perim) use cubic extrapolation over four radii with the
-    quadratic comparison as a stability guard; area uses the rasterizer
-    at the largest radius; cap reports the bracket midpoint there.
+    Returns (value, abs_error).  The smooth boundary-driven kinds use cubic
+    extrapolation over four radii with the quadratic comparison as a
+    stability guard; area-based kinds (functionals.KINDS marks them) take
+    the raster estimate at the largest radius, for cap the bracket midpoint.
     """
-    if kind == "area":
-        fv = area(spec, EXTRAPOLATION_RADII[-1], resolution=resolution)
-        return fv.value, fv.abs_error
-    if kind == "cap":
-        from .functionals import capacity_bracket
-
-        fv = capacity_bracket(
-            spec, EXTRAPOLATION_RADII[-1], n=n, m=m, resolution=resolution,
-            restarts=restarts, seed=seed, area_method="raster",
-        )
-        return fv.value, fv.abs_error
-    if kind == "rad":
-        fvs = [radius(spec, r, m=m) for r in EXTRAPOLATION_RADII]
-    elif kind == "diam":
-        fvs = [diameter(spec, r, m=m) for r in EXTRAPOLATION_RADII]
-    elif kind == "ndiam":
-        fvs = [
-            n_diameter(spec, r, n, m=m, restarts=restarts, seed=seed)
-            for r in EXTRAPOLATION_RADII
-        ]
-    elif kind == "perim":
-        fvs = [circle_image_length(spec, r) for r in EXTRAPOLATION_RADII]
-    else:
-        raise DomainError(f"unknown functional kind {kind!r}")
+    fk = functional_kind(kind)
+    radii = EXTRAPOLATION_RADII[-1:] if fk.uses_area else EXTRAPOLATION_RADII
+    fvs = [
+        fk.estimate(spec, r, n, m=m, resolution=resolution, restarts=restarts, seed=seed)
+        for r in radii
+    ]
+    if fk.uses_area:
+        return fvs[0].value, fvs[0].abs_error
     values = [fv.value for fv in fvs]
     cubic = _neville_at_one(EXTRAPOLATION_RADII, values)
     quad = _neville_at_one(EXTRAPOLATION_RADII[1:], values[1:])
@@ -178,54 +135,36 @@ def disk_functional_estimate(
 def normalize_spec(spec: FunctionSpec, kind: str = "diam", n: int = 4):
     """Rescale a coefficient-backed spec so its open-disk functional hits
     the disk value (Diam 2, Rad 1, and so on).  Returns the new spec."""
-    target = _DISK_VALUES.get(kind)
-    if kind == "ndiam":
-        target = disk_n_diameter(n)
-    if target is None:
-        raise DomainError(f"no disk normalization target for kind {kind!r}")
+    fk = functional_kind(kind)
     value, _ = disk_functional_estimate(spec, kind, n=n)
     if value <= 0.0:
         raise DomainError("cannot normalize a degenerate spec")
-    factor = target / value if kind != "area" else math.sqrt(target / value)
-    return scale_spec(spec, factor)
+    factor = fk.norm(1.0, n) / value
+    return scale_spec(spec, math.sqrt(factor) if fk.squared else factor)
 
 
 def check_growth(
     spec: FunctionSpec, r: float, kind: str, tol: float = DEFAULT_EQUALITY_TOL, n: int = 4
 ) -> InequalityReport:
-    """Schwarz-type growth inequality: functional of f(r D) against the
-    disk benchmark, for specs normalized to the unit-disk value.
+    """Schwarz-type growth inequality: functional of f(r D) against its
+    value on r D, for specs normalized to the unit-disk value.
 
     Raises NormalizationError when the extrapolated unit-disk functional
     deviates from the disk value by more than one percent.
     """
-    if kind not in _GROWTH_NAMES:
-        raise DomainError(f"unknown functional kind {kind!r}")
-    disk_target = disk_n_diameter(n) if kind == "ndiam" else _DISK_VALUES[kind]
+    fk = functional_kind(kind)
+    disk_target = fk.norm(1.0, n)
     est, est_err = disk_functional_estimate(spec, kind, n=n)
     if abs(est - disk_target) > 0.01 * disk_target + 3.0 * est_err:
         raise NormalizationError(
             f"unit-disk {kind} is {est:.6g}, expected {disk_target:.6g}; "
             "rescale the spec first"
         )
-    if kind == "rad":
-        fv, rhs = radius(spec, r), r
-    elif kind == "diam":
-        fv, rhs = diameter(spec, r), 2.0 * r
-    elif kind == "ndiam":
-        fv, rhs = n_diameter(spec, r, n), disk_n_diameter(n) * r
-    elif kind == "cap":
-        from .functionals import capacity_bracket
-
-        fv, rhs = capacity_bracket(spec, r, n=n), r
-    elif kind == "area":
-        fv, rhs = area(spec, r), np.pi * r * r
-    else:
-        fv, rhs = circle_image_length(spec, r), 2.0 * np.pi * r
+    fv = fk.estimate(spec, r, n)
     context = {
         "kind": kind, "r": r, "disk_estimate": est, "estimate_error": fv.abs_error,
     }
-    return _make_report(_GROWTH_NAMES[kind], fv.value, rhs, max(tol, 3.0 * fv.abs_error), context)
+    return _make_report(fk.report, fv.value, fk.norm(r, n), max(tol, 3.0 * fv.abs_error), context)
 
 
 # ---- pointwise sharp bounds ----
@@ -313,31 +252,6 @@ def check_poukka(
     return _make_report("Poukka", lhs, rhs, max(tol, 3.0 * diam_err), context)
 
 
-def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: complex):
-    """Max of |f(z) - shift - slope z| on |z| = r with a second-order
-    error bound and parabolic refinement."""
-    angles = 2.0 * np.pi * np.arange(m) / m
-    zs = r * np.exp(1j * angles)
-    g = np.abs(evaluate(spec, zs) - shift - slope * zs)
-    k = int(np.argmax(g))
-    value = float(g[k])
-    dtheta = 2.0 * np.pi / m
-    gm, gp = g[(k - 1) % m], g[(k + 1) % m]
-    denom = gm - 2.0 * g[k] + gp
-    if denom < 0.0:
-        off = 0.5 * (gm - gp) / denom * dtheta
-        if abs(off) <= dtheta:
-            zz = r * np.exp(1j * (angles[k] + off))
-            cand = abs(complex(evaluate(spec, zz)) - shift - slope * zz)
-            value = max(value, cand)
-    d1 = np.abs(derivative(spec, zs) - slope)
-    d2 = np.abs(second_derivative(spec, zs))
-    curv = r * r * float(np.max(d2)) + r * float(np.max(d1))
-    curv += (r * float(np.max(d1))) ** 2 / max(value, 1e-300)
-    err = 0.125 * curv * dtheta * dtheta + 1e-14 * (1.0 + value)
-    return value, err
-
-
 def check_schur(
     spec: FunctionSpec, r: float, tol: float = DEFAULT_EQUALITY_TOL, m: int = 8192
 ) -> InequalityReport:
@@ -355,7 +269,7 @@ def check_schur(
             f"sup |(f(z) - f(0))/z| is about {float(np.max(ratio)):.6g}, above 1"
         )
     a = complex(derivative(spec, 0.0))
-    lhs, err = _circle_max(spec, r, m, f0, a)
+    lhs, err, _ = _circle_max(spec, r, m, f0, a)
     rhs = (1.0 - abs(a) ** 2) * r * r / (1.0 - abs(a) * r)
     context = {"r": r, "fprime0": [a.real, a.imag], "lhs_error": err}
     return _make_report("Schur", lhs, rhs, max(tol, 3.0 * err), context)
@@ -387,10 +301,7 @@ def check_polya_chain(
     n-diameter report, with estimator errors folded into each tolerance.
     """
     area_method = resolve_area_method(spec, r, area_method)
-    if area_method == "series":
-        a = area_univalent_series(spec, r)
-    else:
-        a = area(spec, r, resolution=resolution)
+    a = _area_by_method(spec, r, area_method, resolution)
     dn = n_diameter(spec, r, n, m=m, restarts=restarts, seed=seed)
     norm = disk_n_diameter(n)
     cap_upper = dn.value / norm + dn.abs_error / norm

@@ -21,6 +21,7 @@ from .analytic import (
     Moebius,
     Polynomial,
     PowerSeries,
+    _c2j,
     spec_from_json,
     spec_hash,
 )
@@ -38,18 +39,13 @@ from .counterexample import check_not_log_convex
 from .errors import DiskGeomError, NormalizationError
 from .functionals import (
     DEFAULT_RESOLUTION,
-    DEFAULT_RESTARTS,
+    KINDS,
     FunctionalValue,
-    area,
-    area_univalent_series,
-    capacity_bracket,
+    _area_by_method,
     circle_image_length,
-    diameter,
     n_diameter,
-    radius,
-    resolve_area_method,
 )
-from .growth import KINDS, default_grid, phi_curve
+from .growth import default_grid, phi_curve
 from .hyperbolic import check_density_lower_bound
 from .identities import fekete_witness_is_roots, identity_suite
 
@@ -67,9 +63,9 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _cpair(w: complex) -> list:
-    w = complex(w)
-    return [w.real, w.imag]
+def _write_json(out, payload: dict) -> None:
+    """One JSON object per line with sorted keys, on stdout and stderr alike."""
+    out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _parse_complex(text: str, flag: str) -> complex:
@@ -121,28 +117,6 @@ def parse_spec(text: str) -> FunctionSpec:
         raise DiskGeomError(f"spec file {text!r} does not parse: {exc}") from exc
 
 
-def _eval_functional(spec: FunctionSpec, args) -> FunctionalValue:
-    kind = args.kind
-    r = args.r
-    if kind == "rad":
-        return radius(spec, r)
-    if kind == "diam":
-        return diameter(spec, r)
-    if kind == "ndiam":
-        return n_diameter(spec, r, args.n, restarts=DEFAULT_RESTARTS, seed=args.seed)
-    if kind == "cap":
-        return capacity_bracket(
-            spec, r, n=args.n, resolution=args.resolution, seed=args.seed,
-            area_method=args.area_method,
-        )
-    if kind == "area":
-        method = resolve_area_method(spec, r, args.area_method)
-        if method == "series":
-            return area_univalent_series(spec, r)
-        return area(spec, r, resolution=args.resolution)
-    return circle_image_length(spec, r)
-
-
 def _functional_payload(fv: FunctionalValue, spec_h: str, seed: int, r: float) -> dict:
     return {
         "command": "eval",
@@ -153,7 +127,7 @@ def _functional_payload(fv: FunctionalValue, spec_h: str, seed: int, r: float) -
         "interval": list(fv.interval) if fv.interval is not None else None,
         "n": fv.n,
         "flags": list(fv.flags),
-        "witness": [_cpair(w) for w in fv.witness] if fv.witness is not None else None,
+        "witness": [_c2j(w) for w in fv.witness] if fv.witness is not None else None,
         "spec": spec_h,
         "seed": seed,
     }
@@ -162,10 +136,12 @@ def _functional_payload(fv: FunctionalValue, spec_h: str, seed: int, r: float) -
 def _cmd_eval(args, out) -> int:
     spec = parse_spec(args.spec)
     h = spec_hash(spec)
-    fv = _eval_functional(spec, args)
+    fv = KINDS[args.kind].estimate(
+        spec, args.r, args.n, resolution=args.resolution, seed=args.seed,
+        area_method=args.area_method,
+    )
     if args.format == "json":
-        out.write(json.dumps(_functional_payload(fv, h, args.seed, args.r), sort_keys=True))
-        out.write("\n")
+        _write_json(out, _functional_payload(fv, h, args.seed, args.r))
     else:
         out.write("kind,r,value,abs_error,spec,seed\n")
         out.write(
@@ -195,8 +171,7 @@ def _cmd_sweep(args, out) -> int:
             "spec": curve.spec_hash,
             "seed": args.seed,
         }
-        out.write(json.dumps(payload, sort_keys=True))
-        out.write("\n")
+        _write_json(out, payload)
         return 0
     out.write(
         f"# kind={curve.kind},normalization={curve.normalization},"
@@ -227,11 +202,7 @@ def _run_one_check(name: str, spec: FunctionSpec, args) -> list:
     if name == "schur":
         return [check_schur(spec, args.r, tol=args.tol)]
     if name == "isoperimetric":
-        method = resolve_area_method(spec, args.r, args.area_method)
-        if method == "series":
-            a = area_univalent_series(spec, args.r)
-        else:
-            a = area(spec, args.r, resolution=args.resolution)
+        a = _area_by_method(spec, args.r, args.area_method, args.resolution)
         length = circle_image_length(spec, args.r)
         # Propagate estimator errors through both sides: lhs = 4 pi A,
         # rhs = L^2.
@@ -278,14 +249,9 @@ def _cmd_check(args, out) -> int:
         for rep in reports:
             payload = json.loads(report_to_json(rep))
             payload.update(passed=rep.passed, spec=h, seed=args.seed)
-            out.write(json.dumps(payload, sort_keys=True))
-            out.write("\n")
+            _write_json(out, payload)
         for name, reason in skipped:
-            out.write(json.dumps(
-                {"name": name, "skipped": reason, "spec": h, "seed": args.seed},
-                sort_keys=True,
-            ))
-            out.write("\n")
+            _write_json(out, {"name": name, "skipped": reason, "spec": h, "seed": args.seed})
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -309,8 +275,7 @@ def _cmd_counterexample(args, out) -> int:
             "spec": h,
             "seed": args.seed,
         }
-        out.write(json.dumps(payload, sort_keys=True))
-        out.write("\n")
+        _write_json(out, payload)
         return 0
     out.write(
         f"# c={_g(run.c)},threshold={_g(run.threshold)},"
@@ -345,13 +310,12 @@ def _cmd_fekete(args, out) -> int:
             "r": args.r,
             "value": fv.value,
             "abs_error": fv.abs_error,
-            "points": [_cpair(w) for w in witness],
+            "points": [_c2j(w) for w in witness],
             "matches_rotated_roots": matches,
             "spec": h,
             "seed": args.seed,
         }
-        out.write(json.dumps(payload, sort_keys=True))
-        out.write("\n")
+        _write_json(out, payload)
         return 0
     out.write(
         f"# n={args.n},r={_g(args.r)},value={_g(fv.value)},"
@@ -370,8 +334,7 @@ def _cmd_identities(args, out) -> int:
     payload = dict(result, command="identities", n_max=args.n_max, seed=args.seed)
     ok = all(bool(v) for k, v in result.items() if k.endswith("_ok"))
     if args.format == "json":
-        out.write(json.dumps(payload, sort_keys=True))
-        out.write("\n")
+        _write_json(out, payload)
     else:
         out.write("key,value,seed\n")
         for key in sorted(payload):
@@ -385,8 +348,7 @@ def _cmd_identities(args, out) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        sys.stderr.write(json.dumps({"error": "ConfigError", "message": message}))
-        sys.stderr.write("\n")
+        _write_json(sys.stderr, {"error": "ConfigError", "message": message})
         raise SystemExit(2)
 
 
@@ -470,10 +432,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, sys.stdout)
     except DiskGeomError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}
-        ))
-        sys.stderr.write("\n")
+        _write_json(sys.stderr, {"error": type(exc).__name__, "message": str(exc)})
         return 2
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,11 +46,9 @@ class CounterexampleRun:
     A_values: tuple
     threshold: float
     second_diffs: tuple
-    x_grid: tuple
     regimes: tuple
     has_negative_second_diff: bool
     quad_tol: float
-    limit_profile: Optional[tuple] = None
 
 
 def univalence_threshold(c: float) -> float:
@@ -168,7 +166,6 @@ def check_not_log_convex(
         A_values=tuple(float(a) for a in areas_r),
         threshold=threshold,
         second_diffs=tuple(float(d) for d in second),
-        x_grid=tuple(float(x) for x in xs_r),
         regimes=regimes,
         has_negative_second_diff=negative,
         quad_tol=quad_tol,

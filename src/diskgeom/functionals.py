@@ -4,6 +4,8 @@ Estimators: radius and diameter from boundary samples (max-modulus
 arguments put every extreme point on the image of the circle), the
 n-point diameter by multi-start exchange optimization, perimeter by
 quadrature of |f'| over the circle, and a two-sided capacity bracket.
+KINDS holds, for each functional kind, its estimator call and normalizer;
+growth curves, growth checks and the CLI all read them from there.
 
 Set area and univalence share one mechanism, the refined boundary curve
 f(r T) and the argument principle: the winding number of f(r T) around w
@@ -15,9 +17,9 @@ f(r T) is a simple curve (Darboux-Picard).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -25,9 +27,7 @@ from scipy.spatial import cKDTree
 
 from ._series import series_derivative, series_sqrt
 from .analytic import (
-    AnnulusCover,
     FunctionSpec,
-    Moebius,
     Polynomial,
     PowerSeries,
     evaluate,
@@ -86,50 +86,60 @@ def disk_n_diameter(n: int) -> float:
     return float(n) ** (1.0 / (n - 1))
 
 
+def _is_constant(w: np.ndarray) -> bool:
+    """Whether the samples w of f agree to rounding, relative to their size:
+    the image is then a single point."""
+    return float(np.max(np.abs(w - w[0]))) < 1e-14 * (1.0 + abs(w[0]))
+
+
 # ---- radius ----
 
 
-def _curvature_bound(spec: FunctionSpec, r: float, values1: np.ndarray) -> float:
-    """Bound on the angular second derivative of f(r e^(i theta)) from samples."""
-    angles = np.linspace(0.0, 2.0 * np.pi, values1.shape[0], endpoint=False)
-    z = r * np.exp(1j * angles)
-    m2 = float(np.max(np.abs(second_derivative(spec, z))))
-    m1 = float(np.max(np.abs(values1)))
-    return r * r * m2 + r * m1
+def _curvature(spec: FunctionSpec, r: float, zs: np.ndarray, slope: complex, value: float) -> float:
+    """Bound on the angular second derivative of |f(z) - slope z| along
+    |z| = r at a maximum of size value, from samples at the points zs."""
+    m1 = float(np.max(np.abs(derivative(spec, zs) - slope)))
+    m2 = float(np.max(np.abs(second_derivative(spec, zs))))
+    return r * r * m2 + r * m1 + (r * m1) ** 2 / max(value, 1e-300)
+
+
+def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: complex = 0.0):
+    """Max of |f(z) - shift - slope z| on |z| = r from m samples.
+
+    The grid max is refined by a parabolic step around the best sample;
+    the error estimate is the second-order bound for a stationary maximum
+    sampled at spacing 2 pi / m.  Returns (value, abs_error, f at the max).
+    """
+    sample = sample_circle(spec, r, m)
+    zs = r * np.exp(1j * sample.angles)
+    g = np.abs(sample.values - shift - slope * zs)
+    k = int(np.argmax(g))
+    value = float(g[k])
+    witness = complex(sample.values[k])
+    dtheta = 2.0 * np.pi / m
+    gm, gp = g[(k - 1) % m], g[(k + 1) % m]
+    denom = gm - 2.0 * g[k] + gp
+    if denom < 0.0:
+        step = 0.5 * (gm - gp) / denom * dtheta
+        if abs(step) <= dtheta:
+            zr = r * np.exp(1j * (sample.angles[k] + step))
+            fr = complex(evaluate(spec, zr))
+            cand = abs(fr - shift - slope * zr)
+            if cand > value:
+                value, witness = cand, fr
+    curv = _curvature(spec, r, zs, slope, value)
+    err = 0.125 * curv * dtheta * dtheta + 1e-14 * (1.0 + value)
+    return value, err, witness
 
 
 def radius(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:
     """sup |f(z) - f(0)| over r D, estimated on m circle samples.
 
-    The sup equals the max over |z| = r by the maximum principle.  The
-    grid max is refined by a parabolic step around the best sample; the
-    error estimate is the second-order bound for a stationary interior
-    maximum sampled at spacing 2 pi / m.
+    The sup equals the max over |z| = r by the maximum principle, which
+    _circle_max estimates with its second-order error bound.
     """
-    sample = sample_circle(spec, r, m)
-    f0 = evaluate(spec, 0.0)
-    g = np.abs(sample.values - f0)
-    k = int(np.argmax(g))
-    value = float(g[k])
-    witness = sample.values[k]
-    dtheta = 2.0 * np.pi / m
-    # Parabolic refinement around the best sample.
-    gm, gp = g[(k - 1) % m], g[(k + 1) % m]
-    denom = gm - 2.0 * g[k] + gp
-    if denom < 0.0:
-        shift = 0.5 * (gm - gp) / denom * dtheta
-        if abs(shift) <= dtheta:
-            zr = r * np.exp(1j * (sample.angles[k] + shift))
-            cand = abs(complex(evaluate(spec, zr)) - f0)
-            if cand > value:
-                value = cand
-                witness = complex(evaluate(spec, zr))
-    d1 = derivative(spec, r * np.exp(1j * sample.angles))
-    curv = _curvature_bound(spec, r, d1)
-    m1 = float(np.max(np.abs(d1)))
-    curv += (r * m1) ** 2 / max(value, 1e-300)
-    err = 0.125 * curv * dtheta * dtheta + 1e-14 * (1.0 + value)
-    return FunctionalValue(kind="rad", value=value, abs_error=err, witness=(complex(witness),))
+    value, err, witness = _circle_max(spec, r, m, evaluate(spec, 0.0))
+    return FunctionalValue(kind="rad", value=value, abs_error=err, witness=(witness,))
 
 
 # ---- diameter: convex hull + rotating calipers ----
@@ -196,8 +206,7 @@ def diameter(
     """
     sample = sample_circle(spec, r, m)
     w = sample.values
-    spread = float(np.max(np.abs(w - w[0])))
-    if spread < 1e-14 * (1.0 + abs(w[0])):
+    if _is_constant(w):
         return FunctionalValue(
             kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
         )
@@ -222,10 +231,7 @@ def diameter(
             value = float(-res.fun)
             wi = complex(evaluate(spec, r * np.exp(1j * res.x[0])))
             wj = complex(evaluate(spec, r * np.exp(1j * res.x[1])))
-    d1 = derivative(spec, r * np.exp(1j * sample.angles))
-    curv = _curvature_bound(spec, r, d1)
-    m1 = float(np.max(np.abs(d1)))
-    curv += (r * m1) ** 2 / max(value, 1e-300)
+    curv = _curvature(spec, r, r * np.exp(1j * sample.angles), 0.0, value)
     dtheta = 2.0 * np.pi / m
     err = 0.5 * curv * dtheta * dtheta + 1e-13 * (1.0 + value)
     return FunctionalValue(kind="diam", value=value, abs_error=err, witness=(wi, wj))
@@ -296,14 +302,10 @@ def n_diameter(
     if n < 2:
         raise DomainError("n must be >= 2")
     if n == 2:
-        d = diameter(spec, r, m=m)
-        return FunctionalValue(
-            kind="ndiam", value=d.value, abs_error=d.abs_error, witness=d.witness, n=2,
-            flags=d.flags,
-        )
+        return replace(diameter(spec, r, m=m), kind="ndiam", n=2)
     sample = sample_circle(spec, r, m)
     w = sample.values
-    if float(np.max(np.abs(w - w[0]))) < 1e-14 * (1.0 + abs(w[0])):
+    if _is_constant(w):
         return FunctionalValue(
             kind="ndiam", value=0.0, abs_error=0.0, witness=(complex(w[0]),) * n, n=n,
             flags=("degenerate",),
@@ -432,20 +434,19 @@ def _boundary_curve(
 
     The grid has resolution^2 cells over the padded bounding box of the
     curve.  Returns (angles, values, (x0, y0, cell_w, cell_h), samples
-    used).  A box without extent gets cells of zero size, and the curve
-    is then not refined.
+    used).  A constant map (samples equal to rounding, as _is_constant
+    decides) gets cells of zero size, and the curve is then not refined.
     """
     probe = sample_circle(spec, r, 4096).values
+    if _is_constant(probe):
+        angles = 2.0 * np.pi * np.arange(probe.size) / probe.size
+        return angles, probe, (float(probe[0].real), float(probe[0].imag), 0.0, 0.0), probe.size
     lo_x, hi_x = float(np.min(probe.real)), float(np.max(probe.real))
     lo_y, hi_y = float(np.min(probe.imag)), float(np.max(probe.imag))
     gap = float(np.max(np.abs(np.roll(probe, -1) - probe)))
     pad = 2.0 * gap + 1e-12 + 0.002 * max(hi_x - lo_x, hi_y - lo_y)
     lo_x, hi_x, lo_y, hi_y = lo_x - pad, hi_x + pad, lo_y - pad, hi_y + pad
-    width, height = hi_x - lo_x, hi_y - lo_y
-    if width <= 0.0 or height <= 0.0 or width + height < 1e-280:
-        angles = 2.0 * np.pi * np.arange(probe.size) / probe.size
-        return angles, probe, (lo_x, lo_y, 0.0, 0.0), probe.size
-    cell_w, cell_h = width / resolution, height / resolution
+    cell_w, cell_h = (hi_x - lo_x) / resolution, (hi_y - lo_y) / resolution
     step = 0.5 * min(cell_w, cell_h)
     angles, values, used = _refine_circle(
         partial(evaluate, spec), r, probe,
@@ -729,6 +730,16 @@ def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> str:
     return "raster"
 
 
+def _area_by_method(
+    spec: FunctionSpec, r: float, method: str, resolution: int = DEFAULT_RESOLUTION
+) -> FunctionalValue:
+    """Area of f(r D) by the method resolve_area_method picks: the
+    coefficient series or the winding-number raster."""
+    if resolve_area_method(spec, r, method) == "series":
+        return area_univalent_series(spec, r)
+    return area(spec, r, resolution=resolution)
+
+
 # ---- capacity bracket ----
 
 
@@ -748,10 +759,7 @@ def capacity_bracket(
     Estimator errors are propagated outward into the interval; the value
     is the midpoint.  The bracket_inverted flag signals under-resolution.
     """
-    if resolve_area_method(spec, r, area_method) == "series":
-        a = area_univalent_series(spec, r)
-    else:
-        a = area(spec, r, resolution=resolution)
+    a = _area_by_method(spec, r, area_method, resolution)
     dn = n_diameter(spec, r, n, m=m, restarts=restarts, seed=seed)
     norm = disk_n_diameter(n)
     lo_raw = float(np.sqrt(max(a.value, 0.0) / np.pi))
@@ -776,3 +784,92 @@ def capacity_bracket(
         n=n,
         flags=flags,
     )
+
+
+# ---- functional kinds ----
+
+
+@dataclass(frozen=True)
+class FunctionalKind:
+    """One functional F of the image set: its estimator and normalizer.
+
+    estimator(spec, r, n, **knobs) estimates F(f(r D)) from the knobs it
+    uses; norm(r, n) is F(r D), so norm(1, n) is the unit-disk value, and
+    `normalization` labels it.  uses_area marks the kinds that read an area
+    method; they are too rough in r to extrapolate to the open disk.
+    Growth curves plot the interval's upper end when upper_endpoint is set;
+    F scales as |s|^2 under f -> s f when squared is set.  `report` names
+    the growth inequality report.
+    """
+
+    estimator: Callable[..., FunctionalValue]
+    norm: Callable[[float, int], float]
+    normalization: str
+    report: str
+    uses_area: bool = False
+    upper_endpoint: bool = False
+    squared: bool = False
+
+    def estimate(
+        self,
+        spec: FunctionSpec,
+        r: float,
+        n: int = 4,
+        *,
+        m: int = DEFAULT_SAMPLES,
+        resolution: int = DEFAULT_RESOLUTION,
+        restarts: int = DEFAULT_RESTARTS,
+        seed: int = 0,
+        area_method: str = "raster",
+        quad_tol: float = 1e-10,
+    ) -> FunctionalValue:
+        return self.estimator(
+            spec, r, n, m=m, resolution=resolution, restarts=restarts, seed=seed,
+            area_method=area_method, quad_tol=quad_tol,
+        )
+
+    def curve_value(self, fv: FunctionalValue) -> float:
+        return fv.interval[1] if self.upper_endpoint else fv.value
+
+
+# The order is the order of the CLI's --kind choices.
+KINDS = {
+    "rad": FunctionalKind(
+        lambda spec, r, n, m, **_: radius(spec, r, m=m),
+        lambda r, n: r, "r", "SchwarzGrowth",
+    ),
+    "diam": FunctionalKind(
+        lambda spec, r, n, m, **_: diameter(spec, r, m=m),
+        lambda r, n: 2.0 * r, "2r", "LandauToeplitz",
+    ),
+    "ndiam": FunctionalKind(
+        lambda spec, r, n, m, restarts, seed, **_: n_diameter(
+            spec, r, n, m=m, restarts=restarts, seed=seed
+        ),
+        lambda r, n: disk_n_diameter(n) * r, "n^(1/(n-1)) r", "NDiamGrowth",
+    ),
+    "cap": FunctionalKind(
+        lambda spec, r, n, m, resolution, restarts, seed, area_method, **_: capacity_bracket(
+            spec, r, n=n, m=m, resolution=resolution, restarts=restarts, seed=seed,
+            area_method=area_method,
+        ),
+        lambda r, n: r, "r", "CapGrowth", uses_area=True, upper_endpoint=True,
+    ),
+    "area": FunctionalKind(
+        lambda spec, r, n, resolution, area_method, **_: _area_by_method(
+            spec, r, area_method, resolution
+        ),
+        lambda r, n: np.pi * r * r, "pi r^2", "AreaGrowth", uses_area=True, squared=True,
+    ),
+    "perim": FunctionalKind(
+        lambda spec, r, n, quad_tol, **_: circle_image_length(spec, r, quad_tol=quad_tol),
+        lambda r, n: 2.0 * np.pi * r, "2 pi r", "PerimGrowth",
+    ),
+}
+
+
+def functional_kind(name: str) -> FunctionalKind:
+    """The KINDS entry for name; DomainError for an unknown kind."""
+    if name not in KINDS:
+        raise DomainError(f"unknown functional kind {name!r}")
+    return KINDS[name]

@@ -1,7 +1,8 @@
 """Normalized growth curves phi(r) and their discrete-grid verdicts.
 
 Each functional F of the image f(r D) is divided by its value for the
-identity map (F of r D itself), giving a curve that is constant exactly
+identity map (F of r D itself, the normalizer functionals.KINDS holds
+next to F's estimator), giving a curve that is constant exactly
 for linear f, increasing otherwise, and log-convex in log r for the
 radius, n-diameter, and capacity families.  Verdict tolerances are
 coupled to the propagated estimator errors, never absolute constants.
@@ -27,18 +28,10 @@ from .functionals import (
     DEFAULT_RESTARTS,
     DEFAULT_SAMPLES,
     FunctionalValue,
-    area,
-    area_univalent_series,
-    capacity_bracket,
-    circle_image_length,
-    diameter,
-    disk_n_diameter,
-    n_diameter,
-    radius,
+    functional_kind,
     resolve_area_method,
 )
 
-KINDS = ("rad", "diam", "ndiam", "cap", "area", "perim")
 DEFAULT_GRID_POINTS = 17
 DEFAULT_GRID_RANGE = (0.05, 0.95)
 # Relative allowance when comparing phi(1e-3) with the analytic r->0 limit.
@@ -105,62 +98,6 @@ class LimitCheck:
     ok: bool
 
 
-_NORMALIZATION = {
-    "rad": "r",
-    "diam": "2r",
-    "ndiam": "n^(1/(n-1)) r",
-    "cap": "r",
-    "area": "pi r^2",
-    "perim": "2 pi r",
-}
-
-
-def _functional_at(
-    spec: FunctionSpec,
-    kind: str,
-    r: float,
-    n: int,
-    m: int,
-    resolution: int,
-    restarts: int,
-    seed: int,
-    area_method: str,
-    quad_tol: float,
-) -> FunctionalValue:
-    if kind == "rad":
-        return radius(spec, r, m=m)
-    if kind == "diam":
-        return diameter(spec, r, m=m)
-    if kind == "ndiam":
-        return n_diameter(spec, r, n, m=m, restarts=restarts, seed=seed)
-    if kind == "cap":
-        return capacity_bracket(
-            spec, r, n=n, m=m, resolution=resolution, restarts=restarts,
-            seed=seed, area_method=area_method,
-        )
-    if kind == "area":
-        if area_method == "series":
-            return area_univalent_series(spec, r)
-        return area(spec, r, resolution=resolution)
-    if kind == "perim":
-        return circle_image_length(spec, r, quad_tol=quad_tol)
-    raise DomainError(f"unknown functional kind {kind!r}")
-
-
-def _normalizer(kind: str, r: float, n: int) -> float:
-    if kind == "rad" or kind == "cap":
-        return r
-    if kind == "diam":
-        return 2.0 * r
-    if kind == "ndiam":
-        return disk_n_diameter(n) * r
-    if kind == "area":
-        return np.pi * r * r
-    if kind == "perim":
-        return 2.0 * np.pi * r
-    raise DomainError(f"unknown functional kind {kind!r}")
-
-
 def phi_curve(
     spec: FunctionSpec,
     kind: str,
@@ -175,7 +112,8 @@ def phi_curve(
     quad_tol: float = 1e-10,
     jobs: int = 1,
 ) -> GrowthCurve:
-    """Normalized growth curve of one functional kind over a radius grid.
+    """Normalized growth curve of one functional kind (a key of
+    functionals.KINDS) over a radius grid.
 
     area_method "auto" is resolved once, at the largest grid radius, by
     resolve_area_method: the exact coefficient series when the spec is
@@ -184,8 +122,7 @@ def phi_curve(
     its verdicts test the estimator, not the true capacity; the curve
     carries a cap_upper_estimate flag as a reminder.
     """
-    if kind not in KINDS:
-        raise DomainError(f"unknown functional kind {kind!r}")
+    fk = functional_kind(kind)
     grid = default_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     if grid.size < 3 or np.any(np.diff(grid) <= 0.0):
         raise DomainError("r_grid must be strictly increasing with >= 3 points")
@@ -193,15 +130,16 @@ def phi_curve(
         raise DomainError("r_grid must lie inside (0, 1)")
 
     flags: tuple = ()
-    if kind in ("area", "cap") and area_method == "auto":
+    if fk.uses_area and area_method == "auto":
         area_method = resolve_area_method(spec, float(grid[-1]), area_method)
         flags = flags + (f"area_method={area_method}",)
-    if kind == "cap":
+    if fk.upper_endpoint:
         flags = flags + ("cap_upper_estimate",)
 
     def _point(r: float) -> FunctionalValue:
-        return _functional_at(
-            spec, kind, r, n, m, resolution, restarts, seed, area_method, quad_tol
+        return fk.estimate(
+            spec, r, n, m=m, resolution=resolution, restarts=restarts, seed=seed,
+            area_method=area_method, quad_tol=quad_tol,
         )
 
     # Points are independent; results are assembled in grid order, so the
@@ -216,23 +154,19 @@ def phi_curve(
     phi = np.empty(grid.size)
     errs = np.empty(grid.size)
     for i, (r, fv) in enumerate(zip(radii, values)):
-        norm = _normalizer(kind, r, n)
-        if kind == "cap":
-            phi[i] = fv.interval[1] / norm
-            errs[i] = fv.abs_error / norm
-        else:
-            phi[i] = fv.value / norm
-            errs[i] = fv.abs_error / norm
+        norm = fk.norm(r, n)
+        phi[i] = fk.curve_value(fv) / norm
+        errs[i] = fv.abs_error / norm
 
     curve = GrowthCurve(
         kind=kind,
         r_grid=tuple(float(r) for r in grid),
         phi=tuple(float(p) for p in phi),
         abs_errors=tuple(float(e) for e in errs),
-        normalization=_NORMALIZATION[kind],
+        normalization=fk.normalization,
         spec_hash=spec_hash(spec),
         verdicts={},
-        n=n if kind == "ndiam" or kind == "cap" else None,
+        n=values[0].n,
         flags=flags,
     )
     tol_mono = 3.0 * float(np.max(errs[:-1] + errs[1:]))
@@ -325,28 +259,19 @@ def check_log_convex(curve: GrowthCurve, tol: float) -> ConvexVerdict:
 def limit_at_zero(spec: FunctionSpec, kind: str, **knobs) -> LimitCheck:
     """phi at r = 1e-3 against the analytic limit |f'(0)| (its square for
     area).  The comparison allows one percent relative slack to absorb
-    the genuine O(r) deviation at the probe radius."""
-    if kind not in KINDS:
-        raise DomainError(f"unknown functional kind {kind!r}")
+    the genuine O(r) deviation at the probe radius.  knobs are the
+    estimator settings of FunctionalKind.estimate; area_method defaults to
+    "auto"."""
+    fk = functional_kind(kind)
     target = abs(complex(derivative(spec, 0.0)))
-    if kind == "area":
+    if fk.squared:
         target = target * target
     r = LIMIT_RADIUS
-    fv = _functional_at(
-        spec, kind, r,
-        n=knobs.get("n", 4), m=knobs.get("m", DEFAULT_SAMPLES),
-        resolution=knobs.get("resolution", DEFAULT_RESOLUTION),
-        restarts=knobs.get("restarts", DEFAULT_RESTARTS),
-        seed=knobs.get("seed", 0),
-        area_method=knobs.get("area_method", "auto" if kind != "area" else "raster"),
-        quad_tol=knobs.get("quad_tol", 1e-10),
-    )
-    value = (fv.interval[1] if kind == "cap" else fv.value) / _normalizer(
-        kind, r, knobs.get("n", 4)
-    )
-    tol = LIMIT_REL_TOL * (1.0 + abs(target)) + 3.0 * fv.abs_error / _normalizer(
-        kind, r, knobs.get("n", 4)
-    )
+    knobs = {"area_method": "auto", **knobs}
+    fv = fk.estimate(spec, r, **knobs)
+    norm = fk.norm(r, knobs.get("n", 4))
+    value = fk.curve_value(fv) / norm
+    tol = LIMIT_REL_TOL * (1.0 + abs(target)) + 3.0 * fv.abs_error / norm
     diff = abs(value - target)
     return LimitCheck(kind=kind, value=value, target=target, abs_diff=diff, tol=tol,
                       ok=bool(diff <= tol))

@@ -8,6 +8,7 @@ so no standalone region geometry is ever needed.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,13 +80,7 @@ def check_density_lower_bound(
         "w": [w.real, w.imag], "area": a.value, "area_error": a.abs_error,
         "rhs_error": rhs_err, "direction": "lhs >= rhs",
     }
-    # This bound reads lhs >= rhs, so the slack is lhs - rhs here.
-    slack = lhs - rhs
-    eff_tol = max(tol, 3.0 * rhs_err)
-    return InequalityReport(
-        name="DensityLower", lhs=float(lhs), rhs=float(rhs), slack=float(slack),
-        equality=bool(abs(slack) <= eff_tol), tol=float(eff_tol), context=context,
-    )
+    return _make_report("DensityLower", lhs, rhs, max(tol, 3.0 * rhs_err), context, reverse=True)
 
 
 def dist_to_boundary(
@@ -131,14 +126,9 @@ def hyperbolic_disk_growth(
             raise DomainError("hyperbolic radii must be positive")
         r_values = np.tanh(R_values)
     inner = phi_curve(spec, "area", r_grid=r_values, **knobs)
-    return GrowthCurve(
-        kind="area",
+    return replace(
+        inner,
         r_grid=tuple(float(R) for R in R_values),
-        phi=inner.phi,
-        abs_errors=inner.abs_errors,
         normalization="pi tanh(R)^2",
-        spec_hash=inner.spec_hash,
-        verdicts=inner.verdicts,
-        n=None,
         flags=inner.flags + ("hyperbolic_R_grid",),
     )

@@ -85,12 +85,18 @@ def test_normalize_spec_diam():
     spec = normalize_spec(Polynomial((0.0, 3.0, 0.3)), "diam")
     value, err = disk_functional_estimate(spec, "diam")
     assert abs(value - 2.0) <= max(1e-8, 3.0 * err)
+    # Area scales as the square of the factor, so it takes its square root.
+    for kind, disk_value in (("rad", 1.0), ("area", math.pi), ("perim", 2.0 * math.pi)):
+        spec = normalize_spec(Polynomial((0.0, 3.0, 0.3)), kind)
+        value, err = disk_functional_estimate(spec, kind)
+        assert abs(value - disk_value) <= max(1e-8, 3.0 * err)
 
 
 def test_check_growth_identity_equality():
-    rep = check_growth(IDENTITY, 0.5, "rad", tol=EQ_TOL)
-    assert rep.passed
-    assert rep.equality
+    for kind in ("rad", "diam", "ndiam", "cap", "area", "perim"):
+        rep = check_growth(IDENTITY, 0.5, kind, tol=EQ_TOL)
+        assert rep.passed
+        assert rep.equality
     rep_d = check_growth(AUTOMORPHISM, 0.4, "diam", tol=EQ_TOL)
     assert rep_d.passed
     assert rep_d.lhs <= rep_d.rhs + EQ_TOL

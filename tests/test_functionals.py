@@ -77,6 +77,11 @@ def test_diameter_constant_is_degenerate():
     fv = diameter(Polynomial((2.0,)), 0.5)
     assert fv.value == 0.0
     assert "degenerate" in fv.flags
+    # The area of a point is 0 at every size of the constant.
+    for c in (0.0, 2.0, 1e5):
+        fv = area(Polynomial((c,)), 0.5)
+        assert fv.value == 0.0
+        assert "degenerate" in fv.flags
 
 
 def test_diameter_witness_realizes_value():
