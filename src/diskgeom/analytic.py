@@ -1,17 +1,23 @@
 """Function specs on the unit disk and their pointwise operations.
 
-A spec is one of four declarative variants (polynomial, truncated power
-series, disk automorphism, annulus covering map).  Everything downstream
-works through ``evaluate``/``derivative``/``sample_circle`` so the
-functional estimators never special-case the variant.
+A spec is one of four frozen dataclass variants (polynomial, truncated
+power series, disk automorphism, annulus covering map), and each variant
+owns its formulas: value, derivative of any order, Taylor coefficients,
+parameter domain, JSON kind and CLI shorthand.  Field coercion to finite
+numbers, the JSON codec, the disk check and the scalar unwrap are shared,
+and SPEC_KINDS maps each JSON kind to its class for both JSON and the CLI.
+Everything downstream works through evaluate/derivative/sample_circle so
+the estimators never special-case the variant; the one question they ask
+is spec.coefficient_backed.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
@@ -25,28 +31,74 @@ DISK_MARGIN = 1e-12
 CIRCLE_MARGIN = 1e-9
 
 
+def _number(v, real: bool = False):
+    """A finite complex, or float when real, from a number or an [re, im] pair."""
+    if isinstance(v, (list, tuple)):
+        re, im = v
+        v = complex(re, im)
+    w = complex(v)
+    if not cmath.isfinite(w) or (real and w.imag != 0.0):
+        kind = "real" if real else "complex"
+        raise DomainError(f"spec parameter {v!r} is not a finite {kind} number")
+    return w.real if real else w
+
+
+class _Spec:
+    """A variant is a frozen dataclass with fields typed tuple, complex or
+    float, a JSON kind, a CLI shorthand (name, brackets) and the methods
+    _validate, _value(z), _derivative(z, order) and _taylor(count).
+    coefficient_backed marks exact Taylor coefficients in coeffs."""
+
+    coefficient_backed = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            v = tuple(map(_number, v)) if f.type == "tuple" else _number(v, f.type == "float")
+            object.__setattr__(self, f.name, v)
+        self._validate()
+
+    @classmethod
+    def from_args(cls, args):
+        """The spec from its parameters in field order, as shorthand lists them."""
+        names = [f.name for f in fields(cls)]
+        if len(args) != len(names):
+            raise DomainError(f"{cls.shorthand[0]} shorthand needs ({','.join(names)})")
+        return cls(*args)
+
+
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Spec):
     """f(z) = sum_k coeffs[k] z^k, coefficients ascending."""
 
     coeffs: tuple
+    kind = "polynomial"
+    shorthand = ("poly", "[]")
+    coefficient_backed = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) == 0:
-            raise DomainError("polynomial needs at least one coefficient")
+    def _validate(self):
+        if not self.coeffs:
+            raise DomainError(f"{self.kind} needs at least one coefficient")
+
+    @classmethod
+    def from_args(cls, args):
+        return cls(tuple(args))
+
+    def _value(self, z):
+        return series_eval(np.asarray(self.coeffs), z)
+
+    def _derivative(self, z, order):
+        return series_eval(series_derivative(np.asarray(self.coeffs), order), z)
+
+    def _taylor(self, count):
+        return np.array((self.coeffs + (0j,) * count)[:count], dtype=complex)
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Polynomial):
     """Truncated Taylor series; truncation degree is len(coeffs) - 1."""
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) == 0:
-            raise DomainError("series needs at least one coefficient")
+    kind = "series"
+    shorthand = ("series", "[]")
 
     @property
     def truncation_degree(self) -> int:
@@ -54,39 +106,80 @@ class PowerSeries:
 
 
 @dataclass(frozen=True)
-class Moebius:
+class Moebius(_Spec):
     """f(z) = c (z - b) / (1 - conj(b) z) + a with |b| < 1 and |c| = 1."""
 
     a: complex
     b: complex
     c: complex
+    kind = "moebius"
+    shorthand = ("moebius", "()")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", complex(self.c))
+    def _validate(self):
         if abs(self.b) >= 1.0:
             raise DomainError("moebius parameter b must lie in the open disk")
         if abs(abs(self.c) - 1.0) > 1e-12:
             raise DomainError("moebius parameter c must be unimodular")
 
+    def _value(self, z):
+        return self.c * (z - self.b) / (1.0 - np.conj(self.b) * z) + self.a
+
+    def _derivative(self, z, order):
+        # f^(k) = k! conj(b)^(k-1) c (1 - |b|^2) / (1 - conj(b) z)^(k+1)
+        bbar = np.conj(self.b)
+        scale = math.factorial(order) * bbar ** (order - 1) * self.c * (1.0 - abs(self.b) ** 2)
+        return scale / (1.0 - bbar * z) ** (order + 1)
+
+    def _taylor(self, count):
+        # (z-b)/(1-conj(b)z) = -b + (1-|b|^2) sum_{n>=1} conj(b)^(n-1) z^n
+        c = np.zeros(count, dtype=complex)
+        c[0] = self.c * (-self.b) + self.a
+        bbar = np.conj(self.b)
+        fac = self.c * (1.0 - abs(self.b) ** 2)
+        for n in range(1, count):
+            c[n] = fac * bbar ** (n - 1)
+        return c
+
 
 @dataclass(frozen=True)
-class AnnulusCover:
+class AnnulusCover(_Spec):
     """f(z) = exp(i c log((1+z)/(1-z))), principal branch, c > 0.
 
     Maps the disk onto the annulus exp(-pi c / 2) < |w| < exp(pi c / 2).
     """
 
     c: float
+    kind = "annulus_cover"
+    shorthand = ("annulus", "()")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
+    def _validate(self):
         if not self.c > 0.0:
             raise DomainError("annulus cover parameter c must be positive")
 
+    def _value(self, z):
+        # log((1+z)/(1-z)) = 2 atanh(z) on the disk (principal branch).
+        return np.exp(2j * self.c * np.arctanh(z))
+
+    def _derivative(self, z, order):
+        # f = exp(g) with g = 2ic atanh(z), so f^(n) is the sum over k < n of
+        # C(n-1, k) g^(k+1) f^(n-1-k), and g^(j) = ic (j-1)! ((1-z)^-j - (-1)^j (1+z)^-j).
+        g = [1j * self.c * math.factorial(j - 1) * ((1.0 - z) ** -j - (-1) ** j * (1.0 + z) ** -j)
+             for j in range(1, order + 1)]
+        f = [self._value(z)]
+        for n in range(1, order + 1):
+            f.append(sum(math.comb(n - 1, k) * g[k] * f[n - 1 - k] for k in range(n)))
+        return f[order]
+
+    def _taylor(self, count):
+        # f = exp(g) with g = 2 i c atanh(z): g_k = 2ic/k for odd k.
+        g = np.zeros(count, dtype=complex)
+        g[1::2] = [2j * self.c / k for k in range(1, count, 2)]
+        return series_exp(g, count)
+
 
 FunctionSpec = Union[Polynomial, PowerSeries, Moebius, AnnulusCover]
+# JSON kind -> variant; the CLI shorthand reads the same table.
+SPEC_KINDS = {cls.kind: cls for cls in (Polynomial, PowerSeries, Moebius, AnnulusCover)}
 
 
 @dataclass(frozen=True)
@@ -98,103 +191,44 @@ class BoundarySample:
     values: np.ndarray
 
 
-def _check_in_disk(z: np.ndarray) -> None:
+def _variant(spec: FunctionSpec) -> FunctionSpec:
+    if not isinstance(spec, _Spec):
+        raise UnsupportedError(f"unknown spec type {type(spec)!r}")
+    return spec
+
+
+def _pointwise(formula, z, *args):
+    """formula(z, *args) at points strictly inside the disk; a scalar z
+    gives a complex, an array of points an array."""
+    z = np.asarray(z, dtype=complex)
     if np.any(np.abs(z) >= 1.0 - DISK_MARGIN):
         raise DomainError("evaluation point must satisfy |z| < 1 - 1e-12")
+    out = formula(z, *args)
+    return out if out.shape else complex(out)
 
 
 def evaluate(spec: FunctionSpec, z):
     """Evaluate f at a point or ndarray of points strictly inside the disk."""
-    z = np.asarray(z, dtype=complex)
-    _check_in_disk(z)
-    if isinstance(spec, (Polynomial, PowerSeries)):
-        out = series_eval(np.asarray(spec.coeffs), z)
-    elif isinstance(spec, Moebius):
-        out = spec.c * (z - spec.b) / (1.0 - np.conj(spec.b) * z) + spec.a
-    elif isinstance(spec, AnnulusCover):
-        # log((1+z)/(1-z)) = 2 atanh(z) on the disk (principal branch).
-        out = np.exp(2j * spec.c * np.arctanh(z))
-    else:
-        raise UnsupportedError(f"unknown spec type {type(spec)!r}")
-    return out if out.shape else complex(out)
+    return _pointwise(_variant(spec)._value, z)
 
 
 def derivative(spec: FunctionSpec, z, order: int = 1):
-    """Derivative of given order.
-
-    Term-wise for polynomial/series at any point.  For the moebius and
-    annulus-cover variants, order 1 uses the closed form at any point;
-    higher orders are only supported at z = 0 (coefficient extraction).
-    """
+    """Derivative of given order at any points strictly inside the disk."""
     if order < 1:
         raise DomainError("derivative order must be >= 1")
-    z = np.asarray(z, dtype=complex)
-    _check_in_disk(z)
-    if isinstance(spec, (Polynomial, PowerSeries)):
-        dc = series_derivative(np.asarray(spec.coeffs), order)
-        out = series_eval(dc, z)
-        return out if out.shape else complex(out)
-    if order == 1:
-        if isinstance(spec, Moebius):
-            out = spec.c * (1.0 - abs(spec.b) ** 2) / (1.0 - np.conj(spec.b) * z) ** 2
-        elif isinstance(spec, AnnulusCover):
-            out = evaluate(spec, z) * (2j * spec.c) / (1.0 - z * z)
-        else:
-            raise UnsupportedError(f"unknown spec type {type(spec)!r}")
-        return out if out.shape else complex(out)
-    if np.any(z != 0):
-        raise UnsupportedError(
-            "derivatives of order > 1 are only supported at z = 0 for this variant"
-        )
-    # n-th derivative at 0 is n! a_n
-    value = taylor_coefficients(spec, order + 1)[order] * math.factorial(order)
-    return np.full(z.shape, value, dtype=complex) if z.shape else complex(value)
+    return _pointwise(_variant(spec)._derivative, z, order)
+
+
+def second_derivative(spec: FunctionSpec, z):
+    """f'' at arbitrary points (internal; used for discretization estimates)."""
+    return _pointwise(_variant(spec)._derivative, z, 2)
 
 
 def taylor_coefficients(spec: FunctionSpec, count: int) -> np.ndarray:
     """First ``count`` Taylor coefficients of f about 0."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    if isinstance(spec, (Polynomial, PowerSeries)):
-        c = np.zeros(count, dtype=complex)
-        src = np.asarray(spec.coeffs)
-        upto = min(count, src.shape[0])
-        c[:upto] = src[:upto]
-        return c
-    if isinstance(spec, Moebius):
-        # (z-b)/(1-conj(b)z) = -b + (1-|b|^2) sum_{n>=1} conj(b)^(n-1) z^n
-        c = np.zeros(count, dtype=complex)
-        c[0] = spec.c * (-spec.b) + spec.a
-        bbar = np.conj(spec.b)
-        fac = spec.c * (1.0 - abs(spec.b) ** 2)
-        for n in range(1, count):
-            c[n] = fac * bbar ** (n - 1)
-        return c
-    if isinstance(spec, AnnulusCover):
-        # f = exp(g) with g = 2 i c atanh(z): g_k = 2ic/k for odd k.
-        g = np.zeros(count, dtype=complex)
-        for k in range(1, count, 2):
-            g[k] = 2j * spec.c / k
-        return series_exp(g, count)
-    raise UnsupportedError(f"unknown spec type {type(spec)!r}")
-
-
-def second_derivative(spec: FunctionSpec, z):
-    """f'' at arbitrary points (internal; used for discretization estimates)."""
-    z = np.asarray(z, dtype=complex)
-    _check_in_disk(z)
-    if isinstance(spec, (Polynomial, PowerSeries)):
-        dc = series_derivative(np.asarray(spec.coeffs), 2)
-        out = series_eval(dc, z)
-    elif isinstance(spec, Moebius):
-        bbar = np.conj(spec.b)
-        out = 2.0 * bbar * spec.c * (1.0 - abs(spec.b) ** 2) / (1.0 - bbar * z) ** 3
-    elif isinstance(spec, AnnulusCover):
-        w = 2j * spec.c / (1.0 - z * z)
-        out = evaluate(spec, z) * (w * w + 2j * spec.c * 2.0 * z / (1.0 - z * z) ** 2)
-    else:
-        raise UnsupportedError(f"unknown spec type {type(spec)!r}")
-    return out if out.shape else complex(out)
+    return _variant(spec)._taylor(count)
 
 
 def sample_circle(spec: FunctionSpec, r: float, m: int) -> BoundarySample:
@@ -210,11 +244,9 @@ def sample_circle(spec: FunctionSpec, r: float, m: int) -> BoundarySample:
 
 def scale_spec(spec: FunctionSpec, s: complex) -> FunctionSpec:
     """Return the spec of s * f; only coefficient-backed variants support it."""
-    if isinstance(spec, Polynomial):
-        return Polynomial(tuple(s * c for c in spec.coeffs))
-    if isinstance(spec, PowerSeries):
-        return PowerSeries(tuple(s * c for c in spec.coeffs))
-    raise UnsupportedError("only polynomial/series specs can be rescaled exactly")
+    if not _variant(spec).coefficient_backed:
+        raise UnsupportedError("only polynomial/series specs can be rescaled exactly")
+    return replace(spec, coeffs=tuple(s * c for c in spec.coeffs))
 
 
 # ---- JSON wire format ----
@@ -225,41 +257,28 @@ def _c2j(w: complex) -> list:
     return [w.real, w.imag]
 
 
-def _j2c(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(re, im)
+def _encode(v):
+    """A field value as JSON: complex numbers as [re, im], tuples as lists."""
+    if isinstance(v, tuple):
+        return [_encode(c) for c in v]
+    return _c2j(v) if isinstance(v, complex) else v
 
 
 def spec_to_json(spec: FunctionSpec) -> dict:
     """Serializable dict; complex numbers as [re, im] pairs."""
-    if isinstance(spec, Polynomial):
-        return {"kind": "polynomial", "coeffs": [_c2j(c) for c in spec.coeffs]}
-    if isinstance(spec, PowerSeries):
-        return {"kind": "series", "coeffs": [_c2j(c) for c in spec.coeffs]}
-    if isinstance(spec, Moebius):
-        return {"kind": "moebius", "a": _c2j(spec.a), "b": _c2j(spec.b), "c": _c2j(spec.c)}
-    if isinstance(spec, AnnulusCover):
-        return {"kind": "annulus_cover", "c": spec.c}
-    raise UnsupportedError(f"unknown spec type {type(spec)!r}")
+    fields_json = {f.name: _encode(getattr(spec, f.name)) for f in fields(_variant(spec))}
+    return {"kind": spec.kind, **fields_json}
 
 
 def spec_from_json(data: dict) -> FunctionSpec:
     """Inverse of spec_to_json; raises DomainError on malformed input."""
     try:
-        kind = data["kind"]
-        if kind == "polynomial":
-            return Polynomial(tuple(_j2c(c) for c in data["coeffs"]))
-        if kind == "series":
-            return PowerSeries(tuple(_j2c(c) for c in data["coeffs"]))
-        if kind == "moebius":
-            return Moebius(_j2c(data["a"]), _j2c(data["b"]), _j2c(data["c"]))
-        if kind == "annulus_cover":
-            return AnnulusCover(float(data["c"]))
+        cls = SPEC_KINDS.get(data["kind"])
+        if cls is None:
+            raise DomainError(f"unknown spec kind {data['kind']!r}")
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed spec JSON: {exc}") from exc
-    raise DomainError(f"unknown spec kind {kind!r}")
 
 
 def spec_hash(spec: FunctionSpec) -> str:

@@ -38,6 +38,8 @@ from .functionals import (
 DEFAULT_EQUALITY_TOL = 1e-6
 # Radii used to extrapolate open-disk functionals to r = 1.
 EXTRAPOLATION_RADII = (0.996, 0.997, 0.998, 0.999)
+# Boundary samples per radius there, twice the estimators' default.
+EXTRAPOLATION_SAMPLES = 8192
 # Relative disagreement between quadratic and cubic extrapolation that
 # marks the estimate unstable.
 EXTRAPOLATION_GUARD = 5e-3
@@ -94,15 +96,7 @@ def _neville_at_one(radii, values) -> float:
     return float(table[0])
 
 
-def disk_functional_estimate(
-    spec: FunctionSpec,
-    kind: str,
-    n: int = 4,
-    m: int = 8192,
-    resolution: int = 1024,
-    restarts: int = 8,
-    seed: int = 0,
-):
+def disk_functional_estimate(spec: FunctionSpec, kind: str, n: int = 4):
     """Open-disk functional of f(D), extrapolated from radii near 1.
 
     Returns (value, abs_error).  The smooth boundary-driven kinds use cubic
@@ -112,10 +106,7 @@ def disk_functional_estimate(
     """
     fk = functional_kind(kind)
     radii = EXTRAPOLATION_RADII[-1:] if fk.uses_area else EXTRAPOLATION_RADII
-    fvs = [
-        fk.estimate(spec, r, n, m=m, resolution=resolution, restarts=restarts, seed=seed)
-        for r in radii
-    ]
+    fvs = [fk.estimate(spec, r, n, m=EXTRAPOLATION_SAMPLES) for r in radii]
     if fk.uses_area:
         return fvs[0].value, fvs[0].abs_error
     values = [fv.value for fv in fvs]

@@ -15,16 +15,7 @@ import json
 import math
 import sys
 
-from .analytic import (
-    AnnulusCover,
-    FunctionSpec,
-    Moebius,
-    Polynomial,
-    PowerSeries,
-    _c2j,
-    spec_from_json,
-    spec_hash,
-)
+from .analytic import SPEC_KINDS, AnnulusCover, FunctionSpec, _c2j, spec_from_json, spec_hash
 from .bounds import (
     check_don,
     check_don_symmetric,
@@ -87,25 +78,11 @@ def parse_spec(text: str) -> FunctionSpec:
             return spec_from_json(json.loads(text))
         except json.JSONDecodeError as exc:
             raise DiskGeomError(f"spec JSON does not parse: {exc}") from exc
-    for prefix, open_ch, close_ch in (
-        ("poly", "[", "]"), ("series", "[", "]"),
-        ("moebius", "(", ")"), ("annulus", "(", ")"),
-    ):
-        if text.startswith(prefix + open_ch) and text.endswith(close_ch):
-            body = text[len(prefix) + 1 : -1]
-            parts = [p for p in body.split(",") if p.strip()]
-            vals = [_parse_complex(p, prefix) for p in parts]
-            if prefix == "poly":
-                return Polynomial(tuple(vals))
-            if prefix == "series":
-                return PowerSeries(tuple(vals))
-            if prefix == "moebius":
-                if len(vals) != 3:
-                    raise DiskGeomError("moebius shorthand needs (a,b,c)")
-                return Moebius(vals[0], vals[1], vals[2])
-            if len(vals) != 1 or vals[0].imag != 0.0:
-                raise DiskGeomError("annulus shorthand needs one real parameter")
-            return AnnulusCover(vals[0].real)
+    for cls in SPEC_KINDS.values():
+        name, brackets = cls.shorthand
+        if text.startswith(name + brackets[0]) and text.endswith(brackets[1]):
+            parts = [p for p in text[len(name) + 1 : -1].split(",") if p.strip()]
+            return cls.from_args([_parse_complex(p, name) for p in parts])
     try:
         with open(text) as handle:
             return spec_from_json(json.load(handle))

@@ -26,15 +26,7 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from ._series import series_derivative, series_sqrt
-from .analytic import (
-    FunctionSpec,
-    Polynomial,
-    PowerSeries,
-    evaluate,
-    derivative,
-    sample_circle,
-    second_derivative,
-)
+from .analytic import FunctionSpec, derivative, evaluate, sample_circle, second_derivative
 from .errors import (
     DomainError,
     OptimizationWarning,
@@ -195,9 +187,7 @@ def _calipers(points: np.ndarray, hull_idx: np.ndarray):
     return float(best), hull_idx[bi], hull_idx[bj]
 
 
-def diameter(
-    spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES, polish: bool = True
-) -> FunctionalValue:
+def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:
     """Diameter of f(r D) via convex hull and rotating calipers.
 
     A local continuous maximization over the two boundary angles then
@@ -213,24 +203,22 @@ def diameter(
     hull_idx = convex_hull(w)
     value, i, j = _calipers(w, hull_idx)
     wi, wj = complex(w[i]), complex(w[j])
-    if polish:
-        th0, ph0 = sample.angles[i], sample.angles[j]
 
-        def neg_dist(t):
-            p = evaluate(spec, r * np.exp(1j * t[0]))
-            q = evaluate(spec, r * np.exp(1j * t[1]))
-            return -abs(p - q)
+    def neg_dist(t):
+        p = evaluate(spec, r * np.exp(1j * t[0]))
+        q = evaluate(spec, r * np.exp(1j * t[1]))
+        return -abs(p - q)
 
-        res = minimize(
-            neg_dist,
-            np.array([th0, ph0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600},
-        )
-        if -res.fun > value:
-            value = float(-res.fun)
-            wi = complex(evaluate(spec, r * np.exp(1j * res.x[0])))
-            wj = complex(evaluate(spec, r * np.exp(1j * res.x[1])))
+    res = minimize(
+        neg_dist,
+        np.array([sample.angles[i], sample.angles[j]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600},
+    )
+    if -res.fun > value:
+        value = float(-res.fun)
+        wi = complex(evaluate(spec, r * np.exp(1j * res.x[0])))
+        wj = complex(evaluate(spec, r * np.exp(1j * res.x[1])))
     curv = _curvature(spec, r, r * np.exp(1j * sample.angles), 0.0, value)
     dtheta = 2.0 * np.pi / m
     err = 0.5 * curv * dtheta * dtheta + 1e-13 * (1.0 + value)
@@ -533,7 +521,7 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
     Univalence is the caller's responsibility; with multiplicity this sum
     counts covered area, which strictly exceeds the set area.
     """
-    if not isinstance(spec, (Polynomial, PowerSeries)):
+    if not spec.coefficient_backed:
         raise UnsupportedError("series area needs a coefficient-backed spec")
     coeffs = np.asarray(spec.coeffs, dtype=complex)
     n = np.arange(coeffs.shape[0])
@@ -594,7 +582,7 @@ def perimeter_univalent(
         raise UnivalenceError(f"spec is not injective on r={r}: witness {uni.witness}")
     fv = circle_image_length(spec, r, quad_tol=quad_tol)
     flags = ()
-    if isinstance(spec, (Polynomial, PowerSeries)):
+    if spec.coefficient_backed:
         circle = sample_circle(spec, r, 1024)
         d1 = derivative(spec, r * np.exp(1j * circle.angles))
         if float(np.min(np.abs(d1))) > 1e-9 * (1.0 + float(np.max(np.abs(d1)))):
@@ -725,7 +713,7 @@ def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> str:
     the raster otherwise; "series" and "raster" pass through."""
     if method != "auto":
         return method
-    if isinstance(spec, (Polynomial, PowerSeries)) and is_univalent_sampled(spec, r):
+    if spec.coefficient_backed and is_univalent_sampled(spec, r):
         return "series"
     return "raster"
 

@@ -1,10 +1,13 @@
 """Function specs: evaluation, derivatives, coefficients, serialization."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskgeom import (
     AnnulusCover,
@@ -12,6 +15,7 @@ from diskgeom import (
     Moebius,
     Polynomial,
     PowerSeries,
+    UnsupportedError,
     derivative,
     evaluate,
     sample_circle,
@@ -88,6 +92,24 @@ def test_derivative_matches_finite_difference():
             + complex(evaluate(spec, z - h2))
         ) / h2**2
         assert abs(complex(second_derivative(spec, z)) - fd2) <= 1e-5
+        assert derivative(spec, z, 2) == second_derivative(spec, z)
+
+
+def test_derivative_of_any_order_matches_taylor_series():
+    # Every variant differentiates to any order at any point of the disk,
+    # not only at 0; the oracle differentiates the Taylor series term-wise.
+    specs = [
+        PowerSeries((0.5, 1.0, -0.3j, 0.2)),
+        Moebius(0.1, 0.3 - 0.2j, np.exp(0.7j)),
+        AnnulusCover(0.8),
+    ]
+    z = np.array([0.0, 0.2 - 0.1j, -0.15j])
+    for spec in specs:
+        coeffs = taylor_coefficients(spec, 80)
+        for order in range(1, 5):
+            expected = series_eval(series_derivative(coeffs, order), z)
+            got = derivative(spec, z, order)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_taylor_coefficients_annulus_cover():
@@ -124,6 +146,36 @@ def test_moebius_validation():
         Moebius(0.0, 0.2, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_parameters_are_rejected(bad):
+    makers = [
+        lambda: Polynomial((0.0, bad)),
+        lambda: PowerSeries((bad,)),
+        lambda: Moebius(bad, 0.5, 1.0),
+        lambda: Moebius(0.0, bad, 1.0),
+        lambda: AnnulusCover(bad),
+    ]
+    for make in makers:
+        with pytest.raises(DomainError):
+            make()
+
+
+def test_non_spec_objects_are_unsupported():
+    calls = [
+        lambda: evaluate("z", 0.1),
+        lambda: derivative(None, 0.1),
+        lambda: second_derivative(1.0, 0.1),
+        lambda: taylor_coefficients((0.0, 1.0), 3),
+        lambda: sample_circle([0.0, 1.0], 0.5, 8),
+        lambda: spec_to_json({"kind": "polynomial", "coeffs": [[0, 0]]}),
+        lambda: scale_spec("z", 2.0),
+        lambda: scale_spec(Moebius(0.0, 0.5, 1.0), 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedError):
+            call()
+
+
 def test_sample_circle_shapes_and_values():
     p = Polynomial((0.0, 1.0))
     sample = sample_circle(p, 0.5, 64)
@@ -139,18 +191,45 @@ def test_scale_spec_divides_image():
 
 
 def test_spec_json_round_trip_and_hash():
-    specs = [
-        Polynomial((1.0, 2.0 - 1.0j)),
-        PowerSeries((0.0, 1.0, 0.25j)),
-        Moebius(0.1j, 0.4, np.exp(0.3j)),
-        AnnulusCover(0.7),
+    # The hashes are provenance tags in every CLI row; they must not drift.
+    pinned = [
+        (Polynomial((1.0, 2.0 - 1.0j)), "fb9358e28c3f"),
+        (PowerSeries((0.0, 1.0, 0.25j)), "97bc4e650919"),
+        (Moebius(0.1j, 0.4, np.exp(0.3j)), "40cc630204b5"),
+        (AnnulusCover(0.7), "f83c44d5ac2a"),
     ]
-    for spec in specs:
+    for spec, tag in pinned:
         data = json.loads(json.dumps(spec_to_json(spec)))
         again = spec_from_json(data)
         assert again == spec
-        assert spec_hash(again) == spec_hash(spec)
-        assert len(spec_hash(spec)) == 12
+        assert spec_hash(again) == spec_hash(spec) == tag
+
+
+_finite = st.floats(-1e6, 1e6)
+_complex = st.builds(complex, _finite, _finite)
+_coeffs = st.lists(_complex, min_size=1, max_size=8).map(tuple)
+_angle = st.floats(0.0, 2.0 * math.pi)
+_specs = st.one_of(
+    _coeffs.map(Polynomial),
+    _coeffs.map(PowerSeries),
+    st.builds(
+        Moebius,
+        _complex,
+        st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.999), _angle),
+        _angle.map(lambda t: cmath.exp(1j * t)),
+    ),
+    st.builds(AnnulusCover, st.floats(1e-6, 1e6)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_specs)
+def test_spec_json_round_trip_property(spec):
+    data = json.loads(json.dumps(spec_to_json(spec)))
+    again = spec_from_json(data)
+    assert type(again) is type(spec)
+    assert again == spec
+    assert spec_hash(again) == spec_hash(spec)
 
 
 def test_spec_from_json_rejects_malformed():
@@ -158,6 +237,10 @@ def test_spec_from_json_rejects_malformed():
         spec_from_json({"kind": "polynomial"})
     with pytest.raises(DomainError):
         spec_from_json({"kind": "nonsense", "coeffs": [[0, 0]]})
+    with pytest.raises(DomainError):
+        spec_from_json(json.loads('{"kind": "polynomial", "coeffs": [[0, 0], [NaN, 0]]}'))
+    with pytest.raises(DomainError):
+        spec_from_json(json.loads('{"kind": "annulus_cover", "c": Infinity}'))
 
 
 def test_series_exp_against_exp():

@@ -11,6 +11,7 @@ from diskgeom import (
     Polynomial,
     PowerSeries,
     DiskGeomError,
+    DomainError,
     spec_to_json,
 )
 from diskgeom.cli import main, parse_spec
@@ -46,6 +47,32 @@ def test_parse_spec_rejects_garbage():
         parse_spec("annulus(1,2)")
     with pytest.raises(DiskGeomError):
         parse_spec("no-such-file.json")
+
+
+@pytest.mark.parametrize("text", [
+    "poly[0,nan]",
+    "series[inf]",
+    "moebius(0,nan,1)",
+    "annulus(inf)",
+    '{"kind": "polynomial", "coeffs": [[0, 0], [NaN, 0]]}',
+    '{"kind": "moebius", "a": [0, 0], "b": [0.5, 0], "c": [Infinity, 0]}',
+    '{"kind": "annulus_cover", "c": Infinity}',
+])
+def test_parse_spec_rejects_non_finite_parameters(text):
+    with pytest.raises(DomainError):
+        parse_spec(text)
+
+
+def test_non_finite_spec_exits_2_with_json_error(capsys):
+    for argv in (
+        ["eval", "--spec", "poly[0,nan]", "--kind", "rad"],
+        ["eval", "--spec", "annulus(inf)", "--kind", "area"],
+        ["check", "all", "--spec", "moebius(0,nan,1)"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
 
 
 def test_eval_json_payload(capsys):

@@ -27,6 +27,12 @@ from diskgeom import (
     perimeter_univalent,
     radius,
 )
+from diskgeom.functionals import (
+    DEFAULT_RESOLUTION,
+    _boundary_curve,
+    _rasterize,
+    _winding_numbers,
+)
 
 SEED = 20260815
 IDENTITY = Polynomial((0.0, 1.0))
@@ -127,6 +133,21 @@ def test_area_raster_square_map_no_multiplicity():
     for r in (0.5, 0.7):
         fv = area(SQUARE, r)
         assert abs(fv.value - np.pi * r**4) <= 3.0 * fv.abs_error
+
+
+def test_winding_number_integral_is_covered_area():
+    # The winding number of f(r T) counts preimages, so its integral is the
+    # covered area pi sum n |a_n|^2 r^(2n), multiplicity included, up to the
+    # band of boundary cells.
+    for spec in (SQUARE, Polynomial((0.0, 1.0, 0.5)), ac10_polynomial(0)):
+        coeffs = np.asarray(spec.coeffs)
+        n = np.arange(coeffs.size)
+        for r in (0.5, 0.7, 0.9):
+            _, values, (x0, y0, cell_w, cell_h), _ = _boundary_curve(spec, r)
+            wind = _winding_numbers(values, x0, y0, cell_w, cell_h, DEFAULT_RESOLUTION)
+            covered = float(np.sum(wind)) * cell_w * cell_h
+            band = _rasterize(spec, r).boundary_count * cell_w * cell_h
+            assert abs(covered - np.pi * np.sum(n * np.abs(coeffs) ** 2 * r ** (2 * n))) <= band
 
 
 def test_area_series_koebe_like():
