@@ -100,10 +100,6 @@ class PowerSeries(Polynomial):
     kind = "series"
     shorthand = ("series", "[]")
 
-    @property
-    def truncation_degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 @dataclass(frozen=True)
 class Moebius(_Spec):

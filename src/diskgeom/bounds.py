@@ -38,8 +38,9 @@ from .functionals import (
 DEFAULT_EQUALITY_TOL = 1e-6
 # Radii used to extrapolate open-disk functionals to r = 1.
 EXTRAPOLATION_RADII = (0.996, 0.997, 0.998, 0.999)
-# Boundary samples per radius there, twice the estimators' default.
-EXTRAPOLATION_SAMPLES = 8192
+# Boundary samples per radius there and for the Schur bound, twice the
+# estimators' default.
+FINE_SAMPLES = 8192
 # Relative disagreement between quadratic and cubic extrapolation that
 # marks the estimate unstable.
 EXTRAPOLATION_GUARD = 5e-3
@@ -106,7 +107,7 @@ def disk_functional_estimate(spec: FunctionSpec, kind: str, n: int = 4):
     """
     fk = functional_kind(kind)
     radii = EXTRAPOLATION_RADII[-1:] if fk.uses_area else EXTRAPOLATION_RADII
-    fvs = [fk.estimate(spec, r, n, m=EXTRAPOLATION_SAMPLES) for r in radii]
+    fvs = [fk.estimate(spec, r, n, m=FINE_SAMPLES) for r in radii]
     if fk.uses_area:
         return fvs[0].value, fvs[0].abs_error
     values = [fv.value for fv in fvs]
@@ -244,23 +245,24 @@ def check_poukka(
 
 
 def check_schur(
-    spec: FunctionSpec, r: float, tol: float = DEFAULT_EQUALITY_TOL, m: int = 8192
+    spec: FunctionSpec, r: float, tol: float = DEFAULT_EQUALITY_TOL
 ) -> InequalityReport:
     """Second-order Schwarz bound for maps with sup |(f(z) - f(0))/z| <= 1:
     max over |z| <= r of |f(z) - f(0) - f'(0) z| against
-    (1 - |f'(0)|^2) r^2 / (1 - |f'(0)| r).
+    (1 - |f'(0)|^2) r^2 / (1 - |f'(0)| r), both sides on FINE_SAMPLES
+    circle samples.
     """
     if not (0.0 < r < 1.0):
         raise DomainError("r must lie in (0, 1)")
     f0 = complex(evaluate(spec, 0.0))
-    probe = sample_circle(spec, 0.999, m)
+    probe = sample_circle(spec, 0.999, FINE_SAMPLES)
     ratio = np.abs(probe.values - f0) / 0.999
     if float(np.max(ratio)) > 1.0 + max(tol, 1e-9):
         raise NormalizationError(
             f"sup |(f(z) - f(0))/z| is about {float(np.max(ratio)):.6g}, above 1"
         )
     a = complex(derivative(spec, 0.0))
-    lhs, err, _ = _circle_max(spec, r, m, f0, a)
+    lhs, err, _ = _circle_max(spec, r, FINE_SAMPLES, f0, a)
     rhs = (1.0 - abs(a) ** 2) * r * r / (1.0 - abs(a) * r)
     context = {"r": r, "fprime0": [a.real, a.imag], "lhs_error": err}
     return _make_report("Schur", lhs, rhs, max(tol, 3.0 * err), context)
@@ -282,7 +284,6 @@ def check_polya_chain(
     tol: float = DEFAULT_EQUALITY_TOL,
     m: int = 4096,
     resolution: int = 512,
-    restarts: int = 8,
     seed: int = 0,
     area_method: str = "auto",
 ) -> list:
@@ -293,7 +294,7 @@ def check_polya_chain(
     """
     area_method = resolve_area_method(spec, r, area_method)
     a = _area_by_method(spec, r, area_method, resolution)
-    dn = n_diameter(spec, r, n, m=m, restarts=restarts, seed=seed)
+    dn = n_diameter(spec, r, n, m=m, seed=seed)
     norm = disk_n_diameter(n)
     cap_upper = dn.value / norm + dn.abs_error / norm
     rhs_polya = np.pi * cap_upper * cap_upper

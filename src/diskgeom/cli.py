@@ -40,16 +40,6 @@ from .growth import default_grid, phi_curve
 from .hyperbolic import check_density_lower_bound
 from .identities import fekete_witness_is_roots, identity_suite
 
-CHECK_NAMES = (
-    "growth", "don", "don-symmetric", "poukka", "schur",
-    "isoperimetric", "polya", "density", "all",
-)
-# Checks run by `check all`, in order.  Growth and don-symmetric are
-# omitted: the former needs a spec normalized per functional kind, the
-# latter a second probe point.
-ALL_CHECKS = ("don", "poukka", "schur", "isoperimetric", "polya", "density")
-
-
 def _g(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -165,50 +155,53 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
-def _run_one_check(name: str, spec: FunctionSpec, args) -> list:
-    if name == "growth":
-        return [check_growth(spec, args.r, args.kind, tol=args.tol, n=args.n)]
-    if name == "don":
-        return [check_don(spec, args.z, tol=args.tol)]
-    if name == "don-symmetric":
-        if args.w is None:
-            raise DiskGeomError("check don-symmetric needs --w")
-        return [check_don_symmetric(spec, args.z, args.w, tol=args.tol)]
-    if name == "poukka":
-        return [check_poukka(spec, args.n, tol=args.tol)]
-    if name == "schur":
-        return [check_schur(spec, args.r, tol=args.tol)]
-    if name == "isoperimetric":
-        a = _area_by_method(spec, args.r, args.area_method, args.resolution)
-        length = circle_image_length(spec, args.r)
-        # Propagate estimator errors through both sides: lhs = 4 pi A,
-        # rhs = L^2.
-        slack_err = (
-            4.0 * math.pi * a.abs_error + 2.0 * length.value * length.abs_error
-        )
-        rep = check_isoperimetric(
-            a.value, length.value, tol=max(args.tol, 3.0 * slack_err)
-        )
-        return [rep]
-    if name == "polya":
-        return check_polya_chain(
-            spec, args.r, n=args.n, tol=args.tol, resolution=args.resolution,
-            seed=args.seed, area_method=args.area_method,
-        )
-    if name == "density":
-        return [check_density_lower_bound(spec, args.z, resolution=args.resolution)]
-    raise DiskGeomError(f"unknown check {name!r}")
+def _check_don_symmetric(spec: FunctionSpec, args) -> list:
+    if args.w is None:
+        raise DiskGeomError("check don-symmetric needs --w")
+    return [check_don_symmetric(spec, args.z, args.w, tol=args.tol)]
+
+
+def _check_isoperimetric(spec: FunctionSpec, args) -> list:
+    a = _area_by_method(spec, args.r, args.area_method, args.resolution)
+    length = circle_image_length(spec, args.r)
+    # Propagate estimator errors through both sides: lhs = 4 pi A, rhs = L^2.
+    slack_err = 4.0 * math.pi * a.abs_error + 2.0 * length.value * length.abs_error
+    return [check_isoperimetric(a.value, length.value, tol=max(args.tol, 3.0 * slack_err))]
+
+
+# Check name -> runner(spec, args) returning its reports, in the order of
+# the CLI's choices and of `check all`.
+CHECKS = {
+    "growth": lambda spec, args: [
+        check_growth(spec, args.r, args.kind, tol=args.tol, n=args.n)
+    ],
+    "don": lambda spec, args: [check_don(spec, args.z, tol=args.tol)],
+    "don-symmetric": _check_don_symmetric,
+    "poukka": lambda spec, args: [check_poukka(spec, args.n, tol=args.tol)],
+    "schur": lambda spec, args: [check_schur(spec, args.r, tol=args.tol)],
+    "isoperimetric": _check_isoperimetric,
+    "polya": lambda spec, args: check_polya_chain(
+        spec, args.r, n=args.n, tol=args.tol, resolution=args.resolution,
+        seed=args.seed, area_method=args.area_method,
+    ),
+    "density": lambda spec, args: [
+        check_density_lower_bound(spec, args.z, resolution=args.resolution, tol=args.tol)
+    ],
+}
+# `check all` skips growth, which needs a spec normalized per functional
+# kind, and don-symmetric, which needs a second probe point.
+NOT_IN_ALL = ("growth", "don-symmetric")
 
 
 def _cmd_check(args, out) -> int:
     spec = parse_spec(args.spec)
     h = spec_hash(spec)
-    names = ALL_CHECKS if args.name == "all" else (args.name,)
+    names = [c for c in CHECKS if c not in NOT_IN_ALL] if args.name == "all" else [args.name]
     reports = []
     skipped = []
     for name in names:
         try:
-            reports.extend(_run_one_check(name, spec, args))
+            reports.extend(CHECKS[name](spec, args))
         except NormalizationError as exc:
             if args.name != "all":
                 raise
@@ -362,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = commands.add_parser("check", help="named inequality reports, exit 1 on FAIL")
-    p_check.add_argument("name", choices=CHECK_NAMES)
+    p_check.add_argument("name", choices=(*CHECKS, "all"))
     _add_common(p_check)
     p_check.add_argument("--kind", choices=KINDS, default="rad", help="growth check only")
     p_check.add_argument("--r", type=float, default=0.5)

@@ -35,6 +35,11 @@ DEFAULT_X_POINTS = 33
 # Second differences of log A below -10 quad_tol count as convexity
 # violations (genuine signal, not quadrature noise).
 VIOLATION_FACTOR = 10.0
+# Quadrature tolerances of the limit profile's areas and of its target.
+PROFILE_QUAD_TOL = 1e-10
+TARGET_QUAD_TOL = 1e-12
+# Most Taylor coefficients the series cross-oracle may sum.
+SERIES_MAX_TERMS = 16384
 
 
 @dataclass(frozen=True)
@@ -80,21 +85,22 @@ def _area_from_s(c: float, s: float, quad_tol: float) -> float:
     return value
 
 
-def area_annulus_cover(c: float, r: float, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Set area of exp(2ic atanh z)(r D); exact in both regimes."""
+def area_annulus_cover(c: float, r: float) -> float:
+    """Set area of exp(2ic atanh z)(r D); exact in both regimes, by
+    quadrature to DEFAULT_QUAD_TOL."""
     if c <= 0.0:
         raise DomainError("c must be positive")
     if not (0.0 < r < 1.0):
         raise DomainError("r must lie in (0, 1)")
-    return _area_from_s(c, 2.0 * math.atanh(r), quad_tol)
+    return _area_from_s(c, 2.0 * math.atanh(r), DEFAULT_QUAD_TOL)
 
 
-def area_series_annulus(c: float, r: float, max_terms: int = 16384) -> float:
+def area_series_annulus(c: float, r: float) -> float:
     """Univalent-regime area pi sum n |a_n|^2 r^(2n) from the coefficient
     series; the independent cross-oracle for moderate radii.
 
     Raises QuadratureError when the tail has not settled within
-    max_terms (radii too close to 1 for the series to be practical).
+    SERIES_MAX_TERMS (radii too close to 1 for the series to be practical).
     """
     if not (0.0 < r < univalence_threshold(c)):
         raise DomainError("series area needs the univalent regime")
@@ -107,9 +113,9 @@ def area_series_annulus(c: float, r: float, max_terms: int = 16384) -> float:
         tail = float(np.pi * np.sum(terms[count // 2:]))
         if tail <= 1e-12 * max(total, 1e-300):
             return total
-        if count >= max_terms:
+        if count >= SERIES_MAX_TERMS:
             raise QuadratureError(
-                f"series area did not settle within {max_terms} terms at r={r}"
+                f"series area did not settle within {SERIES_MAX_TERMS} terms at r={r}"
             )
         count *= 2
 
@@ -172,8 +178,8 @@ def check_not_log_convex(
     )
 
 
-def limit_target(x: float, quad_tol: float = 1e-12) -> float:
-    """-integral_0^x arcsin(u)/u du by adaptive quadrature."""
+def limit_target(x: float) -> float:
+    """-integral_0^x arcsin(u)/u du by adaptive quadrature to TARGET_QUAD_TOL."""
     if not (0.0 < x <= 1.0):
         raise DomainError("x must lie in (0, 1]")
 
@@ -182,15 +188,14 @@ def limit_target(x: float, quad_tol: float = 1e-12) -> float:
             return 1.0
         return math.asin(u) / u
 
-    value, _ = integrate(integrand, 0.0, x, abs_tol=quad_tol)
+    value, _ = integrate(integrand, 0.0, x, abs_tol=TARGET_QUAD_TOL)
     return -value
 
 
-def limit_profile(
-    c: float, x_grid: Sequence[float], quad_tol: float = 1e-10
-) -> list:
+def limit_profile(c: float, x_grid: Sequence[float]) -> list:
     """Scaled area profile (A_c(r(x)) - 2 pi sinh(c pi)) / (4 c^2) against
-    the c -> 0 target -integral_0^x arcsin(u)/u du.
+    the c -> 0 target -integral_0^x arcsin(u)/u du, with the areas by
+    quadrature to PROFILE_QUAD_TOL.
 
     Returns a list of (x, value, target) triples for convergence studies
     over decreasing c.
@@ -204,7 +209,7 @@ def limit_profile(
         x = float(x)
         if not (0.0 < x < 1.0):
             raise DomainError("x must lie in (0, 1)")
-        a_value = _area_from_s(c, _s_of_x(x, rate), quad_tol)
+        a_value = _area_from_s(c, _s_of_x(x, rate), PROFILE_QUAD_TOL)
         value = (a_value - saturation) / (4.0 * c * c)
         out.append((x, value, limit_target(x)))
     return out

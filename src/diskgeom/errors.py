@@ -13,10 +13,6 @@ class UnsupportedError(DiskGeomError):
     """Requested operation is outside the supported contract for this spec."""
 
 
-class DegenerateError(DiskGeomError):
-    """Input set is degenerate (e.g. all sampled points coincide)."""
-
-
 class ResourceError(DiskGeomError):
     """A computation would exceed its sample or memory budget."""
 

@@ -39,7 +39,10 @@ from .quadrature import integrate
 DEFAULT_SAMPLES = 4096
 DEFAULT_RESOLUTION = 1024
 DEFAULT_RESTARTS = 8
+# Most boundary samples that one refinement of f(r T) may evaluate.
 SAMPLE_CAP = 2**24
+# Absolute and relative quadrature tolerance of the curve length of f(r T).
+LENGTH_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -276,15 +279,14 @@ def n_diameter(
     r: float,
     n: int,
     m: int = DEFAULT_SAMPLES,
-    restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> FunctionalValue:
     """n-point diameter of f(r D): sup over n-tuples of the normalized
     pairwise-distance product, estimated over boundary samples.
 
-    Coordinate-exchange ascent in the log domain with deterministic
-    multi-start.  Extremal tuples lie on the outer boundary, so sampling
-    f(r T) loses only the angular discretization.  For n = 2 this is the
+    Coordinate-exchange ascent in the log domain with DEFAULT_RESTARTS
+    deterministic starts.  Extremal tuples lie on the outer boundary, so
+    sampling f(r T) loses only the angular discretization.  For n = 2 this is the
     diameter and delegates to the caliper estimator.
     """
     if n < 2:
@@ -301,9 +303,9 @@ def n_diameter(
     rng = np.random.default_rng([seed, n, m, int(r * 1e9)])
     starts = []
     base = np.round(np.arange(n) * m / n).astype(int) % m
-    for k in range(min(4, restarts)):
+    for k in range(min(4, DEFAULT_RESTARTS)):
         starts.append((base + (k * m) // (4 * n)) % m)
-    while len(starts) < restarts:
+    while len(starts) < DEFAULT_RESTARTS:
         starts.append(rng.choice(m, size=n, replace=False))
 
     pair_count = n * (n - 1) / 2.0
@@ -390,12 +392,12 @@ class RasterResult:
     boundary: np.ndarray
 
 
-def _refine_circle(fn, r, values, too_coarse, budget):
+def _refine_circle(fn, r, values, too_coarse):
     """Bisect the angle steps of samples of fn on |z| = r until none is too coarse.
 
     values holds fn at the angles 2 pi k / m; too_coarse(values) flags step
     k -> k+1 (the last step closes the circle).  Returns the sorted angles,
-    the values and the number of samples evaluated.
+    the values and the number of samples evaluated, at most SAMPLE_CAP.
     """
     angles = 2.0 * np.pi * np.arange(values.size) / values.size
     used = values.size
@@ -405,23 +407,20 @@ def _refine_circle(fn, r, values, too_coarse, budget):
             return angles, values, used
         mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
         used += mid.size
-        if used > budget:
+        if used > SAMPLE_CAP:
             raise ResourceError("boundary refinement exceeded the sample budget")
         angles = np.insert(angles, bad + 1, mid)
         values = np.insert(values, bad + 1, fn(r * np.exp(1j * mid)))
     raise ResourceError("boundary refinement did not converge in 40 passes")
 
 
-def _boundary_curve(
-    spec: FunctionSpec,
-    r: float,
-    resolution: int = DEFAULT_RESOLUTION,
-    sample_cap: int = SAMPLE_CAP,
-):
+def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION):
     """The closed polyline f(r T) with steps of at most half a grid cell.
 
     The grid has resolution^2 cells over the padded bounding box of the
-    curve.  Returns (angles, values, (x0, y0, cell_w, cell_h), samples
+    curve.  A step no longer than 4 float spacings of the largest |f| also
+    counts as fine: a small image far from 0 has cells below the spacing of
+    its values.  Returns (angles, values, (x0, y0, cell_w, cell_h), samples
     used).  A constant map (samples equal to rounding, as _is_constant
     decides) gets cells of zero size, and the curve is then not refined.
     """
@@ -435,10 +434,9 @@ def _boundary_curve(
     pad = 2.0 * gap + 1e-12 + 0.002 * max(hi_x - lo_x, hi_y - lo_y)
     lo_x, hi_x, lo_y, hi_y = lo_x - pad, hi_x + pad, lo_y - pad, hi_y + pad
     cell_w, cell_h = (hi_x - lo_x) / resolution, (hi_y - lo_y) / resolution
-    step = 0.5 * min(cell_w, cell_h)
+    step = max(0.5 * min(cell_w, cell_h), 4.0 * float(np.spacing(np.max(np.abs(probe)))))
     angles, values, used = _refine_circle(
-        partial(evaluate, spec), r, probe,
-        lambda w: np.abs(np.roll(w, -1) - w) > step, sample_cap,
+        partial(evaluate, spec), r, probe, lambda w: np.abs(np.roll(w, -1) - w) > step
     )
     return angles, values, (lo_x, lo_y, cell_w, cell_h), used
 
@@ -466,12 +464,7 @@ def _winding_numbers(values, x0, y0, cell_w, cell_h, resolution) -> np.ndarray:
     return -np.cumsum(diff.reshape(resolution, resolution + 1), axis=1)[:, :resolution]
 
 
-def _rasterize(
-    spec: FunctionSpec,
-    r: float,
-    resolution: int = DEFAULT_RESOLUTION,
-    sample_cap: int = SAMPLE_CAP,
-) -> RasterResult:
+def _rasterize(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> RasterResult:
     """Rasterize f(r D) on a resolution^2 grid over the image bounding box.
 
     By the argument principle the winding number of f(r T) around w counts
@@ -480,7 +473,7 @@ def _rasterize(
     boundary cells are the band where coverage is ambiguous.  Holes are
     genuine and are never filled.
     """
-    _, values, (x0, y0, cell_w, cell_h), used = _boundary_curve(spec, r, resolution, sample_cap)
+    _, values, (x0, y0, cell_w, cell_h), used = _boundary_curve(spec, r, resolution)
     if cell_w == 0.0:
         empty = np.zeros((1, 1), bool)
         return RasterResult(0, 0, 0.0, x0, y0, 0.0, 0.0, used, empty, empty)
@@ -495,20 +488,16 @@ def _rasterize(
     )
 
 
-def area(
-    spec: FunctionSpec,
-    r: float,
-    resolution: int = DEFAULT_RESOLUTION,
-    sample_cap: int = SAMPLE_CAP,
-) -> FunctionalValue:
+def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> FunctionalValue:
     """Set area of f(r D) (no multiplicity) from a winding-number raster.
 
     The value is the area of the cells that f(r D) meets: positive winding
     number of f(r T) at the centre, or a cell the curve passes through.
     The error estimate is the area of the boundary cells, the band where
-    coverage is ambiguous.  sample_cap bounds the boundary samples.
+    coverage is ambiguous.  The boundary curve may use at most SAMPLE_CAP
+    samples; ResourceError when it needs more.
     """
-    raster = _rasterize(spec, r, resolution=resolution, sample_cap=sample_cap)
+    raster = _rasterize(spec, r, resolution=resolution)
     value = raster.hit_count * raster.cell_area
     err = raster.boundary_count * raster.cell_area
     flags = ("degenerate",) if raster.cell_area == 0.0 else ()
@@ -534,10 +523,9 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
 # ---- perimeter ----
 
 
-def circle_image_length(
-    spec: FunctionSpec, r: float, quad_tol: float = 1e-10
-) -> FunctionalValue:
-    """Length of the curve f(r T) counting multiplicity: integral of |f'| r.
+def circle_image_length(spec: FunctionSpec, r: float) -> FunctionalValue:
+    """Length of the curve f(r T) counting multiplicity: integral of |f'| r,
+    by quadrature to LENGTH_QUAD_TOL.
 
     Always an upper bound for the perimeter of the image set; equals it
     when f is injective on the closed disk of radius r.
@@ -546,7 +534,7 @@ def circle_image_length(
     def integrand(theta: float) -> float:
         return abs(complex(derivative(spec, r * np.exp(1j * theta)))) * r
 
-    value, err = integrate(integrand, 0.0, 2.0 * np.pi, abs_tol=quad_tol)
+    value, err = integrate(integrand, 0.0, 2.0 * np.pi, abs_tol=LENGTH_QUAD_TOL)
     return FunctionalValue(kind="perim", value=value, abs_error=err, flags=("circle_image",))
 
 
@@ -568,9 +556,7 @@ def _sqrt_deriv_series_length(spec: FunctionSpec, r: float) -> Optional[float]:
         count *= 2
 
 
-def perimeter_univalent(
-    spec: FunctionSpec, r: float, quad_tol: float = 1e-10
-) -> FunctionalValue:
+def perimeter_univalent(spec: FunctionSpec, r: float) -> FunctionalValue:
     """Perimeter of f(r D) for injective f, by quadrature of |f'| over r T.
 
     Raises UnivalenceError when is_univalent_sampled finds f not injective
@@ -580,7 +566,7 @@ def perimeter_univalent(
     uni = is_univalent_sampled(spec, r)
     if not uni:
         raise UnivalenceError(f"spec is not injective on r={r}: witness {uni.witness}")
-    fv = circle_image_length(spec, r, quad_tol=quad_tol)
+    fv = circle_image_length(spec, r)
     flags = ()
     if spec.coefficient_backed:
         circle = sample_circle(spec, r, 1024)
@@ -690,7 +676,7 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
         fast = np.abs(np.angle(nxt * np.conj(d))) >= np.pi / 8.0
         return fast & (np.minimum(np.abs(d), np.abs(nxt)) > tiny)
 
-    angles, d, _ = _refine_circle(partial(derivative, spec), r, d0, turns_fast, SAMPLE_CAP)
+    angles, d, _ = _refine_circle(partial(derivative, spec), r, d0, turns_fast)
     z = r * np.exp(1j * angles)
     k = int(np.argmin(np.abs(d)))
     if abs(d[k]) <= tiny:
@@ -737,7 +723,6 @@ def capacity_bracket(
     n: int = 8,
     m: int = DEFAULT_SAMPLES,
     resolution: int = DEFAULT_RESOLUTION,
-    restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     area_method: str = "raster",
 ) -> FunctionalValue:
@@ -748,7 +733,7 @@ def capacity_bracket(
     is the midpoint.  The bracket_inverted flag signals under-resolution.
     """
     a = _area_by_method(spec, r, area_method, resolution)
-    dn = n_diameter(spec, r, n, m=m, restarts=restarts, seed=seed)
+    dn = n_diameter(spec, r, n, m=m, seed=seed)
     norm = disk_n_diameter(n)
     lo_raw = float(np.sqrt(max(a.value, 0.0) / np.pi))
     hi_raw = dn.value / norm
@@ -806,14 +791,11 @@ class FunctionalKind:
         *,
         m: int = DEFAULT_SAMPLES,
         resolution: int = DEFAULT_RESOLUTION,
-        restarts: int = DEFAULT_RESTARTS,
         seed: int = 0,
         area_method: str = "raster",
-        quad_tol: float = 1e-10,
     ) -> FunctionalValue:
         return self.estimator(
-            spec, r, n, m=m, resolution=resolution, restarts=restarts, seed=seed,
-            area_method=area_method, quad_tol=quad_tol,
+            spec, r, n, m=m, resolution=resolution, seed=seed, area_method=area_method
         )
 
     def curve_value(self, fv: FunctionalValue) -> float:
@@ -831,15 +813,12 @@ KINDS = {
         lambda r, n: 2.0 * r, "2r", "LandauToeplitz",
     ),
     "ndiam": FunctionalKind(
-        lambda spec, r, n, m, restarts, seed, **_: n_diameter(
-            spec, r, n, m=m, restarts=restarts, seed=seed
-        ),
+        lambda spec, r, n, m, seed, **_: n_diameter(spec, r, n, m=m, seed=seed),
         lambda r, n: disk_n_diameter(n) * r, "n^(1/(n-1)) r", "NDiamGrowth",
     ),
     "cap": FunctionalKind(
-        lambda spec, r, n, m, resolution, restarts, seed, area_method, **_: capacity_bracket(
-            spec, r, n=n, m=m, resolution=resolution, restarts=restarts, seed=seed,
-            area_method=area_method,
+        lambda spec, r, n, m, resolution, seed, area_method, **_: capacity_bracket(
+            spec, r, n=n, m=m, resolution=resolution, seed=seed, area_method=area_method
         ),
         lambda r, n: r, "r", "CapGrowth", uses_area=True, upper_endpoint=True,
     ),
@@ -850,7 +829,7 @@ KINDS = {
         lambda r, n: np.pi * r * r, "pi r^2", "AreaGrowth", uses_area=True, squared=True,
     ),
     "perim": FunctionalKind(
-        lambda spec, r, n, quad_tol, **_: circle_image_length(spec, r, quad_tol=quad_tol),
+        lambda spec, r, n, **_: circle_image_length(spec, r),
         lambda r, n: 2.0 * np.pi * r, "2 pi r", "PerimGrowth",
     ),
 }

@@ -23,14 +23,7 @@ from .analytic import (
     spec_hash,
 )
 from .errors import DomainError, GridError
-from .functionals import (
-    DEFAULT_RESOLUTION,
-    DEFAULT_RESTARTS,
-    DEFAULT_SAMPLES,
-    FunctionalValue,
-    functional_kind,
-    resolve_area_method,
-)
+from .functionals import FunctionalValue, functional_kind, resolve_area_method
 
 DEFAULT_GRID_POINTS = 17
 DEFAULT_GRID_RANGE = (0.05, 0.95)
@@ -104,16 +97,13 @@ def phi_curve(
     r_grid: Optional[Sequence[float]] = None,
     *,
     n: int = 4,
-    m: int = DEFAULT_SAMPLES,
-    resolution: int = DEFAULT_RESOLUTION,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
     area_method: str = "auto",
-    quad_tol: float = 1e-10,
     jobs: int = 1,
+    **knobs,
 ) -> GrowthCurve:
     """Normalized growth curve of one functional kind (a key of
-    functionals.KINDS) over a radius grid.
+    functionals.KINDS) over a radius grid.  knobs are the other estimator
+    settings of FunctionalKind.estimate (m, resolution, seed).
 
     area_method "auto" is resolved once, at the largest grid radius, by
     resolve_area_method: the exact coefficient series when the spec is
@@ -137,10 +127,7 @@ def phi_curve(
         flags = flags + ("cap_upper_estimate",)
 
     def _point(r: float) -> FunctionalValue:
-        return fk.estimate(
-            spec, r, n, m=m, resolution=resolution, restarts=restarts, seed=seed,
-            area_method=area_method, quad_tol=quad_tol,
-        )
+        return fk.estimate(spec, r, n, area_method=area_method, **knobs)
 
     # Points are independent; results are assembled in grid order, so the
     # output is identical for any job count.

@@ -83,18 +83,14 @@ def check_density_lower_bound(
     return _make_report("DensityLower", lhs, rhs, max(tol, 3.0 * rhs_err), context, reverse=True)
 
 
-def dist_to_boundary(
-    spec: FunctionSpec,
-    w: complex,
-    r: float = REGION_RADIUS,
-    resolution: int = 512,
-):
-    """Distance from w to the rasterized image boundary of f(r D).
+def dist_to_boundary(spec: FunctionSpec, w: complex, resolution: int = 512):
+    """Distance from w to the rasterized image boundary of f(r D) at
+    r = REGION_RADIUS.
 
     Returns (distance, cell_diagonal); the diagonal is the resolution
     granularity and the natural tolerance for comparisons.
     """
-    raster = _rasterize(spec, r, resolution=resolution)
+    raster = _rasterize(spec, REGION_RADIUS, resolution=resolution)
     iy, ix = np.nonzero(raster.boundary)
     if ix.size == 0:
         raise DomainError("no boundary cells found at this resolution")

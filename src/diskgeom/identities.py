@@ -87,9 +87,10 @@ def vandermonde_check(t: PointTuple):
     return product, det_abs, match
 
 
-def hadamard_bound_check(t: PointTuple, tol_scale: float = VANDERMONDE_REL_TOL) -> InequalityReport:
-    """|det V_n| <= n^(n/2) for points in the closed disk; equality holds
-    exactly for rotated roots of unity."""
+def hadamard_bound_check(t: PointTuple) -> InequalityReport:
+    """|det V_n| <= n^(n/2) for points in the closed disk, to a relative
+    tolerance of VANDERMONDE_REL_TOL n^2; equality holds exactly for
+    rotated roots of unity."""
     n = len(t)
     if n > VANDERMONDE_MAX_N:
         raise DomainError(f"n must be <= {VANDERMONDE_MAX_N}")
@@ -97,7 +98,7 @@ def hadamard_bound_check(t: PointTuple, tol_scale: float = VANDERMONDE_REL_TOL) 
     sign, logdet = np.linalg.slogdet(vand)
     lhs = math.exp(logdet) if sign != 0 else 0.0
     rhs = float(n) ** (n / 2.0)
-    tol = tol_scale * n * n * rhs
+    tol = VANDERMONDE_REL_TOL * n * n * rhs
     return _make_report("Hadamard", lhs, rhs, tol, {"n": n})
 
 
@@ -142,15 +143,16 @@ def second_sum(n: int, p: int):
 
 
 def fekete_witness_is_roots(witness, tol: float) -> bool:
-    """True when the points are a common rotation and scaling of the
-    n-th roots of unity within tol, after the best circular relabeling.
+    """True when the points, a sequence of complex numbers, are a common
+    rotation and scaling of the n-th roots of unity within tol, after the
+    best circular relabeling.
 
     The scale is the mean modulus and the rotation is recovered from the
     mean of the n-th powers of the normalized points; matching compares
     angle-sorted tuples over all n circular shifts, with tol applied
     relative to max(1, scale).
     """
-    pts = np.asarray([complex(p) for p in (witness.points if isinstance(witness, PointTuple) else witness)])
+    pts = np.asarray([complex(p) for p in witness])
     n = pts.size
     if n < 2:
         raise DomainError("need at least two points")

@@ -64,7 +64,7 @@ def test_ac1_disk_n_diameter_and_fekete_points():
     worst = 0.0
     witnesses_ok = True
     for n in range(2, 9):
-        fv = n_diameter(IDENTITY, 0.999, n, m=2048, restarts=8, seed=SEED)
+        fv = n_diameter(IDENTITY, 0.999, n, m=2048, seed=SEED)
         worst = max(worst, abs(fv.value - disk_n_diameter(n)))
         witnesses_ok = witnesses_ok and fekete_witness_is_roots(fv.witness, tol=5e-3)
     elapsed = time.perf_counter() - t0
@@ -328,7 +328,7 @@ def test_ac12_raster_vs_series_cross_check():
         a_series = area_univalent_series(spec, 0.5)
         gap = abs(a_raster.value - a_series.value)
         area_ok = area_ok and gap <= 2.0 * (a_raster.abs_error + a_series.abs_error)
-        quad = circle_image_length(spec, 0.5, quad_tol=1e-12)
+        quad = circle_image_length(spec, 0.5)
         series_len = _sqrt_deriv_series_length(spec, 0.5)
         worst_perim = max(worst_perim, abs(quad.value - series_len))
         perim_ok = perim_ok and abs(quad.value - series_len) <= 1e-6

@@ -189,6 +189,14 @@ def test_check_all_moebius(capsys):
     assert any("skipped" in p and p["name"] == "schur" for p in payloads)
 
 
+def test_check_density_honours_tol(capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "density", "--spec", "poly[0,1]", "--tol", "0.5", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["context"]["tol"] == 0.5
+
+
 def test_check_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "check", "poukka", "--spec", "poly[0,0,0,1]", "--n", "3",

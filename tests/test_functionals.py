@@ -27,6 +27,7 @@ from diskgeom import (
     perimeter_univalent,
     radius,
 )
+from diskgeom import functionals
 from diskgeom.functionals import (
     DEFAULT_RESOLUTION,
     _boundary_curve,
@@ -38,6 +39,9 @@ SEED = 20260815
 IDENTITY = Polynomial((0.0, 1.0))
 SQUARE = Polynomial((0.0, 0.0, 1.0))
 KOEBE_LIKE = Polynomial((0.0, 1.0, 0.2))
+# Small images far from 0: half a raster cell is below the float spacing
+# of their values, so the boundary curve stops refining at 4 spacings.
+FAR_SMALL = (Polynomial((1e5, 1e-8)), Polynomial((1e5, 1e-8, 5e-9)))
 
 
 def moebius_diameter(b: float, r: float) -> float:
@@ -160,11 +164,16 @@ def test_area_series_matches_raster_when_univalent():
     fv_s = area_univalent_series(KOEBE_LIKE, 0.5)
     fv_r = area(KOEBE_LIKE, 0.5, resolution=512)
     assert abs(fv_s.value - fv_r.value) <= 2.0 * (fv_s.abs_error + fv_r.abs_error)
+    for spec in FAR_SMALL:
+        fv_s = area_univalent_series(spec, 0.5)
+        fv_r = area(spec, 0.5)
+        assert abs(fv_s.value - fv_r.value) <= fv_r.abs_error
 
 
-def test_area_resource_cap():
+def test_area_resource_cap(monkeypatch):
+    monkeypatch.setattr(functionals, "SAMPLE_CAP", 10_000)
     with pytest.raises(ResourceError):
-        area(AnnulusCover(1.0), 0.999, resolution=1024, sample_cap=10_000)
+        area(AnnulusCover(1.0), 0.999, resolution=1024)
 
 
 def test_circle_image_length_counts_multiplicity():
@@ -246,6 +255,8 @@ def test_univalence_accepts_injective_maps():
     assert is_univalent_sampled(AnnulusCover(1.0), 0.9)
     for c in (1.0, 3.0):
         assert is_univalent_sampled(AnnulusCover(c), np.tanh(np.pi / (2.0 * c)) - 1e-3)
+    for spec in FAR_SMALL:
+        assert is_univalent_sampled(spec, 0.5)
 
 
 def test_capacity_bracket_identity_is_tight():

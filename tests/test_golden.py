@@ -29,6 +29,7 @@ CASES = {
         "eval", "--spec", "annulus(1)", "--kind", "area", "--area-method", "raster",
     ],
     "eval_cap_moebius": ["eval", "--spec", "moebius(0,0.5,1)", "--kind", "cap"],
+    "eval_rad_csv": ["eval", "--spec", POLY, "--kind", "rad", "--r", "0.5", "--format", "csv"],
     **{
         f"sweep_{kind}": ["sweep", "--spec", POLY, "--kind", kind, "--points", "5"]
         for kind in ("rad", "diam", "ndiam", "perim")
@@ -57,9 +58,15 @@ CASES = {
     "check_don_symmetric": [
         "check", "don-symmetric", "--spec", "moebius(0,0.5,1)", "--z", "0.3", "--w=-0.2j",
     ],
+    "check_poukka": ["check", "poukka", "--spec", "poly[0,0,0,1]", "--n", "3"],
     "counterexample": ["counterexample", "--c", "0.5", "--points", "9"],
+    "counterexample_json": [
+        "counterexample", "--c", "0.5", "--points", "9", "--format", "json",
+    ],
     "fekete": ["fekete", "--spec", "poly[0,1]"],
+    "fekete_json": ["fekete", "--spec", "poly[0,1]", "--format", "json"],
     "identities": ["identities", "--n-max", "16"],
+    "identities_csv": ["identities", "--n-max", "16", "--format", "csv"],
 }
 
 

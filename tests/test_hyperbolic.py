@@ -111,9 +111,9 @@ def test_density_lower_bound_annulus():
 
 
 def test_dist_to_boundary_identity():
-    dist, diag = dist_to_boundary(IDENTITY, 0.0, r=0.999, resolution=512)
+    dist, diag = dist_to_boundary(IDENTITY, 0.0, resolution=512)
     assert abs(dist - 0.999) <= 2.0 * diag
-    dist_half, _ = dist_to_boundary(IDENTITY, 0.5, r=0.999, resolution=512)
+    dist_half, _ = dist_to_boundary(IDENTITY, 0.5, resolution=512)
     assert abs(dist_half - 0.499) <= 2.0 * diag
 
 
