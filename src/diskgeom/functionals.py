@@ -415,14 +415,17 @@ def _refine_circle(fn, r, values, too_coarse):
 
 
 def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION):
-    """The closed polyline f(r T) with steps of at most half a grid cell.
+    """The closed polyline f(r T), refined until no step is longer than half
+    a grid cell or 4 float spacings of the largest |f|, whichever is more.
 
     The grid has resolution^2 cells over the padded bounding box of the
-    curve.  A step no longer than 4 float spacings of the largest |f| also
-    counts as fine: a small image far from 0 has cells below the spacing of
-    its values.  Returns (angles, values, (x0, y0, cell_w, cell_h), samples
-    used).  A constant map (samples equal to rounding, as _is_constant
-    decides) gets cells of zero size, and the curve is then not refined.
+    curve.  A small image far from 0 has cells below the spacing of its
+    values, and its steps may then span a few cells; ResourceError when the
+    spacing exceeds two cells, where rounding alone would move the curve
+    by more than a cell.  Returns (angles, values, (x0, y0, cell_w, cell_h),
+    samples used).  A constant map (samples equal to rounding, as
+    _is_constant decides) gets cells of zero size, and the curve is then
+    not refined.
     """
     probe = sample_circle(spec, r, 4096).values
     if _is_constant(probe):
@@ -434,24 +437,47 @@ def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESO
     pad = 2.0 * gap + 1e-12 + 0.002 * max(hi_x - lo_x, hi_y - lo_y)
     lo_x, hi_x, lo_y, hi_y = lo_x - pad, hi_x + pad, lo_y - pad, hi_y + pad
     cell_w, cell_h = (hi_x - lo_x) / resolution, (hi_y - lo_y) / resolution
-    step = max(0.5 * min(cell_w, cell_h), 4.0 * float(np.spacing(np.max(np.abs(probe)))))
+    ulp = float(np.spacing(np.max(np.abs(probe))))
+    if ulp > 2.0 * min(cell_w, cell_h):
+        raise ResourceError("the image is below the float resolution of its values at this grid")
+    step = max(0.5 * min(cell_w, cell_h), 4.0 * ulp)
     angles, values, used = _refine_circle(
         partial(evaluate, spec), r, probe, lambda w: np.abs(np.roll(w, -1) - w) > step
     )
     return angles, values, (lo_x, lo_y, cell_w, cell_h), used
 
 
-def _winding_numbers(values, x0, y0, cell_w, cell_h, resolution) -> np.ndarray:
-    """Winding number of the closed polyline around every cell centre.
+def _grid_polyline(values, x0, y0, cell_w, cell_h):
+    """The closed polyline in grid units (cell corners at the integers),
+    each step cut into equal pieces of at most half a cell in u and v.
+
+    The pieces lie on the polyline; a step longer than half a cell comes
+    from the float-spacing floor of _boundary_curve, where values in the
+    w-plane could not hold the cut points.  Returns (u, v).
+    """
+    u = (values.real - x0) / cell_w
+    v = (values.imag - y0) / cell_h
+    du, dv = np.roll(u, -1) - u, np.roll(v, -1) - v
+    pieces = np.maximum(np.ceil(2.0 * np.maximum(np.abs(du), np.abs(dv))), 1).astype(np.int64)
+    if np.all(pieces == 1):  # the usual case, and a cheap one
+        return u, v
+    k = np.repeat(np.arange(u.size), pieces)
+    frac = (np.arange(k.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)) / pieces[k]
+    return u[k] + frac * du[k], v[k] + frac * dv[k]
+
+
+def _winding_numbers(u, v, resolution) -> np.ndarray:
+    """Winding number of the closed polyline (u, v) in grid units around
+    every cell centre.
 
     Nonzero-winding scanline fill: each crossing of a row of centres adds
     its direction to a difference array at the first centre right of it,
     and a cumulative sum along the row counts the signed crossings to the
-    left of each centre.  Steps of at most half a cell cross at most one
-    row, so each step contributes at most one entry.
+    left of each centre.  Steps of at most half a cell, as _grid_polyline
+    cuts them, cross at most one row, so each step contributes at most one
+    entry.
     """
-    u = (values.real - x0) / cell_w - 0.5
-    v = (values.imag - y0) / cell_h - 0.5
+    u, v = u - 0.5, v - 0.5
     u1, v1 = np.roll(u, -1), np.roll(v, -1)
     row = np.ceil(np.minimum(v, v1))
     keep = (row < np.maximum(v, v1)) & (row >= 0) & (row < resolution)
@@ -477,11 +503,12 @@ def _rasterize(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTIO
     if cell_w == 0.0:
         empty = np.zeros((1, 1), bool)
         return RasterResult(0, 0, 0.0, x0, y0, 0.0, 0.0, used, empty, empty)
+    u, v = _grid_polyline(values, x0, y0, cell_w, cell_h)
     boundary = np.zeros((resolution, resolution), dtype=bool)
-    ix = np.clip(((values.real - x0) / cell_w).astype(int), 0, resolution - 1)
-    iy = np.clip(((values.imag - y0) / cell_h).astype(int), 0, resolution - 1)
+    ix = np.clip(u.astype(int), 0, resolution - 1)
+    iy = np.clip(v.astype(int), 0, resolution - 1)
     boundary[iy, ix] = True
-    hits = (_winding_numbers(values, x0, y0, cell_w, cell_h, resolution) > 0.5) | boundary
+    hits = (_winding_numbers(u, v, resolution) > 0.5) | boundary
     return RasterResult(
         int(np.count_nonzero(hits)), int(np.count_nonzero(boundary)), cell_w * cell_h,
         x0, y0, cell_w, cell_h, used, hits, boundary,
@@ -663,9 +690,10 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
     when f' has no zeros there and f(r T) is a simple curve.  The zeros of
     f' are counted by the turning of arg f' along r T, sampled until each
     step turns by less than pi / 8.  Self-crossings of f(r T) are searched
-    on the boundary polyline of the default raster (steps of half a cell)
-    and confirmed by Newton's method.  A false verdict carries a critical
-    point (z, z) or a colliding pair (z1, z2).
+    on the boundary polyline of the default raster (steps of half a cell,
+    or 4 float spacings of |f| where that is more) and confirmed by
+    Newton's method.  A false verdict carries a critical point (z, z) or a
+    colliding pair (z1, z2).
     """
     m0 = 4096
     d0 = derivative(spec, r * np.exp(2j * np.pi * np.arange(m0) / m0))

@@ -31,6 +31,7 @@ from diskgeom import functionals
 from diskgeom.functionals import (
     DEFAULT_RESOLUTION,
     _boundary_curve,
+    _grid_polyline,
     _rasterize,
     _winding_numbers,
 )
@@ -40,8 +41,14 @@ IDENTITY = Polynomial((0.0, 1.0))
 SQUARE = Polynomial((0.0, 0.0, 1.0))
 KOEBE_LIKE = Polynomial((0.0, 1.0, 0.2))
 # Small images far from 0: half a raster cell is below the float spacing
-# of their values, so the boundary curve stops refining at 4 spacings.
-FAR_SMALL = (Polynomial((1e5, 1e-8)), Polynomial((1e5, 1e-8, 5e-9)))
+# of their values, so the boundary curve stops refining at 4 spacings and
+# its steps span more than one row or column of cells.
+FAR_SMALL = (
+    Polynomial((1e5, 1e-8)),
+    Polynomial((1e5, 1e-8, 5e-9)),
+    Polynomial((1e5j, 1e-8)),
+    Polynomial((7e4 + 7e4j, 1e-8)),
+)
 
 
 def moebius_diameter(b: float, r: float) -> float:
@@ -148,7 +155,8 @@ def test_winding_number_integral_is_covered_area():
         n = np.arange(coeffs.size)
         for r in (0.5, 0.7, 0.9):
             _, values, (x0, y0, cell_w, cell_h), _ = _boundary_curve(spec, r)
-            wind = _winding_numbers(values, x0, y0, cell_w, cell_h, DEFAULT_RESOLUTION)
+            u, v = _grid_polyline(values, x0, y0, cell_w, cell_h)
+            wind = _winding_numbers(u, v, DEFAULT_RESOLUTION)
             covered = float(np.sum(wind)) * cell_w * cell_h
             band = _rasterize(spec, r).boundary_count * cell_w * cell_h
             assert abs(covered - np.pi * np.sum(n * np.abs(coeffs) ** 2 * r ** (2 * n))) <= band
@@ -174,6 +182,14 @@ def test_area_resource_cap(monkeypatch):
     monkeypatch.setattr(functionals, "SAMPLE_CAP", 10_000)
     with pytest.raises(ResourceError):
         area(AnnulusCover(1.0), 0.999, resolution=1024)
+
+
+def test_area_below_float_resolution_raises():
+    # The spacing of values near 1e6 is about 12 cells of this image, so
+    # rounding alone would move the boundary curve by several cells.
+    for spec in (Polynomial((1e6, 1e-8)), Polynomial((3e5j, 1e-8))):
+        with pytest.raises(ResourceError, match="float resolution"):
+            area(spec, 0.5)
 
 
 def test_circle_image_length_counts_multiplicity():
