@@ -103,7 +103,8 @@ def disk_functional_estimate(spec: FunctionSpec, kind: str, n: int = 4):
     Returns (value, abs_error).  The smooth boundary-driven kinds use cubic
     extrapolation over four radii with the quadratic comparison as a
     stability guard; area-based kinds (functionals.KINDS marks them) take
-    the raster estimate at the largest radius, for cap the bracket midpoint.
+    the scanline-section estimate at the largest radius, for cap the bracket
+    midpoint.
     """
     fk = functional_kind(kind)
     radii = EXTRAPOLATION_RADII[-1:] if fk.uses_area else EXTRAPOLATION_RADII

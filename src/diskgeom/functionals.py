@@ -10,8 +10,9 @@ growth curves, growth checks and the CLI all read them from there.
 Set area and univalence share one mechanism, the refined boundary curve
 f(r T) and the argument principle: the winding number of f(r T) around w
 counts the preimages of w in r D, so the set area is the area where it is
-positive, and f is injective on r D exactly when f' has no zeros there and
-f(r T) is a simple curve (Darboux-Picard).
+positive, summed from exact horizontal sections of the polyline, and f is
+injective on r D exactly when f' has no zeros there and f(r T) is a simple
+curve (Darboux-Picard).
 """
 
 from __future__ import annotations
@@ -375,40 +376,24 @@ def n_diameter(
     )
 
 
-# ---- area by winding-number fill of the boundary curve ----
-
-
-@dataclass
-class RasterResult:
-    hit_count: int
-    boundary_count: int
-    cell_area: float
-    x0: float
-    y0: float
-    cell_w: float
-    cell_h: float
-    samples_used: int
-    hits: np.ndarray
-    boundary: np.ndarray
+# ---- area from scanline sections of the boundary curve ----
 
 
 def _refine_circle(fn, r, values, too_coarse):
     """Bisect the angle steps of samples of fn on |z| = r until none is too coarse.
 
     values holds fn at the angles 2 pi k / m; too_coarse(values) flags step
-    k -> k+1 (the last step closes the circle).  Returns the sorted angles,
-    the values and the number of samples evaluated, at most SAMPLE_CAP.
+    k -> k+1 (the last step closes the circle).  Returns the sorted angles
+    and the values, at most SAMPLE_CAP of them.
     """
     angles = 2.0 * np.pi * np.arange(values.size) / values.size
-    used = values.size
     for _ in range(40):
         bad = np.nonzero(too_coarse(values))[0]
         if bad.size == 0:
-            return angles, values, used
-        mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
-        used += mid.size
-        if used > SAMPLE_CAP:
+            return angles, values
+        if values.size + bad.size > SAMPLE_CAP:
             raise ResourceError("boundary refinement exceeded the sample budget")
+        mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
         angles = np.insert(angles, bad + 1, mid)
         values = np.insert(values, bad + 1, fn(r * np.exp(1j * mid)))
     raise ResourceError("boundary refinement did not converge in 40 passes")
@@ -422,15 +407,14 @@ def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESO
     curve.  A small image far from 0 has cells below the spacing of its
     values, and its steps may then span a few cells; ResourceError when the
     spacing exceeds two cells, where rounding alone would move the curve
-    by more than a cell.  Returns (angles, values, (x0, y0, cell_w, cell_h),
-    samples used).  A constant map (samples equal to rounding, as
-    _is_constant decides) gets cells of zero size, and the curve is then
-    not refined.
+    by more than a cell.  Returns (angles, values, (x0, y0, cell_w, cell_h)).
+    A constant map (samples equal to rounding, as _is_constant decides)
+    gets cells of zero size, and the curve is then not refined.
     """
     probe = sample_circle(spec, r, 4096).values
     if _is_constant(probe):
         angles = 2.0 * np.pi * np.arange(probe.size) / probe.size
-        return angles, probe, (float(probe[0].real), float(probe[0].imag), 0.0, 0.0), probe.size
+        return angles, probe, (float(probe[0].real), float(probe[0].imag), 0.0, 0.0)
     lo_x, hi_x = float(np.min(probe.real)), float(np.max(probe.real))
     lo_y, hi_y = float(np.min(probe.imag)), float(np.max(probe.imag))
     gap = float(np.max(np.abs(np.roll(probe, -1) - probe)))
@@ -441,94 +425,56 @@ def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESO
     if ulp > 2.0 * min(cell_w, cell_h):
         raise ResourceError("the image is below the float resolution of its values at this grid")
     step = max(0.5 * min(cell_w, cell_h), 4.0 * ulp)
-    angles, values, used = _refine_circle(
+    angles, values = _refine_circle(
         partial(evaluate, spec), r, probe, lambda w: np.abs(np.roll(w, -1) - w) > step
     )
-    return angles, values, (lo_x, lo_y, cell_w, cell_h), used
+    return angles, values, (lo_x, lo_y, cell_w, cell_h)
 
 
-def _grid_polyline(values, x0, y0, cell_w, cell_h):
-    """The closed polyline in grid units (cell corners at the integers),
-    each step cut into equal pieces of at most half a cell in u and v.
+def _sections(values: np.ndarray, y0: float, h: float, lines: int) -> np.ndarray:
+    """Length of the section {winding number > 0} of the closed polyline
+    values on each line y = y0 + k h, k < lines.
 
-    The pieces lie on the polyline; a step longer than half a cell comes
-    from the float-spacing floor of _boundary_curve, where values in the
-    w-plane could not hold the cut points.  Returns (u, v).
+    Each step lists the lines it crosses, half-open in y so that a vertex
+    on a line counts once, however many lines the step spans.  Sorted by
+    line and then by x, a running sum of the crossing directions is the
+    winding number between neighbouring crossings; the sum is back at 0
+    after each line, because a closed curve's crossings of a line cancel.
     """
-    u = (values.real - x0) / cell_w
-    v = (values.imag - y0) / cell_h
-    du, dv = np.roll(u, -1) - u, np.roll(v, -1) - v
-    pieces = np.maximum(np.ceil(2.0 * np.maximum(np.abs(du), np.abs(dv))), 1).astype(np.int64)
-    if np.all(pieces == 1):  # the usual case, and a cheap one
-        return u, v
-    k = np.repeat(np.arange(u.size), pieces)
-    frac = (np.arange(k.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)) / pieces[k]
-    return u[k] + frac * du[k], v[k] + frac * dv[k]
-
-
-def _winding_numbers(u, v, resolution) -> np.ndarray:
-    """Winding number of the closed polyline (u, v) in grid units around
-    every cell centre.
-
-    Nonzero-winding scanline fill: each crossing of a row of centres adds
-    its direction to a difference array at the first centre right of it,
-    and a cumulative sum along the row counts the signed crossings to the
-    left of each centre.  Steps of at most half a cell, as _grid_polyline
-    cuts them, cross at most one row, so each step contributes at most one
-    entry.
-    """
-    u, v = u - 0.5, v - 0.5
-    u1, v1 = np.roll(u, -1), np.roll(v, -1)
-    row = np.ceil(np.minimum(v, v1))
-    keep = (row < np.maximum(v, v1)) & (row >= 0) & (row < resolution)
-    u, v, u1, v1, row = u[keep], v[keep], u1[keep], v1[keep], row[keep]
-    x = u + (row - v) / (v1 - v) * (u1 - u)
-    col = np.clip(np.floor(x) + 1, 0, resolution).astype(np.int64)
-    flat = row.astype(np.int64) * (resolution + 1) + col
-    diff = np.bincount(flat, weights=np.sign(v1 - v), minlength=resolution * (resolution + 1))
+    t = (values.imag - y0) / h
+    t1 = np.roll(t, -1)
+    dt, dx = t1 - t, np.roll(values.real, -1) - values.real
+    first = np.clip(np.ceil(np.minimum(t, t1)), 0, lines).astype(np.int64)
+    count = np.clip(np.ceil(np.maximum(t, t1)), 0, lines).astype(np.int64) - first
+    step = np.repeat(np.arange(t.size), count)
+    k = first[step] + np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
+    x = values.real[step] + (k - t[step]) / dt[step] * dx[step]
+    order = np.lexsort((x, k))
+    k, x = k[order], x[order]
     # A counterclockwise curve goes up right of its interior.
-    return -np.cumsum(diff.reshape(resolution, resolution + 1), axis=1)[:, :resolution]
-
-
-def _rasterize(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> RasterResult:
-    """Rasterize f(r D) on a resolution^2 grid over the image bounding box.
-
-    By the argument principle the winding number of f(r T) around w counts
-    the preimages of w in r D, so a cell is hit when the winding number at
-    its centre is positive or the boundary curve passes through it.  The
-    boundary cells are the band where coverage is ambiguous.  Holes are
-    genuine and are never filled.
-    """
-    _, values, (x0, y0, cell_w, cell_h), used = _boundary_curve(spec, r, resolution)
-    if cell_w == 0.0:
-        empty = np.zeros((1, 1), bool)
-        return RasterResult(0, 0, 0.0, x0, y0, 0.0, 0.0, used, empty, empty)
-    u, v = _grid_polyline(values, x0, y0, cell_w, cell_h)
-    boundary = np.zeros((resolution, resolution), dtype=bool)
-    ix = np.clip(u.astype(int), 0, resolution - 1)
-    iy = np.clip(v.astype(int), 0, resolution - 1)
-    boundary[iy, ix] = True
-    hits = (_winding_numbers(u, v, resolution) > 0.5) | boundary
-    return RasterResult(
-        int(np.count_nonzero(hits)), int(np.count_nonzero(boundary)), cell_w * cell_h,
-        x0, y0, cell_w, cell_h, used, hits, boundary,
-    )
+    inside = -np.cumsum(np.sign(dt[step][order])) > 0.5
+    return np.bincount(k[:-1], weights=np.diff(x) * inside[:-1], minlength=lines)
 
 
 def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> FunctionalValue:
-    """Set area of f(r D) (no multiplicity) from a winding-number raster.
+    """Set area of f(r D) (no multiplicity) from scanline sections of f(r T).
 
-    The value is the area of the cells that f(r D) meets: positive winding
-    number of f(r T) at the centre, or a cell the curve passes through.
-    The error estimate is the area of the boundary cells, the band where
-    coverage is ambiguous.  The boundary curve may use at most SAMPLE_CAP
-    samples; ResourceError when it needs more.
+    By the argument principle the winding number of f(r T) around w counts
+    the preimages of w in r D, so f(r D) is where it is positive.  The value
+    is the midpoint sum h sum L(y_k) over the resolution row centres y_k of
+    the boundary curve's box, where L(y) is the length of that set on the
+    line y.  Within a row, the set and its midpoint section differ only
+    where a boundary step lies between them, so the error estimate
+    h sum |dx| over the polyline's steps bounds the error for the polyline.
+    The boundary curve may use at most SAMPLE_CAP samples; ResourceError
+    when it needs more.
     """
-    raster = _rasterize(spec, r, resolution=resolution)
-    value = raster.hit_count * raster.cell_area
-    err = raster.boundary_count * raster.cell_area
-    flags = ("degenerate",) if raster.cell_area == 0.0 else ()
-    return FunctionalValue(kind="area", value=value, abs_error=err, flags=flags)
+    _, values, (_, y0, _, h) = _boundary_curve(spec, r, resolution)
+    if h == 0.0:
+        return FunctionalValue(kind="area", value=0.0, abs_error=0.0, flags=("degenerate",))
+    value = h * float(np.sum(_sections(values, y0 + 0.5 * h, h, resolution)))
+    err = h * float(np.sum(np.abs(np.roll(values.real, -1) - values.real)))
+    return FunctionalValue(kind="area", value=value, abs_error=err)
 
 
 def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
@@ -649,7 +595,7 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     f(r e^(i t1)) = f(r e^(i t2)).  The diagonal t1 = t2 solves them too,
     hence the separation floor.
     """
-    angles, w, _, _ = _boundary_curve(spec, r)
+    angles, w, _ = _boundary_curve(spec, r)
     seg = np.roll(w, -1) - w
     mid = w + 0.5 * seg
     pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
@@ -690,10 +636,10 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
     when f' has no zeros there and f(r T) is a simple curve.  The zeros of
     f' are counted by the turning of arg f' along r T, sampled until each
     step turns by less than pi / 8.  Self-crossings of f(r T) are searched
-    on the boundary polyline of the default raster (steps of half a cell,
-    or 4 float spacings of |f| where that is more) and confirmed by
-    Newton's method.  A false verdict carries a critical point (z, z) or a
-    colliding pair (z1, z2).
+    on the boundary polyline that area uses at its default resolution
+    (steps of half a cell, or 4 float spacings of |f| where that is more)
+    and confirmed by Newton's method.  A false verdict carries a critical
+    point (z, z) or a colliding pair (z1, z2).
     """
     m0 = 4096
     d0 = derivative(spec, r * np.exp(2j * np.pi * np.arange(m0) / m0))
@@ -704,7 +650,7 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
         fast = np.abs(np.angle(nxt * np.conj(d))) >= np.pi / 8.0
         return fast & (np.minimum(np.abs(d), np.abs(nxt)) > tiny)
 
-    angles, d, _ = _refine_circle(partial(derivative, spec), r, d0, turns_fast)
+    angles, d = _refine_circle(partial(derivative, spec), r, d0, turns_fast)
     z = r * np.exp(1j * angles)
     k = int(np.argmin(np.abs(d)))
     if abs(d[k]) <= tiny:
@@ -724,7 +670,8 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
 def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> str:
     """The area method to use on r D: "auto" picks the exact coefficient
     series when the spec is coefficient-backed and injective on r D, and
-    the raster otherwise; "series" and "raster" pass through."""
+    "raster", the scanline sections of area, otherwise; "series" and
+    "raster" pass through."""
     if method != "auto":
         return method
     if spec.coefficient_backed and is_univalent_sampled(spec, r):
@@ -736,7 +683,7 @@ def _area_by_method(
     spec: FunctionSpec, r: float, method: str, resolution: int = DEFAULT_RESOLUTION
 ) -> FunctionalValue:
     """Area of f(r D) by the method resolve_area_method picks: the
-    coefficient series or the winding-number raster."""
+    coefficient series or the scanline sections of area."""
     if resolve_area_method(spec, r, method) == "series":
         return area_univalent_series(spec, r)
     return area(spec, r, resolution=resolution)

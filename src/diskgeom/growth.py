@@ -107,7 +107,8 @@ def phi_curve(
 
     area_method "auto" is resolved once, at the largest grid radius, by
     resolve_area_method: the exact coefficient series when the spec is
-    coefficient-backed and injective on that disk, otherwise the raster.
+    coefficient-backed and injective on that disk, otherwise the scanline
+    sections of functionals.area.
     The capacity curve takes the bracket's upper endpoint as its value, so
     its verdicts test the estimator, not the true capacity; the curve
     carries a cap_upper_estimate flag as a reminder.

@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import FunctionSpec, derivative, evaluate
 from .bounds import InequalityReport, _make_report
 from .errors import CriticalPointError, DomainError
-from .functionals import _rasterize, area
+from .functionals import _boundary_curve, area
 from .growth import GrowthCurve, phi_curve
 
 CRITICAL_DERIVATIVE = 1e-12
@@ -68,7 +68,7 @@ def check_density_lower_bound(
     tol: float = 1e-9,
 ) -> InequalityReport:
     """Density lower bound rho(w) >= sqrt(pi / Area) for the covered
-    region, with the area rasterized at radius 0.999."""
+    region, with the area of f(r D) at r = REGION_RADIUS."""
     lhs = density_via_cover(spec, z)
     a = area(spec, REGION_RADIUS, resolution=resolution)
     if a.value <= 0.0:
@@ -84,22 +84,20 @@ def check_density_lower_bound(
 
 
 def dist_to_boundary(spec: FunctionSpec, w: complex, resolution: int = 512):
-    """Distance from w to the rasterized image boundary of f(r D) at
-    r = REGION_RADIUS.
+    """Distance from w to the boundary polyline f(r T) at r = REGION_RADIUS,
+    refined as area refines it at this resolution.
 
-    Returns (distance, cell_diagonal); the diagonal is the resolution
-    granularity and the natural tolerance for comparisons.
+    Returns (distance, cell_diagonal); the diagonal of a cell of area's
+    box is the resolution granularity and the natural tolerance for
+    comparisons.
     """
-    raster = _rasterize(spec, REGION_RADIUS, resolution=resolution)
-    iy, ix = np.nonzero(raster.boundary)
-    if ix.size == 0:
-        raise DomainError("no boundary cells found at this resolution")
-    centers_x = raster.x0 + (ix + 0.5) * raster.cell_w
-    centers_y = raster.y0 + (iy + 0.5) * raster.cell_h
     w = complex(w)
-    dist = float(np.min(np.hypot(centers_x - w.real, centers_y - w.imag)))
-    diag = math.hypot(raster.cell_w, raster.cell_h)
-    return dist, diag
+    _, values, (_, _, cell_w, cell_h) = _boundary_curve(spec, REGION_RADIUS, resolution)
+    step = np.roll(values, -1) - values
+    length2 = np.abs(step) ** 2
+    along = np.real((w - values) * np.conj(step)) / np.where(length2 > 0.0, length2, 1.0)
+    dist = float(np.min(np.abs(values + np.clip(along, 0.0, 1.0) * step - w)))
+    return dist, math.hypot(cell_w, cell_h)
 
 
 def hyperbolic_disk_growth(

@@ -5,8 +5,12 @@ onto the disk of radius r^2, and the n-point diameter of a disk is the
 scaled root-of-unity value n^(1/(n-1)) r.
 """
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskgeom import (
     AnnulusCover,
@@ -16,6 +20,7 @@ from diskgeom import (
     ResourceError,
     UnivalenceError,
     area,
+    area_annulus_cover,
     area_univalent_series,
     capacity_bracket,
     circle_image_length,
@@ -28,21 +33,15 @@ from diskgeom import (
     radius,
 )
 from diskgeom import functionals
-from diskgeom.functionals import (
-    DEFAULT_RESOLUTION,
-    _boundary_curve,
-    _grid_polyline,
-    _rasterize,
-    _winding_numbers,
-)
+from diskgeom.functionals import _boundary_curve
 
 SEED = 20260815
 IDENTITY = Polynomial((0.0, 1.0))
 SQUARE = Polynomial((0.0, 0.0, 1.0))
 KOEBE_LIKE = Polynomial((0.0, 1.0, 0.2))
-# Small images far from 0: half a raster cell is below the float spacing
-# of their values, so the boundary curve stops refining at 4 spacings and
-# its steps span more than one row or column of cells.
+# Small images far from 0: half a cell of area's box is below the float
+# spacing of their values, so the boundary curve stops refining at 4
+# spacings and its steps span more than one row or column of cells.
 FAR_SMALL = (
     Polynomial((1e5, 1e-8)),
     Polynomial((1e5, 1e-8, 5e-9)),
@@ -147,19 +146,56 @@ def test_area_raster_square_map_no_multiplicity():
 
 
 def test_winding_number_integral_is_covered_area():
-    # The winding number of f(r T) counts preimages, so its integral is the
-    # covered area pi sum n |a_n|^2 r^(2n), multiplicity included, up to the
-    # band of boundary cells.
+    # The winding number of f(r T) counts preimages, so its integral, the
+    # signed shoelace area of the boundary polyline, is the covered area
+    # pi sum n |a_n|^2 r^(2n), multiplicity included, up to the polyline's
+    # chords, which cost far less than area's error bar.
     for spec in (SQUARE, Polynomial((0.0, 1.0, 0.5)), ac10_polynomial(0)):
         coeffs = np.asarray(spec.coeffs)
         n = np.arange(coeffs.size)
         for r in (0.5, 0.7, 0.9):
-            _, values, (x0, y0, cell_w, cell_h), _ = _boundary_curve(spec, r)
-            u, v = _grid_polyline(values, x0, y0, cell_w, cell_h)
-            wind = _winding_numbers(u, v, DEFAULT_RESOLUTION)
-            covered = float(np.sum(wind)) * cell_w * cell_h
-            band = _rasterize(spec, r).boundary_count * cell_w * cell_h
-            assert abs(covered - np.pi * np.sum(n * np.abs(coeffs) ** 2 * r ** (2 * n))) <= band
+            _, w, _ = _boundary_curve(spec, r)
+            covered = 0.5 * float(np.sum(np.imag(np.conj(w) * np.roll(w, -1))))
+            expected = np.pi * np.sum(n * np.abs(coeffs) ** 2 * r ** (2 * n))
+            assert abs(covered - expected) <= area(spec, r).abs_error
+
+
+def test_area_error_bar_covers_oracle():
+    # h sum |dx| bounds the midpoint error of the sections.  annulus(1) at
+    # r = 0.5 is the case where the midpoint-against-trapezoid difference
+    # would not: both sums read about 2e-5 high and differ by 8.5e-6.
+    cases = [(SQUARE, r, np.pi * r**4) for r in (0.5, 0.7)]
+    cases += [(AnnulusCover(1.0), r, area_annulus_cover(1.0, r)) for r in (0.5, 0.8)]
+    cases.append((AnnulusCover(3.0), 0.9, area_annulus_cover(3.0, 0.9)))
+    for spec, r, expected in cases:
+        fv = area(spec, r)
+        assert abs(fv.value - expected) <= fv.abs_error
+
+
+_unit = st.floats(-1.0, 1.0)
+_poly_part = st.tuples(*[st.builds(complex, _unit, _unit)] * 3).filter(
+    lambda c: max(map(abs, c)) >= 0.1
+)
+_turn = st.floats(0.0, 2.0 * np.pi).map(lambda t: cmath.exp(1j * t))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    _poly_part, st.floats(0.3, 0.9), _turn, _turn,
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.builds(lambda a, u: a * u, st.floats(0.1, 10.0), _turn),
+)
+def test_area_invariances_property(part, r, pre, post, shift, s):
+    # Rotating z or f and translating f leave the area unchanged; s f
+    # scales it by |s|^2.  Each image is sampled on its own polyline.
+    coeffs = np.array((0.0,) + part)
+    base = area(Polynomial(tuple(coeffs)), r)
+    k = np.arange(coeffs.size)
+    for image in (coeffs * pre**k, post * coeffs, coeffs + np.eye(coeffs.size)[0] * shift):
+        fv = area(Polynomial(tuple(image)), r)
+        assert abs(fv.value - base.value) <= fv.abs_error + base.abs_error
+    fv = area(Polynomial(tuple(s * coeffs)), r)
+    assert abs(fv.value - abs(s) ** 2 * base.value) <= fv.abs_error + abs(s) ** 2 * base.abs_error
 
 
 def test_area_series_koebe_like():
@@ -285,8 +321,8 @@ def test_capacity_bracket_identity_is_tight():
 
 def test_capacity_bracket_orders_endpoints():
     # With the exact series area the raw endpoints resolve their true
-    # margin of about 1.2e-4; the raster's one-sided boundary band would
-    # swamp it at moderate resolution.
+    # margin of about 1.2e-4; the midpoint error of the sections swamps it
+    # at low resolution (see the next test).
     fv = capacity_bracket(
         KOEBE_LIKE, 0.6, n=6, m=1024, seed=SEED, area_method="series"
     )
@@ -295,14 +331,25 @@ def test_capacity_bracket_orders_endpoints():
     assert "bracket_inverted" not in fv.flags
 
 
-def test_capacity_bracket_flags_inversion_under_raster_bias():
+def test_capacity_bracket_flags_inversion_under_resolution():
     fv = capacity_bracket(
-        KOEBE_LIKE, 0.6, n=6, m=1024, resolution=512, seed=SEED, area_method="raster"
+        KOEBE_LIKE, 0.6, n=6, m=1024, resolution=64, seed=SEED, area_method="raster"
     )
     lo, hi = fv.interval
     # The padded interval still brackets the series-exact lower endpoint.
     assert lo <= 0.6085787 <= hi + 2.0 * fv.abs_error
     assert "bracket_inverted" in fv.flags
+    fv = capacity_bracket(
+        KOEBE_LIKE, 0.6, n=6, m=1024, resolution=128, seed=SEED, area_method="raster"
+    )
+    assert "bracket_inverted" not in fv.flags
+
+
+def test_capacity_bracket_exact_disk_not_inverted():
+    # The image of 0.5 D is a disk, so its raw endpoints agree; only an
+    # area estimate biased high can invert them.
+    fv = capacity_bracket(Moebius(0.0, 0.5, 1.0), 0.5)
+    assert "bracket_inverted" not in fv.flags
 
 
 def test_n_diameter_seed_reproducible():

@@ -113,6 +113,7 @@ def test_density_lower_bound_annulus():
 def test_dist_to_boundary_identity():
     dist, diag = dist_to_boundary(IDENTITY, 0.0, resolution=512)
     assert abs(dist - 0.999) <= 2.0 * diag
+    assert abs(dist - 0.999) <= 1e-6
     dist_half, _ = dist_to_boundary(IDENTITY, 0.5, resolution=512)
     assert abs(dist_half - 0.499) <= 2.0 * diag
 
