@@ -3,8 +3,8 @@
 Each case runs ``diskgeom.cli.main`` in-process and compares its stdout,
 byte for byte, and its exit code with the files under ``tests/golden``.
 The files are written once and then only read; to record an intended
-change of output, run ``python tests/test_golden.py --write`` with the
-package on the path and review the diff.
+change of output, run ``python tests/test_golden.py --write`` and review
+the diff; run as a script, the file puts ``src/`` on the path itself.
 """
 
 import contextlib
@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from diskgeom.cli import main
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from diskgeom.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 POLY = "poly[0,1,0.2]"
@@ -34,6 +37,13 @@ CASES = {
         f"sweep_{kind}": ["sweep", "--spec", POLY, "--kind", kind, "--points", "5"]
         for kind in ("rad", "diam", "ndiam", "perim")
     },
+    "sweep_diam_annulus": ["sweep", "--spec", "annulus(1)", "--kind", "diam", "--points", "5"],
+    "sweep_ndiam_annulus_n6": [
+        "sweep", "--spec", "annulus(1)", "--kind", "ndiam", "--n", "6", "--points", "5",
+    ],
+    "eval_ndiam_moebius_n3": [
+        "eval", "--spec", "moebius(0,0.5,1)", "--kind", "ndiam", "--n", "3", "--r", "0.9",
+    ],
     "sweep_cap": [
         "sweep", "--spec", POLY, "--kind", "cap", "--points", "5", "--resolution", "256",
     ],
@@ -97,5 +107,8 @@ def write_golden() -> None:
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        print("usage: python tests/test_golden.py --write", file=sys.stderr)
+        sys.exit(2)
     write_golden()
