@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,25 +165,20 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def _calipers(points: np.ndarray, hull_idx: np.ndarray):
-    """Farthest pair of hull vertices by rotating calipers; returns (d, i, j)."""
-    h = points[hull_idx]
-    nh = h.shape[0]
+    """Farthest pair of hull vertices by rotating calipers; returns (d, i, j).
+    The walk runs on Python complex numbers: numpy's IEEE arithmetic, less overhead."""
+    h = points[hull_idx].tolist()
+    nh = len(h)
     if nh == 1:
         return 0.0, hull_idx[0], hull_idx[0]
     if nh == 2:
         return float(abs(h[0] - h[1])), hull_idx[0], hull_idx[1]
-    best = -1.0
-    bi = bj = 0
-    j = 1
+    best, bi, bj, j = -1.0, 0, 0, 1
     for i in range(nh):
         ni = (i + 1) % nh
         edge = h[ni] - h[i]
-        while True:
-            nj = (j + 1) % nh
-            if _cross(edge, h[nj] - h[j]) > 0.0:
-                j = nj
-            else:
-                break
+        while _cross(edge, h[(j + 1) % nh] - h[j]) > 0.0:
+            j = (j + 1) % nh
         for a, b in ((i, j), (ni, j)):
             d = abs(h[a] - h[b])
             if d > best:
@@ -234,12 +229,45 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
 
 def _log_objective(w: np.ndarray, idx: np.ndarray) -> float:
     pts = w[idx]
-    diff = np.abs(pts[:, None] - pts[None, :])
-    iu = np.triu_indices(len(idx), k=1)
-    d = diff[iu]
-    if np.any(d == 0.0):
-        return -np.inf
-    return float(np.sum(np.log(d)))
+    d = np.abs(pts[:, None] - pts[None, :])[np.triu_indices(len(idx), k=1)]
+    return -np.inf if np.any(d == 0.0) else float(np.sum(np.log(d)))
+
+
+def _row_sum(cols: list) -> np.ndarray:
+    """Elementwise sum of the arrays cols, bit for bit numpy's sum of each row
+    of them stacked as columns: up to 7 terms in order, up to 128 in 8
+    interleaved partial sums, and halves of a multiple of 8 beyond."""
+    k = len(cols)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _row_sum(cols[:half]) + _row_sum(cols[half:])
+    if k < 8:
+        return reduce(np.add, cols)
+    p = [reduce(np.add, cols[j : k - k % 8 : 8]) for j in range(8)]
+    tree = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    return reduce(np.add, cols[k - k % 8 :], tree)
+
+
+def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Coordinate-exchange ascent of the pairwise log-distance sum over the
+    samples w from the tuple indices idx; returns the final indices.
+
+    A step moves one slot to the sample with the largest sum of log distances
+    to the other slots.  logs[s] holds log|w - w[idx[s]]|, so a step sums n - 1
+    stored columns, and an accepted move recomputes one.
+    """
+    idx = np.array(idx, dtype=int)
+    with np.errstate(divide="ignore"):
+        logs = [np.log(np.abs(w - w[i])) for i in idx]
+        for _ in range(80):
+            before = idx.copy()
+            for t in range(idx.size):
+                pick = int(np.argmax(_row_sum(logs[:t] + logs[t + 1 :])))
+                if pick != idx[t]:
+                    idx[t], logs[t] = pick, np.log(np.abs(w - w[pick]))
+            if np.array_equal(before, idx):
+                break
+    return idx
 
 
 def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
@@ -250,6 +278,7 @@ def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     gradient resolves it.  Returns (log objective, image points).
     """
     n = angles0.size
+    iu, eye = np.triu_indices(n, k=1), np.eye(n)
 
     def neg_obj(theta):
         z = r * np.exp(1j * theta)
@@ -257,11 +286,10 @@ def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
         dw = derivative(spec, z) * 1j * z
         diff = w[:, None] - w[None, :]
         ad = np.abs(diff)
-        iu = np.triu_indices(n, k=1)
         if np.any(ad[iu] <= 0.0):
             return np.inf, np.zeros(n)
         s = float(np.sum(np.log(ad[iu])))
-        inv = 1.0 / (ad * ad + np.eye(n))
+        inv = 1.0 / (ad * ad + eye)
         np.fill_diagonal(inv, 0.0)
         grad = np.sum(np.real(dw[:, None] * np.conj(diff)) * inv, axis=1)
         return -s, -grad
@@ -286,9 +314,12 @@ def n_diameter(
     pairwise-distance product, estimated over boundary samples.
 
     Coordinate-exchange ascent in the log domain with DEFAULT_RESTARTS
-    deterministic starts.  Extremal tuples lie on the outer boundary, so
-    sampling f(r T) loses only the angular discretization.  For n = 2 this is the
-    diameter and delegates to the caliper estimator.
+    deterministic starts; each restart keeps one column of m log distances
+    per tuple slot and recomputes a column only when its slot moves, so a
+    step costs m logarithms at most, not (n - 1) m.  Extremal tuples lie on
+    the outer boundary, so sampling f(r T) loses only the angular
+    discretization.  For n = 2 this is the diameter and delegates to the
+    caliper estimator.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -302,31 +333,13 @@ def n_diameter(
             flags=("degenerate",),
         )
     rng = np.random.default_rng([seed, n, m, int(r * 1e9)])
-    starts = []
     base = np.round(np.arange(n) * m / n).astype(int) % m
-    for k in range(min(4, DEFAULT_RESTARTS)):
-        starts.append((base + (k * m) // (4 * n)) % m)
-    while len(starts) < DEFAULT_RESTARTS:
-        starts.append(rng.choice(m, size=n, replace=False))
+    starts = [(base + (k * m) // (4 * n)) % m for k in range(min(4, DEFAULT_RESTARTS))]
+    starts += [rng.choice(m, size=n, replace=False) for _ in range(DEFAULT_RESTARTS - len(starts))]
 
     pair_count = n * (n - 1) / 2.0
-    finals = []
-    for start in starts:
-        idx = np.array(start, dtype=int)
-        for _ in range(80):
-            changed = False
-            for t in range(n):
-                others = w[np.delete(idx, t)]
-                with np.errstate(divide="ignore"):
-                    scores = np.sum(np.log(np.abs(w[:, None] - others[None, :])), axis=1)
-                pick = int(np.argmax(scores))
-                if pick != idx[t]:
-                    idx[t] = pick
-                    changed = True
-            if not changed:
-                break
-        finals.append((_log_objective(w, idx), idx.copy()))
-    finals.sort(key=lambda t: -t[0])
+    ends = [_exchange(w, start) for start in starts]
+    finals = sorted(((_log_objective(w, idx), idx) for idx in ends), key=lambda t: -t[0])
     best_S, best_idx = finals[0]
 
     # Second-order continuum gain estimate: parabola through each tuple
@@ -347,16 +360,9 @@ def n_diameter(
         else:
             gain += max(dp, dm, 0.0)
 
-    polished = []
-    for S0, idx0 in finals[:3]:
-        if np.isfinite(S0):
-            polished.append(_polish_tuple(spec, r, sample.angles[idx0]))
-    value_S = best_S
-    witness_pts = w[best_idx]
-    for Sp, wp in polished:
-        if Sp > value_S:
-            value_S = Sp
-            witness_pts = wp
+    polished = [_polish_tuple(spec, r, sample.angles[i]) for S, i in finals[:3] if np.isfinite(S)]
+    # The first of the largest: a polished tuple wins only when strictly better.
+    value_S, witness_pts = max([(best_S, w[best_idx])] + polished, key=lambda t: t[0])
     value = float(np.exp(value_S / pair_count))
     err = value * gain / pair_count + 1e-13 * (1.0 + value)
     flags = ()

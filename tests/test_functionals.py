@@ -31,6 +31,7 @@ from diskgeom import (
     n_diameter,
     perimeter_univalent,
     radius,
+    sample_circle,
 )
 from diskgeom import functionals
 from diskgeom.functionals import _boundary_curve
@@ -127,6 +128,81 @@ def test_n_diameter_n2_equals_diameter():
 def test_n_diameter_monotone_in_r():
     vals = [n_diameter(KOEBE_LIKE, r, 4, m=1024, seed=SEED).value for r in (0.3, 0.5, 0.7)]
     assert vals[0] < vals[1] < vals[2]
+
+
+# A polynomial, an automorphism, the annulus cover and a degree-5 polynomial.
+SAMPLED_MAPS = (
+    KOEBE_LIKE,
+    Moebius(0.0, 0.5, 1.0),
+    AnnulusCover(1.0),
+    Polynomial((0.3, 1.0, -0.4j, 0.2, 0.1 + 0.1j, -0.05)),
+)
+
+
+def reference_exchange(w, idx):
+    """Coordinate exchange that recomputes every log distance at each step."""
+    idx = np.array(idx, dtype=int)
+    for _ in range(80):
+        changed = False
+        for t in range(idx.size):
+            others = w[np.delete(idx, t)]
+            with np.errstate(divide="ignore"):
+                scores = np.sum(np.log(np.abs(w[:, None] - others[None, :])), axis=1)
+            pick = int(np.argmax(scores))
+            if pick != idx[t]:
+                idx[t], changed = pick, True
+        if not changed:
+            break
+    return idx
+
+
+def test_row_sum_matches_numpy_row_sum():
+    rng = np.random.default_rng(SEED)
+    for k in list(range(1, 140)) + [256, 300]:
+        a = rng.standard_normal((64, k)) * 10.0 ** rng.uniform(-8, 8, (64, k))
+        cols = [a[:, j].copy() for j in range(k)]
+        assert np.array_equal(functionals._row_sum(cols), np.sum(a, axis=1))
+
+
+@pytest.mark.parametrize("spec", SAMPLED_MAPS)
+def test_exchange_matches_recomputing_reference(spec):
+    # n = 10 sums 9 columns, past numpy's 8-term switch to partial sums.
+    rng = np.random.default_rng(SEED)
+    for m in (256, 1024):
+        w = sample_circle(spec, 0.9, m).values
+        for n in (3, 4, 5, 6, 10):
+            for _ in range(3):
+                start = rng.choice(m, size=n, replace=False)
+                expected = reference_exchange(w, start)
+                assert np.array_equal(functionals._exchange(w, start), expected)
+
+
+@pytest.mark.parametrize("spec", SAMPLED_MAPS)
+def test_calipers_match_farthest_hull_pair(spec):
+    for m in (3, 8, 64, 256, 1024):
+        for r in (0.3, 0.7, 0.95):
+            w = sample_circle(spec, r, m).values
+            hull = functionals.convex_hull(w)
+            d, i, j = functionals._calipers(w, hull)
+            h = w[hull]
+            brute = float(np.max(np.abs(h[:, None] - h[None, :])))
+            # numpy's vectorized abs may round the farthest pair 1 ulp apart.
+            assert abs(d - brute) <= 4e-16 * brute
+            assert i in hull and j in hull
+            assert abs(w[i] - w[j]) == d
+
+
+def test_calipers_one_and_two_vertex_hulls():
+    point = np.full(5, 0.25 - 1.5j)
+    hull = functionals.convex_hull(point)
+    assert hull.size == 1
+    assert functionals._calipers(point, hull) == (0.0, hull[0], hull[0])
+    segment = (1.0 + 2.0j) * np.array([0.5, -1.0, 0.25, 2.0, 0.0])
+    hull = functionals.convex_hull(segment)
+    assert sorted(hull) == [1, 3]
+    d, i, j = functionals._calipers(segment, hull)
+    assert d == abs(segment[1] - segment[3])
+    assert {i, j} == {1, 3}
 
 
 def test_area_raster_identity_quarter_disk():
