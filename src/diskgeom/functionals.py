@@ -469,9 +469,10 @@ def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> 
     the preimages of w in r D, so f(r D) is where it is positive.  The value
     is the midpoint sum h sum L(y_k) over the resolution row centres y_k of
     the boundary curve's box, where L(y) is the length of that set on the
-    line y.  Within a row, the set and its midpoint section differ only
-    where a boundary step lies between them, so the error estimate
-    h sum |dx| over the polyline's steps bounds the error for the polyline.
+    line y.  A line y of a row lies within h/2 of its centre y_k, and
+    |L(y) - L(y_k)| is at most the x-extent of the polyline between the two
+    lines; integrated over the half rows, each step counts once, so the
+    error estimate (h/2) sum |dx| over the steps bounds the polyline's error.
     The boundary curve may use at most SAMPLE_CAP samples; ResourceError
     when it needs more.
     """
@@ -479,7 +480,7 @@ def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> 
     if h == 0.0:
         return FunctionalValue(kind="area", value=0.0, abs_error=0.0, flags=("degenerate",))
     value = h * float(np.sum(_sections(values, y0 + 0.5 * h, h, resolution)))
-    err = h * float(np.sum(np.abs(np.roll(values.real, -1) - values.real)))
+    err = 0.5 * h * float(np.sum(np.abs(np.roll(values.real, -1) - values.real)))
     return FunctionalValue(kind="area", value=value, abs_error=err)
 
 

@@ -237,7 +237,7 @@ def test_winding_number_integral_is_covered_area():
 
 
 def test_area_error_bar_covers_oracle():
-    # h sum |dx| bounds the midpoint error of the sections.  annulus(1) at
+    # (h/2) sum |dx| bounds the midpoint error of the sections.  annulus(1) at
     # r = 0.5 is the case where the midpoint-against-trapezoid difference
     # would not: the two sums read 2.8e-5 and 1.9e-5 high and differ by
     # 8.5e-6.
