@@ -4,6 +4,8 @@ Estimators: radius and diameter from boundary samples (max-modulus
 arguments put every extreme point on the image of the circle), the
 n-point diameter by multi-start exchange optimization, perimeter by
 quadrature of |f'| over the circle, and a two-sided capacity bracket.
+The diameter's caliper pair and the n-diameter's exchanged tuples share
+one continuous polish over their boundary angles, _polish_tuple.
 KINDS holds, for each functional kind, its estimator call and normalizer;
 growth curves, growth checks and the CLI all read them from there.
 
@@ -189,9 +191,10 @@ def _calipers(points: np.ndarray, hull_idx: np.ndarray):
 def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:
     """Diameter of f(r D) via convex hull and rotating calipers.
 
-    A local continuous maximization over the two boundary angles then
-    removes most of the angular discretization error; the reported error
-    keeps the conservative second-order grid bound.
+    The tuple polish of n_diameter at n = 2 (it maximizes log|p - q| over
+    the two boundary angles) then removes most of the angular
+    discretization error; the reported error keeps the conservative
+    second-order grid bound.
     """
     sample = sample_circle(spec, r, m)
     w = sample.values
@@ -199,29 +202,15 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
         return FunctionalValue(
             kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
         )
-    hull_idx = convex_hull(w)
-    value, i, j = _calipers(w, hull_idx)
-    wi, wj = complex(w[i]), complex(w[j])
-
-    def neg_dist(t):
-        p = evaluate(spec, r * np.exp(1j * t[0]))
-        q = evaluate(spec, r * np.exp(1j * t[1]))
-        return -abs(p - q)
-
-    res = minimize(
-        neg_dist,
-        np.array([sample.angles[i], sample.angles[j]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600},
-    )
-    if -res.fun > value:
-        value = float(-res.fun)
-        wi = complex(evaluate(spec, r * np.exp(1j * res.x[0])))
-        wj = complex(evaluate(spec, r * np.exp(1j * res.x[1])))
+    value, i, j = _calipers(w, convex_hull(w))
+    witness = (complex(w[i]), complex(w[j]))
+    _, (p, q) = _polish_tuple(spec, r, sample.angles[[i, j]])
+    if abs(p - q) > value:
+        value, witness = float(abs(p - q)), (complex(p), complex(q))
     curv = _curvature(spec, r, r * np.exp(1j * sample.angles), 0.0, value)
     dtheta = 2.0 * np.pi / m
     err = 0.5 * curv * dtheta * dtheta + 1e-13 * (1.0 + value)
-    return FunctionalValue(kind="diam", value=value, abs_error=err, witness=(wi, wj))
+    return FunctionalValue(kind="diam", value=value, abs_error=err, witness=witness)
 
 
 # ---- n-point diameter ----
@@ -273,9 +262,10 @@ def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     """Continuous ascent of the pairwise log-distance sum over tuple angles.
 
-    Coordinate exchange on grid samples stalls along the near-degenerate
-    rotational direction; a joint quasi-Newton step with the analytic
-    gradient resolves it.  Returns (log objective, image points).
+    Polishes the n_diameter tuples and, at n = 2, the diameter's caliper
+    pair.  Coordinate exchange on grid samples stalls along the
+    near-degenerate rotational direction; a joint quasi-Newton step with
+    the analytic gradient resolves it.  Returns (log objective, image points).
     """
     n = angles0.size
     iu, eye = np.triu_indices(n, k=1), np.eye(n)

@@ -88,6 +88,8 @@ def test_diameter_moebius_closed_form():
         fv = diameter(Moebius(0.0, 0.5, 1.0), r)
         assert abs(fv.value - moebius_diameter(0.5, r)) <= 1e-8
         assert fv.abs_error <= 1e-4
+        # The extremal pair is f(r), f(-r), both real.
+        assert max(abs(w.imag) for w in fv.witness) <= 1e-12
 
 
 def test_diameter_constant_is_degenerate():
@@ -102,9 +104,13 @@ def test_diameter_constant_is_degenerate():
 
 
 def test_diameter_witness_realizes_value():
-    fv = diameter(KOEBE_LIKE, 0.8)
-    w1, w2 = fv.witness
-    assert abs(abs(w1 - w2) - fv.value) <= 1e-12
+    for r in (0.5, 0.8):
+        fv = diameter(KOEBE_LIKE, r)
+        w1, w2 = fv.witness
+        assert abs(abs(w1 - w2) - fv.value) <= 1e-12
+        # Real coefficients make the image symmetric in the real axis, and
+        # the extremal pair of z + 0.2 z^2 is a conjugate pair.
+        assert abs(w2 - w1.conjugate()) <= 1e-12
 
 
 def test_n_diameter_disk_matches_roots_of_unity():
