@@ -222,28 +222,13 @@ def _log_objective(w: np.ndarray, idx: np.ndarray) -> float:
     return -np.inf if np.any(d == 0.0) else float(np.sum(np.log(d)))
 
 
-def _row_sum(cols: list) -> np.ndarray:
-    """Elementwise sum of the arrays cols, bit for bit numpy's sum of each row
-    of them stacked as columns: up to 7 terms in order, up to 128 in 8
-    interleaved partial sums, and halves of a multiple of 8 beyond."""
-    k = len(cols)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _row_sum(cols[:half]) + _row_sum(cols[half:])
-    if k < 8:
-        return reduce(np.add, cols)
-    p = [reduce(np.add, cols[j : k - k % 8 : 8]) for j in range(8)]
-    tree = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-    return reduce(np.add, cols[k - k % 8 :], tree)
-
-
 def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Coordinate-exchange ascent of the pairwise log-distance sum over the
     samples w from the tuple indices idx; returns the final indices.
 
     A step moves one slot to the sample with the largest sum of log distances
-    to the other slots.  logs[s] holds log|w - w[idx[s]]|, so a step sums n - 1
-    stored columns, and an accepted move recomputes one.
+    to the other slots.  logs[s] holds log|w - w[idx[s]]|, so a step sums the
+    n - 1 other stored columns in slot order, and an accepted move recomputes one.
     """
     idx = np.array(idx, dtype=int)
     with np.errstate(divide="ignore"):
@@ -251,7 +236,7 @@ def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         for _ in range(80):
             before = idx.copy()
             for t in range(idx.size):
-                pick = int(np.argmax(_row_sum(logs[:t] + logs[t + 1 :])))
+                pick = int(np.argmax(reduce(np.add, logs[:t] + logs[t + 1 :])))
                 if pick != idx[t]:
                     idx[t], logs[t] = pick, np.log(np.abs(w - w[pick]))
             if np.array_equal(before, idx):

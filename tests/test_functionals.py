@@ -162,14 +162,6 @@ def reference_exchange(w, idx):
     return idx
 
 
-def test_row_sum_matches_numpy_row_sum():
-    rng = np.random.default_rng(SEED)
-    for k in list(range(1, 140)) + [256, 300]:
-        a = rng.standard_normal((64, k)) * 10.0 ** rng.uniform(-8, 8, (64, k))
-        cols = [a[:, j].copy() for j in range(k)]
-        assert np.array_equal(functionals._row_sum(cols), np.sum(a, axis=1))
-
-
 @pytest.mark.parametrize("spec", SAMPLED_MAPS)
 def test_exchange_matches_recomputing_reference(spec):
     # n = 10 sums 9 columns, past numpy's 8-term switch to partial sums.
