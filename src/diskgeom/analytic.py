@@ -197,7 +197,7 @@ def _pointwise(formula, z, *args):
     """formula(z, *args) at points strictly inside the disk; a scalar z
     gives a complex, an array of points an array."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0 - DISK_MARGIN):
+    if not np.all(np.abs(z) < 1.0 - DISK_MARGIN):
         raise DomainError("evaluation point must satisfy |z| < 1 - 1e-12")
     out = formula(z, *args)
     return out if out.shape else complex(out)

@@ -177,7 +177,7 @@ def check_don(
     automorphism images at the single point z = 2b/(1 + |b|^2).
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("z must lie in the open unit disk")
     if diam_estimate is None:
         diam_estimate, diam_err = disk_functional_estimate(spec, "diam")
@@ -208,7 +208,7 @@ def check_don_symmetric(
     denominator is evaluated as well; their gap is reported in the context.
     """
     z, w = complex(z), complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+    if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("z and w must lie in the open unit disk")
     if diam_estimate is None:
         diam_estimate, _ = disk_functional_estimate(spec, "diam")

@@ -122,6 +122,8 @@ def area_series_annulus(c: float, r: float) -> float:
 
 def _log_shrink_rate(c: float) -> float:
     """L = -log tanh(pi/(2c)), the log-radius step to the threshold."""
+    if not 0.0 < c < math.inf:
+        raise DomainError("c must be finite and positive")
     y = math.pi / (2.0 * c)
     log_tanh = math.log1p(-math.exp(-2.0 * y)) - math.log1p(math.exp(-2.0 * y))
     rate = -log_tanh
@@ -200,8 +202,6 @@ def limit_profile(c: float, x_grid: Sequence[float]) -> list:
     Returns a list of (x, value, target) triples for convergence studies
     over decreasing c.
     """
-    if c <= 0.0:
-        raise DomainError("c must be positive")
     rate = _log_shrink_rate(c)
     saturation = 2.0 * math.pi * math.sinh(c * math.pi)
     out = []

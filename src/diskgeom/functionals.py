@@ -391,7 +391,10 @@ def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESO
     by more than a cell.  Returns (angles, values, (x0, y0, cell_w, cell_h)).
     A constant map (samples equal to rounding, as _is_constant decides)
     gets cells of zero size, and the curve is then not refined.
+    DomainError when resolution < 1.
     """
+    if resolution < 1:
+        raise DomainError("resolution must be >= 1")
     probe = sample_circle(spec, r, 4096).values
     if _is_constant(probe):
         angles = 2.0 * np.pi * np.arange(probe.size) / probe.size
@@ -467,6 +470,8 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
     """
     if not spec.coefficient_backed:
         raise UnsupportedError("series area needs a coefficient-backed spec")
+    if not 0.0 < r < 1.0:
+        raise DomainError("r must lie in (0, 1)")
     coeffs = np.asarray(spec.coeffs, dtype=complex)
     n = np.arange(coeffs.shape[0])
     terms = n * np.abs(coeffs) ** 2 * (float(r) ** (2 * n))

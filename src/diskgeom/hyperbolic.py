@@ -27,7 +27,7 @@ REGION_RADIUS = 0.999
 def density_disk(z: complex) -> float:
     """Hyperbolic density 1/(1 - |z|^2) of the unit disk."""
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("z must lie in the open unit disk")
     return 1.0 / (1.0 - abs(z) ** 2)
 
@@ -35,7 +35,7 @@ def density_disk(z: complex) -> float:
 def hyp_distance_disk(z: complex, w: complex) -> float:
     """Hyperbolic distance atanh |(z - w) / (1 - conj(w) z)|."""
     z, w = complex(z), complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+    if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("both points must lie in the open unit disk")
     num = abs(z - w)
     den = abs(1.0 - w.conjugate() * z)
@@ -53,7 +53,7 @@ def density_via_cover(spec: FunctionSpec, z: complex) -> float:
     asserts that property.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("z must lie in the open unit disk")
     fp = abs(complex(derivative(spec, z)))
     if fp < CRITICAL_DERIVATIVE:

@@ -75,6 +75,29 @@ def test_non_finite_spec_exits_2_with_json_error(capsys):
         assert json.loads(err)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--c", "0"],
+    ["counterexample", "--c", "-1"],
+    ["counterexample", "--c", "inf"],
+    ["counterexample", "--c", "nan"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "raster",
+     "--resolution", "0"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "raster",
+     "--resolution", "-3"],
+    ["check", "density", "--spec", "moebius(0,0.5,1)", "--resolution", "0"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "series", "--r", "1.5"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "series", "--r", "-0.5"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "series", "--r", "nan"],
+    ["check", "don", "--spec", "moebius(0,0.5,1)", "--z", "nan"],
+    ["check", "don-symmetric", "--spec", "moebius(0,0.5,1)", "--z", "nan", "--w", "0.1"],
+])
+def test_out_of_domain_number_exits_2_with_json_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_eval_json_payload(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "--spec", "poly[0,2]", "--kind", "rad", "--r", "0.5",
