@@ -168,24 +168,22 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
 def _calipers(points: np.ndarray, hull_idx: np.ndarray):
     """Farthest pair of hull vertices by rotating calipers; returns (d, i, j).
-    The walk runs on Python complex numbers: numpy's IEEE arithmetic, less overhead."""
-    h = points[hull_idx].tolist()
-    nh = len(h)
-    if nh == 1:
-        return 0.0, hull_idx[0], hull_idx[0]
-    if nh == 2:
-        return float(abs(h[0] - h[1])), hull_idx[0], hull_idx[1]
-    best, bi, bj, j = -1.0, 0, 0, 1
-    for i in range(nh):
-        ni = (i + 1) % nh
-        edge = h[ni] - h[i]
-        while _cross(edge, h[(j + 1) % nh] - h[j]) > 0.0:
-            j = (j + 1) % nh
-        for a, b in ((i, j), (ni, j)):
-            d = abs(h[a] - h[b])
-            if d > best:
-                best, bi, bj = d, a, b
-    return float(best), hull_idx[bi], hull_idx[bj]
+
+    Edge k's antipodal vertex j[k] is the first whose outgoing edge has turned
+    by at least pi; the pairs (k, j[k]), (k + 1, j[k]) are scanned in order.
+    Distances use hypot, which rounds as the scalar complex abs does."""
+    h = points[hull_idx]
+    nh = h.size
+    if nh < 3:
+        return float(abs(complex(h[0] - h[-1]))), hull_idx[0], hull_idx[-1]
+    a = np.unwrap(np.angle(np.roll(h, -1) - h))
+    j = np.searchsorted(np.concatenate([a, a + 2.0 * np.pi]), a + np.pi) % nh
+    k = np.arange(nh)
+    pa, pb = np.column_stack([k, (k + 1) % nh]).ravel(), np.repeat(j, 2)
+    diff = h[pa] - h[pb]
+    d = np.hypot(diff.real, diff.imag)
+    best = int(np.argmax(d))
+    return float(d[best]), hull_idx[pa[best]], hull_idx[pb[best]]
 
 
 def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:

@@ -175,7 +175,9 @@ def test_exchange_matches_recomputing_reference(spec):
                 assert np.array_equal(functionals._exchange(w, start), expected)
 
 
-@pytest.mark.parametrize("spec", SAMPLED_MAPS)
+# The identity's samples form a regular m-gon: opposite edges are parallel
+# and antipodal pairs tie exactly.
+@pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY,))
 def test_calipers_match_farthest_hull_pair(spec):
     for m in (3, 8, 64, 256, 1024):
         for r in (0.3, 0.7, 0.95):
