@@ -122,7 +122,7 @@ def _cmd_sweep(args, out) -> int:
     grid = default_grid(args.points, args.r_min, args.r_max)
     curve = phi_curve(
         spec, args.kind, grid, n=args.n, resolution=args.resolution,
-        seed=args.seed, area_method=args.area_method, jobs=args.jobs,
+        seed=args.seed, area_method=args.area_method,
     )
     if args.format == "json":
         payload = {
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, default=4)
     p_sweep.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     p_sweep.add_argument("--area-method", choices=("auto", "raster", "series"), default="auto")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="bounded point-level fan-out")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = commands.add_parser("check", help="named inequality reports, exit 1 on FAIL")

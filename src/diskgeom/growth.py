@@ -11,7 +11,6 @@ coupled to the propagated estimator errors, never absolute constants.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ from .analytic import (
     spec_hash,
 )
 from .errors import DomainError, GridError
-from .functionals import FunctionalValue, functional_kind, resolve_area_method
+from .functionals import functional_kind, resolve_area_method
 
 DEFAULT_GRID_POINTS = 17
 DEFAULT_GRID_RANGE = (0.05, 0.95)
@@ -98,7 +97,6 @@ def phi_curve(
     *,
     n: int = 4,
     area_method: str = "auto",
-    jobs: int = 1,
     **knobs,
 ) -> GrowthCurve:
     """Normalized growth curve of one functional kind (a key of
@@ -127,17 +125,8 @@ def phi_curve(
     if fk.upper_endpoint:
         flags = flags + ("cap_upper_estimate",)
 
-    def _point(r: float) -> FunctionalValue:
-        return fk.estimate(spec, r, n, area_method=area_method, **knobs)
-
-    # Points are independent; results are assembled in grid order, so the
-    # output is identical for any job count.
     radii = [float(r) for r in grid]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_point, radii))
-    else:
-        values = [_point(r) for r in radii]
+    values = [fk.estimate(spec, r, n, area_method=area_method, **knobs) for r in radii]
 
     phi = np.empty(grid.size)
     errs = np.empty(grid.size)

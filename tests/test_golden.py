@@ -54,9 +54,9 @@ CASES = {
         "sweep", "--spec", POLY, "--kind", "area", "--points", "5", "--resolution", "256",
         "--area-method", "raster",
     ],
-    "sweep_cap_moebius_jobs2": [
+    "sweep_cap_moebius": [
         "sweep", "--spec", "moebius(0,0.5,1)", "--kind", "cap", "--points", "5",
-        "--resolution", "256", "--jobs", "2", "--format", "json",
+        "--resolution", "256", "--format", "json",
     ],
     "check_all_csv": ["check", "all", "--spec", POLY, "--format", "csv"],
     "check_all_json": ["check", "all", "--spec", "moebius(0,0.5,1)", "--format", "json"],

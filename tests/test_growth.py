@@ -131,13 +131,6 @@ def test_check_log_convex_flags_concavity():
     assert verdict.worst_second_diff < 0.0
 
 
-def test_jobs_do_not_change_curve():
-    a = phi_curve(KOEBE_LIKE, "diam", GRID7, seed=SEED, jobs=1)
-    b = phi_curve(KOEBE_LIKE, "diam", GRID7, seed=SEED, jobs=3)
-    assert a.phi == b.phi
-    assert a.abs_errors == b.abs_errors
-
-
 def test_limit_at_zero_radius_and_area():
     check = limit_at_zero(KOEBE_LIKE, "rad")
     assert check.ok
