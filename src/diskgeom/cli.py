@@ -27,7 +27,7 @@ from .bounds import (
     report_to_json,
 )
 from .counterexample import check_not_log_convex
-from .errors import DiskGeomError, NormalizationError
+from .errors import DiskGeomError, DomainError, NormalizationError
 from .functionals import (
     DEFAULT_RESOLUTION,
     KINDS,
@@ -194,6 +194,8 @@ NOT_IN_ALL = ("growth", "don-symmetric")
 
 
 def _cmd_check(args, out) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError("--tol must be finite and non-negative")
     spec = parse_spec(args.spec)
     h = spec_hash(spec)
     names = [c for c in CHECKS if c not in NOT_IN_ALL] if args.name == "all" else [args.name]

@@ -156,6 +156,8 @@ def check_not_log_convex(
         raise DomainError("need at least 3 grid points")
     if not (0.0 < x_min < x_max):
         raise DomainError("need 0 < x_min < x_max")
+    if not 0.0 < quad_tol < math.inf:
+        raise DomainError("quad_tol must be finite and positive")
     rate = _log_shrink_rate(c)
     xs = np.linspace(x_min, x_max, points)
     areas = np.array([_area_from_s(c, _s_of_x(float(x), rate), quad_tol) for x in xs])

@@ -152,6 +152,8 @@ def fekete_witness_is_roots(witness, tol: float) -> bool:
     angle-sorted tuples over all n circular shifts, with tol applied
     relative to max(1, scale).
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError("tol must be finite and non-negative")
     pts = np.asarray([complex(p) for p in witness])
     n = pts.size
     if n < 2:
@@ -179,6 +181,8 @@ def identity_suite(n_max: int = 64, tuple_count: int = 200, seed: int = 20260815
     """Run the sum identities for all n <= n_max and the Vandermonde and
     Hadamard checks on seeded random disk tuples; returns residual maxima
     and pass booleans."""
+    if n_max < 2 or tuple_count < 1:
+        raise DomainError("need n_max >= 2 and tuple_count >= 1")
     worst_lemma = 0.0
     worst_second = 0.0
     for n in range(2, n_max + 1):

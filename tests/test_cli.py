@@ -90,6 +90,17 @@ def test_non_finite_spec_exits_2_with_json_error(capsys):
     ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "series", "--r", "nan"],
     ["check", "don", "--spec", "moebius(0,0.5,1)", "--z", "nan"],
     ["check", "don-symmetric", "--spec", "moebius(0,0.5,1)", "--z", "nan", "--w", "0.1"],
+    ["counterexample", "--c", "0.5", "--points", "5", "--tol", "0"],
+    ["counterexample", "--c", "0.5", "--points", "5", "--tol", "-1"],
+    ["counterexample", "--c", "0.5", "--points", "5", "--tol", "nan"],
+    ["identities", "--n-max", "0"],
+    ["identities", "--n-max", "1"],
+    ["identities", "--tuples", "0"],
+    ["check", "don", "--spec", "moebius(0,0.5,1)", "--tol", "-1"],
+    ["check", "don", "--spec", "moebius(0,0.5,1)", "--tol", "nan"],
+    ["check", "don", "--spec", "moebius(0,0.5,1)", "--tol", "inf"],
+    ["check", "isoperimetric", "--spec", "poly[0,1,0.2]", "--tol", "-1"],
+    ["fekete", "--spec", "poly[0,1]", "--tol", "-1"],
 ])
 def test_out_of_domain_number_exits_2_with_json_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
