@@ -15,6 +15,8 @@ counts the preimages of w in r D, so the set area is the area where it is
 positive, summed from exact horizontal sections of the polyline, and f is
 injective on r D exactly when f' has no zeros there and f(r T) is a simple
 curve (Darboux-Picard).
+
+SciPy is imported on first use, by the stand-ins minimize, cKDTree and quad.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from functools import partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from ._series import series_derivative, series_sqrt
 from .analytic import FunctionSpec, derivative, evaluate, sample_circle, second_derivative
@@ -37,7 +37,10 @@ from .errors import (
     UnivalenceError,
     UnsupportedError,
 )
-from .quadrature import integrate
+from .quadrature import _lazy_scipy, integrate
+
+minimize = _lazy_scipy("optimize", "minimize")
+cKDTree = _lazy_scipy("spatial", "cKDTree")
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_RESOLUTION = 1024

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
-from scipy.integrate import quad
+import importlib
 
 from .errors import QuadratureError
 
 DEFAULT_QUAD_TOL = 1e-8
+
+
+def _lazy_scipy(module: str, name: str):
+    """scipy.<module>.<name>, imported on first call; a wrapper of the binding sees every call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"scipy.{module}"), name)(*args, **kwargs)
+
+    call.__module__, call.__name__, call.__qualname__ = f"scipy.{module}", name, name
+    return call
+
+
+quad = _lazy_scipy("integrate", "quad")
 
 
 def integrate(fn, a: float, b: float, abs_tol: float = DEFAULT_QUAD_TOL):

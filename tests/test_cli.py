@@ -1,10 +1,15 @@
 """CLI contract: parsing, output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diskgeom
 from diskgeom import (
     AnnulusCover,
     Moebius,
@@ -320,3 +325,40 @@ def test_unknown_flag_is_config_error(capsys):
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "ConfigError"
+
+
+# Runs in a fresh interpreter, since this session has SciPy loaded already:
+# builds the parser, runs each argv given as JSON through main() and prints
+# which of the heavy SciPy modules are loaded after each step.
+STARTUP_PROBE = """
+import json, sys
+import diskgeom, diskgeom.cli
+HEAVY = ("scipy.optimize", "scipy.spatial", "scipy.integrate", "scipy.linalg")
+diskgeom.cli.build_parser()
+steps = [[m for m in HEAVY if m in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    diskgeom.cli.main(argv)
+    steps.append([m for m in HEAVY if m in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_is_imported_only_by_the_commands_that_need_it():
+    argvs = [
+        ["eval", "--spec", "poly[0,1,0.3]", "--kind", "rad"],
+        ["eval", "--spec", "poly[0,1,0.3]", "--kind", "area", "--area-method", "raster"],
+        ["check", "schur", "--spec", "poly[0,0.5,0.3]"],
+        ["identities", "--n-max", "16"],
+        ["eval", "--spec", "poly[0,1,0.3]", "--kind", "diam"],
+    ]
+    path = [str(Path(diskgeom.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # -W error: SciPy's first import, at the diameter, must not warn either.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", STARTUP_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps[:-1] == [[]] * len(argvs)
+    assert "scipy.optimize" in steps[-1]

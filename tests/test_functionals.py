@@ -33,7 +33,7 @@ from diskgeom import (
     radius,
     sample_circle,
 )
-from diskgeom import functionals
+from diskgeom import functionals, quadrature
 from diskgeom.functionals import _boundary_curve
 
 SEED = 20260815
@@ -303,6 +303,27 @@ def test_area_below_float_resolution_raises():
     for spec in (Polynomial((1e6, 1e-8)), Polynomial((3e5j, 1e-8))):
         with pytest.raises(ResourceError, match="float resolution"):
             area(spec, 0.5)
+
+
+@pytest.mark.parametrize("module, name, call", [
+    (functionals, "minimize", lambda: diameter(KOEBE_LIKE, 0.6)),
+    (functionals, "minimize", lambda: n_diameter(KOEBE_LIKE, 0.6, 4)),
+    (functionals, "cKDTree", lambda: is_univalent_sampled(KOEBE_LIKE, 0.9)),
+    (quadrature, "quad", lambda: circle_image_length(KOEBE_LIKE, 0.6)),
+], ids=["diameter", "n_diameter", "is_univalent_sampled", "circle_image_length"])
+def test_scipy_calls_go_through_module_bindings(monkeypatch, module, name, call):
+    # Call counters wrap these module attributes; a function-local import
+    # would bypass them.
+    expected = call()
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    assert call() == expected
+    assert calls
 
 
 def test_circle_image_length_counts_multiplicity():
