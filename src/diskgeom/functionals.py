@@ -4,8 +4,10 @@ Estimators: radius and diameter from boundary samples (max-modulus
 arguments put every extreme point on the image of the circle), the
 n-point diameter by multi-start exchange optimization, perimeter by
 quadrature of |f'| over the circle, and a two-sided capacity bracket.
-The diameter's caliper pair and the n-diameter's exchanged tuples share
-one continuous polish over their boundary angles, _polish_tuple.
+The diameter and the n-diameter find their basins on a subgrid of about
+COARSE_SAMPLES of the circle samples (all pairs for the diameter, a
+coordinate exchange for the n-diameter) and polish the best few over their
+boundary angles with one continuous ascent, _polish_tuple.
 KINDS holds, for each functional kind, its estimator call and normalizer;
 growth curves, growth checks and the CLI all read them from there.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +47,12 @@ cKDTree = _lazy_scipy("spatial", "cKDTree")
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_RESOLUTION = 1024
-DEFAULT_RESTARTS = 8
+DEFAULT_RESTARTS = 16
+# Fewest samples, where m allows, of the subgrid that diameter and
+# n_diameter search for basins.
+COARSE_SAMPLES = 256
+# Distinct basins that diameter and n_diameter polish.
+POLISHED = 3
 # Most boundary samples that one refinement of f(r T) may evaluate.
 SAMPLE_CAP = 2**24
 # Absolute and relative quadrature tolerance of the curve length of f(r T).
@@ -143,59 +151,24 @@ def radius(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Functional
     return FunctionalValue(kind="rad", value=value, abs_error=err, witness=(witness,))
 
 
-# ---- diameter: convex hull + rotating calipers ----
+# ---- diameter: all pairs on a subgrid, then the tuple polish ----
 
 
 def _cross(a: complex, b: complex) -> float:
     return a.real * b.imag - a.imag * b.real
 
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Indices of the convex hull of complex points, counterclockwise."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = np.column_stack([points.real, points.imag])
-    try:
-        hull = ConvexHull(pts)
-        return hull.vertices
-    except QhullError:
-        # Collinear or otherwise degenerate: extreme points of the
-        # principal direction suffice for diameter purposes.
-        centered = points - points.mean()
-        direction = centered[np.argmax(np.abs(centered))]
-        if abs(direction) == 0.0:
-            return np.array([0])
-        proj = (centered / direction).real
-        return np.unique([int(np.argmin(proj)), int(np.argmax(proj))])
-
-
-def _calipers(points: np.ndarray, hull_idx: np.ndarray):
-    """Farthest pair of hull vertices by rotating calipers; returns (d, i, j).
-
-    Edge k's antipodal vertex j[k] is the first whose outgoing edge has turned
-    by at least pi; the pairs (k, j[k]), (k + 1, j[k]) are scanned in order.
-    Distances use hypot, which rounds as the scalar complex abs does."""
-    h = points[hull_idx]
-    nh = h.size
-    if nh < 3:
-        return float(abs(complex(h[0] - h[-1]))), hull_idx[0], hull_idx[-1]
-    a = np.unwrap(np.angle(np.roll(h, -1) - h))
-    j = np.searchsorted(np.concatenate([a, a + 2.0 * np.pi]), a + np.pi) % nh
-    k = np.arange(nh)
-    pa, pb = np.column_stack([k, (k + 1) % nh]).ravel(), np.repeat(j, 2)
-    diff = h[pa] - h[pb]
-    d = np.hypot(diff.real, diff.imag)
-    best = int(np.argmax(d))
-    return float(d[best]), hull_idx[pa[best]], hull_idx[pb[best]]
-
-
 def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:
-    """Diameter of f(r D) via convex hull and rotating calipers.
+    """Diameter of f(r D) from all pairwise distances on a subgrid of the
+    m circle samples, every (m // COARSE_SAMPLES)-th.
 
-    The tuple polish of n_diameter at n = 2 (it maximizes log|p - q| over
-    the two boundary angles) then removes most of the angular
-    discretization error; the reported error keeps the conservative
-    second-order grid bound.
+    Candidates are the subgrid pairs whose distance is a local maximum on
+    the torus of angle pairs and lies within curv dtc^2 of the largest,
+    where dtc is the subgrid step: the diametral pair has a subgrid pair
+    within dtc / 2 of each end.  The POLISHED farthest start from the
+    farthest sample pair within a subgrid step of them and go to the tuple
+    polish of n_diameter at n = 2, which maximizes log|p - q| over the two
+    boundary angles; a later polish wins only by more than rounding.
     """
     sample = sample_circle(spec, r, m)
     w = sample.values
@@ -203,13 +176,29 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
         return FunctionalValue(
             kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
         )
-    value, i, j = _calipers(w, convex_hull(w))
-    witness = (complex(w[i]), complex(w[j]))
-    _, (p, q) = _polish_tuple(spec, r, sample.angles[[i, j]])
-    if abs(p - q) > value:
-        value, witness = float(abs(p - q)), (complex(p), complex(q))
-    curv = _curvature(spec, r, r * np.exp(1j * sample.angles), 0.0, value)
-    dtheta = 2.0 * np.pi / m
+    stride = max(1, m // COARSE_SAMPLES)
+    wc = w[::stride]
+    dc = np.abs(wc[:, None] - wc[None, :])
+    zs, dtheta = r * np.exp(1j * sample.angles), 2.0 * np.pi / m
+    limit = dc.max() - _curvature(spec, r, zs, 0.0, dc.max()) * (stride * dtheta) ** 2
+    peak = np.triu(dc >= limit, 1)
+    for shift in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
+        peak &= dc >= np.roll(dc, shift, axis=(0, 1))
+    ci, cj = np.nonzero(peak)
+    value, witness, best = 0.0, None, None
+    for k in np.argsort(-dc[ci, cj], kind="stable")[:POLISHED]:
+        rows, cols = ((c * stride + np.arange(-stride, stride + 1)) % m for c in (ci[k], cj[k]))
+        diff = w[rows][:, None] - w[cols][None, :]
+        a, b = np.unravel_index(np.argmax(np.hypot(diff.real, diff.imag)), diff.shape)
+        i, j = rows[a], cols[b]
+        if abs(complex(w[i] - w[j])) > value:
+            value, witness = float(abs(complex(w[i] - w[j]))), (complex(w[i]), complex(w[j]))
+        _, (p, q), _ = _polish_tuple(spec, r, sample.angles[[i, j]])
+        if best is None or abs(p - q) > best[0] + 1e-13 * (1.0 + best[0]):
+            best = (float(abs(p - q)), (complex(p), complex(q)))
+    if best[0] > value:
+        value, witness = best
+    curv = _curvature(spec, r, zs, 0.0, value)
     err = 0.5 * curv * dtheta * dtheta + 1e-13 * (1.0 + value)
     return FunctionalValue(kind="diam", value=value, abs_error=err, witness=witness)
 
@@ -248,10 +237,11 @@ def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     """Continuous ascent of the pairwise log-distance sum over tuple angles.
 
-    Polishes the n_diameter tuples and, at n = 2, the diameter's caliper
-    pair.  Coordinate exchange on grid samples stalls along the
+    Polishes the n_diameter tuples and, at n = 2, the diameter's candidate
+    pairs.  Coordinate exchange on grid samples stalls along the
     near-degenerate rotational direction; a joint quasi-Newton step with
-    the analytic gradient resolves it.  Returns (log objective, image points).
+    the analytic gradient resolves it.  Returns (log objective, image
+    points, angles).
     """
     n = angles0.size
     iu, eye = np.triu_indices(n, k=1), np.eye(n)
@@ -276,7 +266,7 @@ def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     )
     theta = res.x if np.isfinite(res.fun) else angles0
     w = evaluate(spec, r * np.exp(1j * theta))
-    return _log_objective(w, np.arange(n)), w
+    return _log_objective(w, np.arange(n)), w, theta
 
 
 def n_diameter(
@@ -289,13 +279,16 @@ def n_diameter(
     """n-point diameter of f(r D): sup over n-tuples of the normalized
     pairwise-distance product, estimated over boundary samples.
 
-    Coordinate-exchange ascent in the log domain with DEFAULT_RESTARTS
-    deterministic starts; each restart keeps one column of m log distances
-    per tuple slot and recomputes a column only when its slot moves, so a
-    step costs m logarithms at most, not (n - 1) m.  Extremal tuples lie on
-    the outer boundary, so sampling f(r T) loses only the angular
-    discretization.  For n = 2 this is the diameter and delegates to the
-    caliper estimator.
+    Coordinate-exchange ascent in the log domain from DEFAULT_RESTARTS
+    deterministic starts finds the basins on a subgrid of the m samples, at
+    least max(COARSE_SAMPLES, n) of them where m allows; the POLISHED best
+    distinct tuples go to the continuous polish, which makes the value
+    independent of the grid.  The error estimate is the parabolic gain at
+    the exchange of the winner's nearest samples on the full grid.  Restarts
+    that polish to distinct tuples are distinct local maxima; restarts that
+    reach the same tuple with different values flag restart_disagreement.
+    Extremal tuples lie on the outer boundary, so sampling f(r T) loses only
+    the angular discretization.  For n = 2 this is the diameter.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -308,22 +301,36 @@ def n_diameter(
             kind="ndiam", value=0.0, abs_error=0.0, witness=(complex(w[0]),) * n, n=n,
             flags=("degenerate",),
         )
+    stride = max(1, m // max(COARSE_SAMPLES, n))
+    wc = w[::stride]
+    mc = wc.size
     rng = np.random.default_rng([seed, n, m, int(r * 1e9)])
-    base = np.round(np.arange(n) * m / n).astype(int) % m
-    starts = [(base + (k * m) // (4 * n)) % m for k in range(min(4, DEFAULT_RESTARTS))]
-    starts += [rng.choice(m, size=n, replace=False) for _ in range(DEFAULT_RESTARTS - len(starts))]
+    base = np.round(np.arange(n) * mc / n).astype(int) % mc
+    starts = [(base + (k * mc) // (4 * n)) % mc for k in range(min(4, DEFAULT_RESTARTS))]
+    starts += [rng.choice(mc, size=n, replace=False) for _ in range(DEFAULT_RESTARTS - len(starts))]
 
     pair_count = n * (n - 1) / 2.0
-    ends = [_exchange(w, start) for start in starts]
-    finals = sorted(((_log_objective(w, idx), idx) for idx in ends), key=lambda t: -t[0])
+    ends = [_exchange(wc, start) for start in starts]
+    finals = sorted(((_log_objective(wc, idx), idx) for idx in ends), key=lambda t: -t[0])
     best_S, best_idx = finals[0]
+    distinct = {}
+    for S, idx in finals:
+        if np.isfinite(S):
+            distinct.setdefault(tuple(sorted(idx)), sample.angles[idx * stride])
+    polished = [_polish_tuple(spec, r, angles) for angles in list(distinct.values())[:POLISHED]]
+    # The first of the largest: a polished tuple wins only when strictly better.
+    value_S, witness_pts, theta = max(
+        [(best_S, wc[best_idx], sample.angles[best_idx * stride])] + polished, key=lambda t: t[0]
+    )
+    value = float(np.exp(value_S / pair_count))
 
     # Second-order continuum gain estimate: parabola through each tuple
-    # slot's angular grid neighbors.
+    # slot's angular grid neighbors, at a discrete maximum next to the winner.
+    fine = _exchange(w, np.round(theta * m / (2.0 * np.pi)).astype(int) % m)
     gain = 0.0
     for t in range(n):
-        others = w[np.delete(best_idx, t)]
-        i = best_idx[t]
+        others = w[np.delete(fine, t)]
+        i = fine[t]
         with np.errstate(divide="ignore"):
             s_here = float(np.sum(np.log(np.abs(w[i] - others))))
             s_plus = float(np.sum(np.log(np.abs(w[(i + 1) % m] - others))))
@@ -335,23 +342,24 @@ def n_diameter(
             gain += (dp - dm) ** 2 / (8.0 * -(dp + dm))
         else:
             gain += max(dp, dm, 0.0)
-
-    polished = [_polish_tuple(spec, r, sample.angles[i]) for S, i in finals[:3] if np.isfinite(S)]
-    # The first of the largest: a polished tuple wins only when strictly better.
-    value_S, witness_pts = max([(best_S, w[best_idx])] + polished, key=lambda t: t[0])
-    value = float(np.exp(value_S / pair_count))
     err = value * gain / pair_count + 1e-13 * (1.0 + value)
+
+    # Two restarts reach the same tuple when each angle of one lies within a
+    # subgrid step of an angle of the other, around the circle.
+    same = [
+        abs(Sa - Sb) for (Sa, _, ta), (Sb, _, tb) in combinations(polished, 2)
+        if np.all(np.abs(np.angle(np.exp(1j * (ta[:, None] - tb[None, :])))).min(axis=1)
+                  <= 2.0 * np.pi * stride / m)
+    ]
+    spread = max(same, default=0.0) / pair_count * value
     flags = ()
-    if len(polished) >= 2:
-        p_vals = [Sp for Sp, _ in polished]
-        spread = (max(p_vals) - min(p_vals)) / pair_count * value
-        if spread > max(3.0 * err, 1e-9 * (1.0 + value)):
-            warnings.warn(
-                f"n_diameter polished restarts disagree by {spread:.3e} "
-                f"(error estimate {err:.3e})",
-                OptimizationWarning,
-            )
-            flags = ("restart_disagreement",)
+    if spread > max(3.0 * err, 1e-9 * (1.0 + value)):
+        warnings.warn(
+            f"n_diameter polished restarts disagree by {spread:.3e} "
+            f"(error estimate {err:.3e})",
+            OptimizationWarning,
+        )
+        flags = ("restart_disagreement",)
     witness = tuple(complex(v) for v in witness_pts)
     return FunctionalValue(
         kind="ndiam", value=value, abs_error=err, witness=witness, n=n, flags=flags
@@ -486,7 +494,8 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
 
 def circle_image_length(spec: FunctionSpec, r: float) -> FunctionalValue:
     """Length of the curve f(r T) counting multiplicity: integral of |f'| r,
-    by quadrature to LENGTH_QUAD_TOL.
+    by quadrature to LENGTH_QUAD_TOL.  The error estimate is QUADPACK's,
+    floored at the tolerance asked for, which QUADPACK's can undercut.
 
     Always an upper bound for the perimeter of the image set; equals it
     when f is injective on the closed disk of radius r.
@@ -496,6 +505,7 @@ def circle_image_length(spec: FunctionSpec, r: float) -> FunctionalValue:
         return abs(complex(derivative(spec, r * np.exp(1j * theta)))) * r
 
     value, err = integrate(integrand, 0.0, 2.0 * np.pi, abs_tol=LENGTH_QUAD_TOL)
+    err = max(err, LENGTH_QUAD_TOL * max(1.0, abs(value)))
     return FunctionalValue(kind="perim", value=value, abs_error=err, flags=("circle_image",))
 
 

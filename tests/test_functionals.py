@@ -6,7 +6,9 @@ scaled root-of-unity value n^(1/(n-1)) r.
 """
 
 import cmath
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from diskgeom import (
     AnnulusCover,
     Moebius,
+    OptimizationWarning,
     Polynomial,
     PowerSeries,
     ResourceError,
@@ -175,34 +178,18 @@ def test_exchange_matches_recomputing_reference(spec):
                 assert np.array_equal(functionals._exchange(w, start), expected)
 
 
-# The identity's samples form a regular m-gon: opposite edges are parallel
-# and antipodal pairs tie exactly.
+# The identity's samples form a regular m-gon, whose antipodal pairs tie.
 @pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY,))
-def test_calipers_match_farthest_hull_pair(spec):
-    for m in (3, 8, 64, 256, 1024):
+def test_diameter_reaches_farthest_sample_pair(spec):
+    # The subgrid search must not lose the farthest pair of the m samples,
+    # up to the rounding in which tied antipodal pairs differ.
+    for m in (3, 64, 256, 1024):
         for r in (0.3, 0.7, 0.95):
             w = sample_circle(spec, r, m).values
-            hull = functionals.convex_hull(w)
-            d, i, j = functionals._calipers(w, hull)
-            h = w[hull]
-            brute = float(np.max(np.abs(h[:, None] - h[None, :])))
-            # numpy's vectorized abs may round the farthest pair 1 ulp apart.
-            assert abs(d - brute) <= 4e-16 * brute
-            assert i in hull and j in hull
-            assert abs(w[i] - w[j]) == d
-
-
-def test_calipers_one_and_two_vertex_hulls():
-    point = np.full(5, 0.25 - 1.5j)
-    hull = functionals.convex_hull(point)
-    assert hull.size == 1
-    assert functionals._calipers(point, hull) == (0.0, hull[0], hull[0])
-    segment = (1.0 + 2.0j) * np.array([0.5, -1.0, 0.25, 2.0, 0.0])
-    hull = functionals.convex_hull(segment)
-    assert sorted(hull) == [1, 3]
-    d, i, j = functionals._calipers(segment, hull)
-    assert d == abs(segment[1] - segment[3])
-    assert {i, j} == {1, 3}
+            fv = diameter(spec, r, m=m)
+            assert fv.value >= float(np.max(np.abs(w[:, None] - w[None, :]))) * (1.0 - 4e-16)
+            w1, w2 = fv.witness
+            assert abs(w1 - w2) == fv.value
 
 
 def test_area_raster_identity_quarter_disk():
@@ -362,6 +349,62 @@ def ac10_polynomial(index: int) -> Polynomial:
         rng.standard_normal(6)
         rng.standard_normal(6)
     return Polynomial(tuple(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+
+
+def test_n_diameter_finds_basin_of_sixteen_restarts():
+    # AC10 polynomial 11, rotated as in the curves benchmark's seed 1103:
+    # from 8 starts on the subgrid the exchange misses the best basin and
+    # reads 7.698008.
+    spec = Polynomial((
+        -1.3367730145277303 + 0.5634032093446745j, 1.62825151019509 + 1.2928673784154348j,
+        -0.46022980796532426 + 0.24561531134114686j, -0.577254004659997 - 0.06368919393730746j,
+        -0.5703929154067879 - 0.3102774838921623j, 1.514526238333099 - 2.5902926163667086j,
+    ))
+    fv = n_diameter(spec, 0.999, 6)
+    assert fv.value >= 7.703444006512815 * (1.0 - 1e-13)
+    assert fv.abs_error < 1e-4
+
+
+@pytest.mark.parametrize(
+    "index, r, best", [(0, 0.95, 6.098446503034197), (2, 0.6, 1.0854377893630849)]
+)
+def test_n_diameter_distinct_maxima_are_not_flagged(index, r, best):
+    # Restarts of these two polish to distinct local maxima (6.03754,
+    # 6.07876 and 6.09845 for polynomial 0), which is the landscape and not
+    # an error of the estimate.
+    for m in (4096, 1024):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizationWarning)
+            fv = n_diameter(ac10_polynomial(index), r, 4, m=m)
+        assert fv.flags == ()
+        assert fv.value >= best * (1.0 - 1e-13)
+
+
+def test_n_diameter_flags_disagreement_on_one_tuple(monkeypatch):
+    # Two polishes of one tuple that end at different values are a polish
+    # failure, and only that is flagged.
+    original, values = functionals._polish_tuple, iter((0.0, -0.5, -1.0))
+
+    def disagreeing(spec, r, angles0):
+        S, w, theta = original(spec, r, np.zeros(angles0.size) + np.arange(angles0.size))
+        return S + next(values), w, theta
+
+    monkeypatch.setattr(functionals, "_polish_tuple", disagreeing)
+    with pytest.warns(OptimizationWarning, match="restarts disagree"):
+        fv = n_diameter(KOEBE_LIKE, 0.7, 4, m=1024)
+    assert fv.flags == ("restart_disagreement",)
+
+
+def test_circle_image_length_bar_covers_mpmath():
+    # QUADPACK estimated 3.6e-11 here, against a true error of 9.5e-11.
+    c = (0.0, 0.9855068870063529 - 0.16963541983632874j, 0.09012918903433076 + 0.2861411003054505j)
+    r = 0.7903173300352092
+    with mpmath.workdps(40):
+        exact = mpmath.quad(
+            lambda t: abs(c[1] + 2 * c[2] * r * mpmath.expj(t)) * r, [0, mpmath.pi, 2 * mpmath.pi]
+        )
+    fv = circle_image_length(Polynomial(c), r)
+    assert abs(fv.value - float(exact)) <= fv.abs_error
 
 
 def test_univalence_detects_critical_point_on_sample():
