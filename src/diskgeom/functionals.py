@@ -4,10 +4,9 @@ Estimators: radius and diameter from boundary samples (max-modulus
 arguments put every extreme point on the image of the circle), the
 n-point diameter by multi-start exchange optimization, perimeter by
 quadrature of |f'| over the circle, and a two-sided capacity bracket.
-The diameter and the n-diameter find their basins on a subgrid of about
-COARSE_SAMPLES of the circle samples (all pairs for the diameter, a
-coordinate exchange for the n-diameter) and polish the best few over their
-boundary angles with one continuous ascent, _polish_tuple.
+The diameter (all pairs) and the n-diameter (exchange) search a subgrid
+of about COARSE_SAMPLES circle samples for basins and polish the best
+few with one continuous ascent over boundary angles, _polish_tuple.
 KINDS holds, for each functional kind, its estimator call and normalizer;
 growth curves, growth checks and the CLI all read them from there.
 
@@ -181,10 +180,11 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
     dc = np.abs(wc[:, None] - wc[None, :])
     zs, dtheta = r * np.exp(1j * sample.angles), 2.0 * np.pi / m
     limit = dc.max() - _curvature(spec, r, zs, 0.0, dc.max()) * (stride * dtheta) ** 2
-    peak = np.triu(dc >= limit, 1)
-    for shift in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
-        peak &= dc >= np.roll(dc, shift, axis=(0, 1))
-    ci, cj = np.nonzero(peak)
+    ci, cj = np.nonzero(dc >= limit)
+    peak = ci < cj
+    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
+        peak &= dc[ci, cj] >= dc[(ci + di) % wc.size, (cj + dj) % wc.size]
+    ci, cj = ci[peak], cj[peak]
     value, witness, best = 0.0, None, None
     for k in np.argsort(-dc[ci, cj], kind="stable")[:POLISHED]:
         rows, cols = ((c * stride + np.arange(-stride, stride + 1)) % m for c in (ci[k], cj[k]))
