@@ -386,7 +386,7 @@ def test_n_diameter_flags_disagreement_on_one_tuple(monkeypatch):
     original, values = functionals._polish_tuple, iter((0.0, -0.5, -1.0))
 
     def disagreeing(spec, r, angles0):
-        S, w, theta = original(spec, r, np.zeros(angles0.size) + np.arange(angles0.size))
+        S, w, theta = original(spec, r, np.arange(angles0.size, dtype=float))
         return S + next(values), w, theta
 
     monkeypatch.setattr(functionals, "_polish_tuple", disagreeing)
