@@ -6,7 +6,7 @@ n-point diameter by multi-start exchange optimization, perimeter by
 quadrature of |f'| over the circle, and a two-sided capacity bracket.
 The diameter (all pairs) and the n-diameter (exchange) search a subgrid
 of about COARSE_SAMPLES circle samples for basins and polish the best
-few with one continuous ascent over boundary angles, _polish_tuple.
+few with one Newton ascent over boundary angles, _polish_tuple.
 KINDS holds, for each functional kind, its estimator call and normalizer;
 growth curves, growth checks and the CLI all read them from there.
 
@@ -18,6 +18,8 @@ injective on r D exactly when f' has no zeros there and f(r T) is a simple
 curve (Darboux-Picard).
 
 SciPy is imported on first use, by the stand-ins minimize, cKDTree and quad.
+The polish runs its Newton method, _newton, through minimize as a custom
+method, so a wrapper of that binding still sees every polish.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -234,14 +237,51 @@ def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _newton(fun, x0, maxiter=100, **_):
+    """Modified Newton descent, a custom method of scipy.optimize.minimize.
+
+    fun(x) returns (value, gradient, Hessian).  Each step solves with the
+    Hessian's eigenvalues replaced by |lambda|, floored at 1e-12 (1 + max
+    |lambda|), so the step descends across saddles and exact ridges, and is
+    halved until the value does not get worse.  The descent stops before
+    evaluating a step whose predicted gain -g.step / 2 is below 1e-17 (1 +
+    |value|): at the optimum, rounding of the value would reject it anyway.
+    Returns x, fun and nfev as attributes.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, h = fun(x)
+    nfev = 1
+    for _ in range(maxiter):
+        if not np.isfinite(f):
+            break
+        lam, vec = np.linalg.eigh(h)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-12 * (1.0 + lam.max()))
+        step = -vec @ ((vec.T @ g) / lam)
+        while 0.5 * abs(float(g @ step)) >= 1e-17 * (1.0 + abs(f)):
+            trial = fun(x + step)
+            nfev += 1
+            if trial[0] <= f:
+                break
+            step = 0.5 * step
+        else:
+            break
+        x = x + step
+        f, g, h = trial
+    return SimpleNamespace(x=x, fun=f, nfev=nfev)
+
+
 def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
-    """Continuous ascent of the pairwise log-distance sum over tuple angles.
+    """Newton ascent of the pairwise log-distance sum over tuple angles.
 
     Polishes the n_diameter tuples and, at n = 2, the diameter's candidate
     pairs.  Coordinate exchange on grid samples stalls along the
-    near-degenerate rotational direction; a joint quasi-Newton step with
-    the analytic gradient resolves it.  Returns (log objective, image
-    points, angles).
+    near-degenerate rotational direction; a joint Newton step with the
+    exact gradient and Hessian of S = sum log|w_i - w_j| in the angles
+    resolves it.  With w' = i z f' and w'' = -z f' - z^2 f'', the gradient
+    is Re(w_i' sum_j 1 / (w_i - w_j)), the Hessian Re(w_i' w_j' / (w_i - w_j)^2)
+    off the diagonal and Re(w_i'' sum_j 1 / (w_i - w_j) - w_i'^2 sum_j
+    1 / (w_i - w_j)^2) on it.  Returns (log objective, image points, angles).
     """
     n = angles0.size
     iu, eye = np.triu_indices(n, k=1), np.eye(n)
@@ -249,21 +289,23 @@ def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     def neg_obj(theta):
         z = r * np.exp(1j * theta)
         w = evaluate(spec, z)
-        dw = derivative(spec, z) * 1j * z
+        f1 = derivative(spec, z)
+        dw = 1j * z * f1
+        d2w = -z * f1 - z * z * second_derivative(spec, z)
         diff = w[:, None] - w[None, :]
         ad = np.abs(diff)
         if np.any(ad[iu] <= 0.0):
-            return np.inf, np.zeros(n)
+            return np.inf, np.zeros(n), np.zeros((n, n))
         s = float(np.sum(np.log(ad[iu])))
-        inv = 1.0 / (ad * ad + eye)
+        inv = 1.0 / (diff + eye)
         np.fill_diagonal(inv, 0.0)
-        grad = np.sum(np.real(dw[:, None] * np.conj(diff)) * inv, axis=1)
-        return -s, -grad
+        inv2 = inv * inv
+        sum1, sum2 = inv.sum(axis=1), inv2.sum(axis=1)
+        hess = np.real(dw[:, None] * dw[None, :] * inv2)
+        np.fill_diagonal(hess, np.real(d2w * sum1 - dw * dw * sum2))
+        return -s, -np.real(dw * sum1), -hess
 
-    res = minimize(
-        neg_obj, angles0, jac=True, method="L-BFGS-B",
-        options={"maxiter": 300, "ftol": 1e-16, "gtol": 1e-13},
-    )
+    res = minimize(neg_obj, angles0, method=_newton)
     theta = res.x if np.isfinite(res.fun) else angles0
     w = evaluate(spec, r * np.exp(1j * theta))
     return _log_objective(w, np.arange(n)), w, theta
