@@ -331,9 +331,12 @@ def n_diameter(
     reach the same tuple with different values flag restart_disagreement.
     Extremal tuples lie on the outer boundary, so sampling f(r T) loses only
     the angular discretization.  For n = 2 this is the diameter.
+    DomainError when n < 2 or n > m.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
+    if n > m:
+        raise DomainError(f"n = {n} exceeds the {m} circle samples")
     if n == 2:
         return replace(diameter(spec, r, m=m), kind="ndiam", n=2)
     sample = sample_circle(spec, r, m)

@@ -106,6 +106,8 @@ def test_non_finite_spec_exits_2_with_json_error(capsys):
     ["check", "don", "--spec", "moebius(0,0.5,1)", "--tol", "inf"],
     ["check", "isoperimetric", "--spec", "poly[0,1,0.2]", "--tol", "-1"],
     ["fekete", "--spec", "poly[0,1]", "--tol", "-1"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "ndiam", "--n", "5000"],
+    ["sweep", "--spec", "poly[0,1]", "--kind", "ndiam", "--n", "5000", "--points", "3"],
 ])
 def test_out_of_domain_number_exits_2_with_json_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
