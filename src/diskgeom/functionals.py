@@ -271,44 +271,48 @@ def _newton(fun, x0, maxiter=100, **_):
     return SimpleNamespace(x=x, fun=f, nfev=nfev)
 
 
+def _neg_log_sum(spec: FunctionSpec, r: float, theta: np.ndarray):
+    """-S, -grad S and -Hessian S in the angles theta, where
+    S = sum_{i<j} log|w_i - w_j| and w = f(r e^(i theta)); +inf for a
+    coincident pair.
+
+    With w' = i z f' and w'' = -z f' - z^2 f'', the gradient is
+    Re(w_i' sum_j 1 / (w_i - w_j)), the Hessian Re(w_i' w_j' / (w_i - w_j)^2)
+    off the diagonal and Re(w_i'' sum_j 1 / (w_i - w_j) - w_i'^2 sum_j
+    1 / (w_i - w_j)^2) on it.
+    """
+    n = theta.size
+    z = r * np.exp(1j * theta)
+    w = evaluate(spec, z)
+    f1 = derivative(spec, z)
+    dw = 1j * z * f1
+    d2w = -z * f1 - z * z * second_derivative(spec, z)
+    diff = w[:, None] - w[None, :]
+    ad = np.abs(diff)[np.triu_indices(n, k=1)]
+    if np.any(ad <= 0.0):
+        return np.inf, np.zeros(n), np.zeros((n, n))
+    inv = 1.0 / (diff + np.eye(n))
+    np.fill_diagonal(inv, 0.0)
+    inv2 = inv * inv
+    sum1, sum2 = inv.sum(axis=1), inv2.sum(axis=1)
+    hess = np.real(dw[:, None] * dw[None, :] * inv2)
+    np.fill_diagonal(hess, np.real(d2w * sum1 - dw * dw * sum2))
+    return -float(np.sum(np.log(ad))), -np.real(dw * sum1), -hess
+
+
 def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     """Newton ascent of the pairwise log-distance sum over tuple angles.
 
     Polishes the n_diameter tuples and, at n = 2, the diameter's candidate
     pairs.  Coordinate exchange on grid samples stalls along the
     near-degenerate rotational direction; a joint Newton step with the
-    exact gradient and Hessian of S = sum log|w_i - w_j| in the angles
-    resolves it.  With w' = i z f' and w'' = -z f' - z^2 f'', the gradient
-    is Re(w_i' sum_j 1 / (w_i - w_j)), the Hessian Re(w_i' w_j' / (w_i - w_j)^2)
-    off the diagonal and Re(w_i'' sum_j 1 / (w_i - w_j) - w_i'^2 sum_j
-    1 / (w_i - w_j)^2) on it.  Returns (log objective, image points, angles).
+    exact gradient and Hessian of _neg_log_sum resolves it.  Returns (log
+    objective, image points, angles).
     """
-    n = angles0.size
-    iu, eye = np.triu_indices(n, k=1), np.eye(n)
-
-    def neg_obj(theta):
-        z = r * np.exp(1j * theta)
-        w = evaluate(spec, z)
-        f1 = derivative(spec, z)
-        dw = 1j * z * f1
-        d2w = -z * f1 - z * z * second_derivative(spec, z)
-        diff = w[:, None] - w[None, :]
-        ad = np.abs(diff)
-        if np.any(ad[iu] <= 0.0):
-            return np.inf, np.zeros(n), np.zeros((n, n))
-        s = float(np.sum(np.log(ad[iu])))
-        inv = 1.0 / (diff + eye)
-        np.fill_diagonal(inv, 0.0)
-        inv2 = inv * inv
-        sum1, sum2 = inv.sum(axis=1), inv2.sum(axis=1)
-        hess = np.real(dw[:, None] * dw[None, :] * inv2)
-        np.fill_diagonal(hess, np.real(d2w * sum1 - dw * dw * sum2))
-        return -s, -np.real(dw * sum1), -hess
-
-    res = minimize(neg_obj, angles0, method=_newton)
+    res = minimize(partial(_neg_log_sum, spec, r), angles0, method=_newton)
     theta = res.x if np.isfinite(res.fun) else angles0
     w = evaluate(spec, r * np.exp(1j * theta))
-    return _log_objective(w, np.arange(n)), w, theta
+    return _log_objective(w, np.arange(angles0.size)), w, theta
 
 
 def n_diameter(

@@ -7,6 +7,7 @@ scaled root-of-unity value n^(1/(n-1)) r.
 
 import cmath
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -36,6 +37,7 @@ from diskgeom import (
     radius,
     sample_circle,
 )
+import diskgeom
 from diskgeom import functionals, quadrature
 from diskgeom.functionals import _boundary_curve
 
@@ -393,6 +395,97 @@ def test_n_diameter_flags_disagreement_on_one_tuple(monkeypatch):
     with pytest.warns(OptimizationWarning, match="restarts disagree"):
         fv = n_diameter(KOEBE_LIKE, 0.7, 4, m=1024)
     assert fv.flags == ("restart_disagreement",)
+
+
+@pytest.mark.parametrize("spec", [KOEBE_LIKE, AnnulusCover(1.0), ac10_polynomial(0)],
+                         ids=["quadratic", "annulus", "ac10poly0"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_polish_derivatives_match_central_differences(spec, n):
+    rng = np.random.default_rng(SEED + n)
+    r, h = 0.8, 1e-5
+    # Jittered polygon angles keep the pairs apart, and so the third
+    # derivatives that limit the differences small.
+    theta = 2.0 * np.pi * np.arange(n) / n + rng.uniform(-0.3, 0.3, n)
+    _, grad, hess = functionals._neg_log_sum(spec, r, theta)
+    for k in range(n):
+        step = h * np.eye(n)[k]
+        fp, gp, _ = functionals._neg_log_sum(spec, r, theta + step)
+        fm, gm, _ = functionals._neg_log_sum(spec, r, theta - step)
+        assert abs((fp - fm) / (2.0 * h) - grad[k]) <= 1e-7 * (1.0 + np.max(np.abs(grad)))
+        assert np.max(np.abs((gp - gm) / (2.0 * h) - hess[:, k])) <= 1e-7 * (
+            1.0 + np.max(np.abs(hess))
+        )
+
+
+def test_newton_halves_steps_that_overshoot():
+    # Newton's step on sqrt(1 + x^2) takes x to -x^3, away from the minimum
+    # at 0 when |x| > 1; only halved steps reach it.
+    values = []
+
+    def fun(x):
+        values.append(float(np.sqrt(1.0 + x[0] ** 2)))
+        return values[-1], x / values[-1], np.array([[values[-1] ** -3]])
+
+    res = functionals._newton(fun, np.array([2.0]))
+    assert abs(res.x[0]) <= 1e-6
+    assert res.fun == fun(res.x)[0] <= values[0]
+    assert res.nfev == len(values) - 1
+
+
+@pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY, ac10_polynomial(0)))
+def test_polish_never_ends_below_its_start(spec):
+    rng = np.random.default_rng(SEED)
+    for r in (0.05, 0.6, 0.999):
+        for n in (2, 3, 4, 6):
+            for _ in range(3):
+                theta0 = rng.uniform(0.0, 2.0 * np.pi, n)
+                w0 = evaluate(spec, r * np.exp(1j * theta0))
+                S, _, _ = functionals._polish_tuple(spec, r, theta0)
+                assert S >= functionals._log_objective(w0, np.arange(n))
+    # A coincident pair has no finite objective; the start comes back.
+    S, _, theta = functionals._polish_tuple(spec, 0.6, np.array([0.3, 0.3, 2.0]))
+    assert S == -np.inf
+    assert np.array_equal(theta, [0.3, 0.3, 2.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_polish_on_the_identity_rotation_ridge(n):
+    # Every rotation of the regular n-gon is optimal, so the Hessian is
+    # singular along the rotation, exactly at the polygon.
+    r, pairs = 0.9, n * (n - 1) / 2
+    polygon = 2.0 * np.pi * np.arange(n) / n
+    assert np.min(np.abs(np.linalg.eigvalsh(functionals._neg_log_sum(IDENTITY, r, polygon)[2]))) <= 1e-12
+    rng = np.random.default_rng(SEED)
+    starts = [polygon, polygon + 0.7, polygon + rng.normal(0.0, 0.05, n)]
+    starts += [rng.uniform(0.0, 2.0 * np.pi, n) for _ in range(5)]
+    for theta0 in starts:
+        S, _, _ = functionals._polish_tuple(IDENTITY, r, theta0)
+        expected = disk_n_diameter(n) * r
+        assert abs(np.exp(S / pairs) - expected) <= 1e-14 * expected
+
+
+def test_benchmark_tracer_counts_through_module_bindings(monkeypatch):
+    # The benchmark's tracer wraps functionals.minimize, functionals.cKDTree
+    # and quadrature.quad, and reads nfev from what minimize returns; its
+    # traced runs fail when a binding goes or a result lacks nfev.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    bindings = (functionals.minimize, functionals.cKDTree, quadrature.quad)
+    tracer = Tracer(lambda coeffs: 1.0)
+    with tracer.installed(diskgeom):
+        functionals.diameter(KOEBE_LIKE, 0.6)
+        functionals.n_diameter(KOEBE_LIKE, 0.6, 4)
+        functionals.is_univalent_sampled(KOEBE_LIKE, 0.9)
+        functionals.circle_image_length(KOEBE_LIKE, 0.6)
+    assert (functionals.minimize, functionals.cKDTree, quadrature.quad) == bindings
+    polishes = [span for span in tracer.spans if span.name == "functionals.minimize"]
+    assert polishes and all(span.counts["nfev"] > 0 for span in polishes)
+    stats = tracer.stats()
+    assert stats["functionals.diameter"]["nfev"] > 0
+    assert stats["functionals.n_diameter"]["nfev"] > 0
+    assert stats["functionals.cKDTree"]["calls"] > 0
+    assert stats["quadrature.quad"]["integrand_evals"] > 0
 
 
 def test_circle_image_length_bar_covers_mpmath():
