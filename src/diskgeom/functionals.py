@@ -237,7 +237,7 @@ def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _newton(fun, x0, maxiter=100, **_):
+def _newton(fun, x0, **_):
     """Modified Newton descent, a custom method of scipy.optimize.minimize.
 
     fun(x) returns (value, gradient, Hessian).  Each step solves with the
@@ -246,12 +246,13 @@ def _newton(fun, x0, maxiter=100, **_):
     halved until the value does not get worse.  The descent stops before
     evaluating a step whose predicted gain -g.step / 2 is below 1e-17 (1 +
     |value|): at the optimum, rounding of the value would reject it anyway.
-    Returns x, fun and nfev as attributes.
+    At most 100 steps.  Returns x, fun and nfev as attributes; x is x0 when
+    fun(x0) is not finite.
     """
     x = np.asarray(x0, dtype=float)
     f, g, h = fun(x)
     nfev = 1
-    for _ in range(maxiter):
+    for _ in range(100):
         if not np.isfinite(f):
             break
         lam, vec = np.linalg.eigh(h)
@@ -309,8 +310,7 @@ def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     exact gradient and Hessian of _neg_log_sum resolves it.  Returns (log
     objective, image points, angles).
     """
-    res = minimize(partial(_neg_log_sum, spec, r), angles0, method=_newton)
-    theta = res.x if np.isfinite(res.fun) else angles0
+    theta = minimize(partial(_neg_log_sum, spec, r), angles0, method=_newton).x
     w = evaluate(spec, r * np.exp(1j * theta))
     return _log_objective(w, np.arange(angles0.size)), w, theta
 
