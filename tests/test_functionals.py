@@ -427,9 +427,9 @@ def test_newton_halves_steps_that_overshoot():
         return values[-1], x / values[-1], np.array([[values[-1] ** -3]])
 
     res = functionals._newton(fun, np.array([2.0]))
+    assert res.nfev == len(values)
     assert abs(res.x[0]) <= 1e-6
     assert res.fun == fun(res.x)[0] <= values[0]
-    assert res.nfev == len(values) - 1
 
 
 @pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY, ac10_polynomial(0)))
@@ -454,7 +454,8 @@ def test_polish_on_the_identity_rotation_ridge(n):
     # singular along the rotation, exactly at the polygon.
     r, pairs = 0.9, n * (n - 1) / 2
     polygon = 2.0 * np.pi * np.arange(n) / n
-    assert np.min(np.abs(np.linalg.eigvalsh(functionals._neg_log_sum(IDENTITY, r, polygon)[2]))) <= 1e-12
+    hess = functionals._neg_log_sum(IDENTITY, r, polygon)[2]
+    assert np.min(np.abs(np.linalg.eigvalsh(hess))) <= 1e-12
     rng = np.random.default_rng(SEED)
     starts = [polygon, polygon + 0.7, polygon + rng.normal(0.0, 0.05, n)]
     starts += [rng.uniform(0.0, 2.0 * np.pi, n) for _ in range(5)]
