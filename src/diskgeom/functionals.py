@@ -292,6 +292,10 @@ def _neg_log_sum(spec: FunctionSpec, r: float, theta: np.ndarray):
     ad = np.abs(diff)[np.triu_indices(n, k=1)]
     if np.any(ad <= 0.0):
         return np.inf, np.zeros(n), np.zeros((n, n))
+    # S's derivatives do not change when f is scaled.  Scaling by a power of
+    # two is exact, and bringing w' near 1 keeps w'^2 from overflowing.
+    unit = 2.0 ** -np.frexp(np.max(np.abs(dw)))[1]
+    diff, dw, d2w = diff * unit, dw * unit, d2w * unit
     inv = 1.0 / (diff + np.eye(n))
     np.fill_diagonal(inv, 0.0)
     inv2 = inv * inv

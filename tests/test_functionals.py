@@ -417,6 +417,19 @@ def test_polish_derivatives_match_central_differences(spec, n):
         )
 
 
+def test_polish_derivatives_do_not_depend_on_the_scale_of_f():
+    # f scaled by 2^600 has w'^2 near 1e361, past the largest float; the
+    # derivatives of S are those of f, bit for bit.
+    scale = 2.0**600
+    scaled = Polynomial(tuple(scale * c for c in KOEBE_LIKE.coeffs))
+    theta = np.array([0.1, 2.0, 4.0])
+    _, grad, hess = functionals._neg_log_sum(KOEBE_LIKE, 0.9, theta)
+    _, grad_s, hess_s = functionals._neg_log_sum(scaled, 0.9, theta)
+    assert np.array_equal(grad, grad_s) and np.array_equal(hess, hess_s)
+    value = n_diameter(KOEBE_LIKE, 0.9, 3).value
+    assert abs(n_diameter(scaled, 0.9, 3).value / scale - value) <= 1e-13 * value
+
+
 def test_newton_halves_steps_that_overshoot():
     # Newton's step on sqrt(1 + x^2) takes x to -x^3, away from the minimum
     # at 0 when |x| > 1; only halved steps reach it.
