@@ -4,9 +4,10 @@ Estimators: radius and diameter from boundary samples (max-modulus
 arguments put every extreme point on the image of the circle), the
 n-point diameter by multi-start exchange optimization, perimeter by
 quadrature of |f'| over the circle, and a two-sided capacity bracket.
-The diameter (all pairs) and the n-diameter (exchange) search a subgrid
-of about COARSE_SAMPLES circle samples for basins and polish the best
-few with one Newton ascent over boundary angles, _polish_tuple.
+The diameter (all pairs) and the n-diameter (exchange, its restarts run
+together as the rows of one index array) search a subgrid of about
+COARSE_SAMPLES circle samples for basins and polish the best few with one
+Newton ascent over boundary angles, _polish_tuple.
 KINDS holds, for each functional kind, its estimator call and normalizer;
 growth curves, growth checks and the CLI all read them from there.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import combinations
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -39,7 +40,6 @@ from .errors import (
     DomainError,
     OptimizationWarning,
     ResourceError,
-    UnivalenceError,
     UnsupportedError,
 )
 from .quadrature import _lazy_scipy, integrate
@@ -106,11 +106,18 @@ def _is_constant(w: np.ndarray) -> bool:
 # ---- radius ----
 
 
-def _curvature(spec: FunctionSpec, r: float, zs: np.ndarray, slope: complex, value: float) -> float:
-    """Bound on the angular second derivative of |f(z) - slope z| along
-    |z| = r at a maximum of size value, from samples at the points zs."""
+def _derivative_maxima(spec: FunctionSpec, zs: np.ndarray, slope: complex = 0.0) -> tuple:
+    """The maxima of |f' - slope| and |f''| over the sample points zs."""
     m1 = float(np.max(np.abs(derivative(spec, zs) - slope)))
     m2 = float(np.max(np.abs(second_derivative(spec, zs))))
+    return m1, m2
+
+
+def _curvature(r: float, maxima: tuple, value: float) -> float:
+    """Bound on the angular second derivative of |f(z) - slope z| along
+    |z| = r at a maximum of size value, from the _derivative_maxima of
+    f on r T."""
+    m1, m2 = maxima
     return r * r * m2 + r * m1 + (r * m1) ** 2 / max(value, 1e-300)
 
 
@@ -138,7 +145,7 @@ def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: com
             cand = abs(fr - shift - slope * zr)
             if cand > value:
                 value, witness = cand, fr
-    curv = _curvature(spec, r, zs, slope, value)
+    curv = _curvature(r, _derivative_maxima(spec, zs, slope), value)
     err = 0.125 * curv * dtheta * dtheta + 1e-14 * (1.0 + value)
     return value, err, witness
 
@@ -181,8 +188,8 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
     stride = max(1, m // COARSE_SAMPLES)
     wc = w[::stride]
     dc = np.abs(wc[:, None] - wc[None, :])
-    zs, dtheta = r * np.exp(1j * sample.angles), 2.0 * np.pi / m
-    limit = dc.max() - _curvature(spec, r, zs, 0.0, dc.max()) * (stride * dtheta) ** 2
+    maxima, dtheta = _derivative_maxima(spec, r * np.exp(1j * sample.angles)), 2.0 * np.pi / m
+    limit = dc.max() - _curvature(r, maxima, dc.max()) * (stride * dtheta) ** 2
     ci, cj = np.nonzero(dc >= limit)
     peak = ci < cj
     for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
@@ -201,38 +208,53 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
             best = (float(abs(p - q)), (complex(p), complex(q)))
     if best[0] > value:
         value, witness = best
-    curv = _curvature(spec, r, zs, 0.0, value)
-    err = 0.5 * curv * dtheta * dtheta + 1e-13 * (1.0 + value)
+    err = 0.5 * _curvature(r, maxima, value) * dtheta * dtheta + 1e-13 * (1.0 + value)
     return FunctionalValue(kind="diam", value=value, abs_error=err, witness=witness)
 
 
 # ---- n-point diameter ----
 
 
+@cache
+def _pairs(n: int):
+    """Row and column indices of the n (n - 1) / 2 pairs i < j of n points,
+    read-only, since every caller shares them."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _log_objective(w: np.ndarray, idx: np.ndarray) -> float:
     pts = w[idx]
-    d = np.abs(pts[:, None] - pts[None, :])[np.triu_indices(len(idx), k=1)]
+    d = np.abs(pts[:, None] - pts[None, :])[_pairs(len(idx))]
     return -np.inf if np.any(d == 0.0) else float(np.sum(np.log(d)))
 
 
-def _exchange(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _exchange(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Coordinate-exchange ascent of the pairwise log-distance sum over the
-    samples w from the tuple indices idx; returns the final indices.
+    samples w, from each row of the (k, n) start indices at once; returns
+    the (k, n) final indices.
 
-    A step moves one slot to the sample with the largest sum of log distances
-    to the other slots.  logs[s] holds log|w - w[idx[s]]|, so a step sums the
-    n - 1 other stored columns in slot order, and an accepted move recomputes one.
+    A step moves slot t of every row to the sample with the largest sum of
+    log distances to the row's other slots.  logs[s][j] holds
+    log|w - w[idx[j, s]]|, so a step sums the n - 1 other stored columns in
+    slot order, and only the rows that moved recompute theirs.  A sweep that
+    moves no row ends the ascent: a row that did not move is at a fixed
+    point, so each row ends where it would alone, within the 80 sweeps.
     """
-    idx = np.array(idx, dtype=int)
+    idx = np.array(starts, dtype=int)
     with np.errstate(divide="ignore"):
-        logs = [np.log(np.abs(w - w[i])) for i in idx]
+        logs = [np.log(np.abs(w - w[col][:, None])) for col in idx.T]
         for _ in range(80):
-            before = idx.copy()
-            for t in range(idx.size):
-                pick = int(np.argmax(reduce(np.add, logs[:t] + logs[t + 1 :])))
-                if pick != idx[t]:
-                    idx[t], logs[t] = pick, np.log(np.abs(w - w[pick]))
-            if np.array_equal(before, idx):
+            moved = False
+            for t in range(idx.shape[1]):
+                pick = reduce(np.add, logs[:t] + logs[t + 1 :]).argmax(axis=1)
+                rows = pick != idx[:, t]
+                if rows.any():
+                    idx[rows, t] = pick[rows]
+                    logs[t][rows] = np.log(np.abs(w - w[pick[rows], None]))
+                    moved = True
+            if not moved:
                 break
     return idx
 
@@ -289,7 +311,7 @@ def _neg_log_sum(spec: FunctionSpec, r: float, theta: np.ndarray):
     dw = 1j * z * f1
     d2w = -z * f1 - z * z * second_derivative(spec, z)
     diff = w[:, None] - w[None, :]
-    ad = np.abs(diff)[np.triu_indices(n, k=1)]
+    ad = np.abs(diff)[_pairs(n)]
     if np.any(ad <= 0.0):
         return np.inf, np.zeros(n), np.zeros((n, n))
     # S's derivatives do not change when f is scaled.  Scaling by a power of
@@ -330,10 +352,11 @@ def n_diameter(
     pairwise-distance product, estimated over boundary samples.
 
     Coordinate-exchange ascent in the log domain from DEFAULT_RESTARTS
-    deterministic starts finds the basins on a subgrid of the m samples, at
-    least max(COARSE_SAMPLES, n) of them where m allows; the POLISHED best
-    distinct tuples go to the continuous polish, which makes the value
-    independent of the grid.  The error estimate is the parabolic gain at
+    deterministic starts, run as the rows of one _exchange call (calls of at
+    most COARSE_SAMPLES // n rows for large n), finds the basins on a subgrid
+    of the m samples, at least max(COARSE_SAMPLES, n) of them where m
+    allows; the POLISHED best distinct tuples go to the continuous polish,
+    which makes the value independent of the grid.  The error estimate is the parabolic gain at
     the exchange of the winner's nearest samples on the full grid.  Restarts
     that polish to distinct tuples are distinct local maxima; restarts that
     reach the same tuple with different values flag restart_disagreement.
@@ -363,7 +386,10 @@ def n_diameter(
     starts += [rng.choice(mc, size=n, replace=False) for _ in range(DEFAULT_RESTARTS - len(starts))]
 
     pair_count = n * (n - 1) / 2.0
-    ends = [_exchange(wc, start) for start in starts]
+    # At most COARSE_SAMPLES // n starts (one at least) go to one exchange, so
+    # its stored log columns hold at most max(COARSE_SAMPLES, n) mc floats.
+    group = max(1, COARSE_SAMPLES // n)
+    ends = np.concatenate([_exchange(wc, starts[i : i + group]) for i in range(0, len(starts), group)])
     finals = sorted(((_log_objective(wc, idx), idx) for idx in ends), key=lambda t: -t[0])
     best_S, best_idx = finals[0]
     distinct = {}
@@ -379,7 +405,7 @@ def n_diameter(
 
     # Second-order continuum gain estimate: parabola through each tuple
     # slot's angular grid neighbors, at a discrete maximum next to the winner.
-    fine = _exchange(w, np.round(theta * m / (2.0 * np.pi)).astype(int) % m)
+    fine = _exchange(w, [np.round(theta * m / (2.0 * np.pi)).astype(int) % m])[0]
     gain = 0.0
     for t in range(n):
         others = w[np.delete(fine, t)]
@@ -578,35 +604,6 @@ def _sqrt_deriv_series_length(spec: FunctionSpec, r: float) -> Optional[float]:
         if tail < 1e-12 * max(total, 1.0) or count >= 8192:
             return total
         count *= 2
-
-
-def perimeter_univalent(spec: FunctionSpec, r: float) -> FunctionalValue:
-    """Perimeter of f(r D) for injective f, by quadrature of |f'| over r T.
-
-    Raises UnivalenceError when is_univalent_sampled finds f not injective
-    on the closed disk.  For series specs with sampled zero-free derivative
-    the value is cross-checked against the square-root-series identity.
-    """
-    uni = is_univalent_sampled(spec, r)
-    if not uni:
-        raise UnivalenceError(f"spec is not injective on r={r}: witness {uni.witness}")
-    fv = circle_image_length(spec, r)
-    flags = ()
-    if spec.coefficient_backed:
-        circle = sample_circle(spec, r, 1024)
-        d1 = derivative(spec, r * np.exp(1j * circle.angles))
-        if float(np.min(np.abs(d1))) > 1e-9 * (1.0 + float(np.max(np.abs(d1)))):
-            series_val = _sqrt_deriv_series_length(spec, r)
-            if series_val is not None:
-                if abs(series_val - fv.value) <= max(1e-9, 100.0 * fv.abs_error) * max(
-                    1.0, fv.value
-                ):
-                    flags = ("series_crosscheck_ok",)
-                else:
-                    flags = ("series_crosscheck_mismatch",)
-    return FunctionalValue(
-        kind="perim", value=fv.value, abs_error=fv.abs_error, flags=flags
-    )
 
 
 # ---- univalence ----

@@ -22,7 +22,6 @@ from diskgeom import (
     Polynomial,
     PowerSeries,
     ResourceError,
-    UnivalenceError,
     area,
     area_annulus_cover,
     area_univalent_series,
@@ -33,7 +32,6 @@ from diskgeom import (
     evaluate,
     is_univalent_sampled,
     n_diameter,
-    perimeter_univalent,
     radius,
     sample_circle,
 )
@@ -150,10 +148,10 @@ SAMPLED_MAPS = (
 )
 
 
-def reference_exchange(w, idx):
+def reference_exchange(w, idx, sweeps=80):
     """Coordinate exchange that recomputes every log distance at each step."""
     idx = np.array(idx, dtype=int)
-    for _ in range(80):
+    for _ in range(sweeps):
         changed = False
         for t in range(idx.size):
             others = w[np.delete(idx, t)]
@@ -170,14 +168,32 @@ def reference_exchange(w, idx):
 @pytest.mark.parametrize("spec", SAMPLED_MAPS)
 def test_exchange_matches_recomputing_reference(spec):
     # n = 10 sums 9 columns, past numpy's 8-term switch to partial sums.
+    # Each start alone, and all starts of one (m, n) as the rows of one call.
     rng = np.random.default_rng(SEED)
     for m in (256, 1024):
         w = sample_circle(spec, 0.9, m).values
         for n in (3, 4, 5, 6, 10):
-            for _ in range(3):
-                start = rng.choice(m, size=n, replace=False)
-                expected = reference_exchange(w, start)
-                assert np.array_equal(functionals._exchange(w, start), expected)
+            starts = np.array([rng.choice(m, size=n, replace=False) for _ in range(3)])
+            expected = np.array([reference_exchange(w, start) for start in starts])
+            for start, end in zip(starts, expected):
+                assert np.array_equal(functionals._exchange(w, [start]), [end])
+            assert np.array_equal(functionals._exchange(w, starts), expected)
+
+
+def test_exchange_rows_at_a_fixed_point_stay_while_others_move():
+    # The row that starts at another row's end is a fixed point; the batch
+    # keeps sweeping for the rows that need several sweeps, and each row
+    # still ends where it ends alone.
+    w = sample_circle(ac10_polynomial(0), 0.95, 1024).values
+    rng = np.random.default_rng(SEED)
+    moving = np.array([rng.choice(w.size, size=6, replace=False) for _ in range(4)])
+    ends = np.array([reference_exchange(w, start) for start in moving])
+    fixed = ends[0]
+    assert np.array_equal(reference_exchange(w, fixed), fixed)
+    for start, end in zip(moving, ends):
+        assert not np.array_equal(reference_exchange(w, start, sweeps=2), end)
+    batch = np.vstack([fixed, moving])
+    assert np.array_equal(functionals._exchange(w, batch), np.vstack([fixed, ends]))
 
 
 # The identity's samples form a regular m-gon, whose antipodal pairs tie.
@@ -264,6 +280,29 @@ def test_area_invariances_property(part, r, pre, post, shift, s):
     assert abs(fv.value - abs(s) ** 2 * base.value) <= fv.abs_error + abs(s) ** 2 * base.abs_error
 
 
+_polynomial = st.lists(st.builds(complex, _unit, _unit), min_size=2, max_size=6).filter(
+    lambda c: max(map(abs, c[1:])) >= 0.1
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    _polynomial, st.floats(0.05, 0.999), _turn, _turn,
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+def test_boundary_estimators_invariant_under_rigid_motions(coeffs, r, pre, post, shift):
+    # post f(pre z) + shift, with |pre| = |post| = 1, moves the image rigidly:
+    # its radius about f(0), diameter and n-diameters are those of f.
+    coeffs = np.array(coeffs)
+    moved = post * coeffs * pre ** np.arange(coeffs.size)
+    moved[0] += shift
+    f, g = Polynomial(tuple(coeffs)), Polynomial(tuple(moved))
+    for estimate in (radius, diameter, lambda spec, r: n_diameter(spec, r, 3),
+                     lambda spec, r: n_diameter(spec, r, 4)):
+        a, b = estimate(f, r), estimate(g, r)
+        assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+
+
 def test_area_series_koebe_like():
     fv = area_univalent_series(KOEBE_LIKE, 0.6)
     expected = np.pi * (0.36 + 2.0 * 0.04 * 0.6**4)
@@ -315,6 +354,22 @@ def test_scipy_calls_go_through_module_bindings(monkeypatch, module, name, call)
     assert calls
 
 
+def test_diameter_evaluates_second_derivative_on_its_samples_once(monkeypatch):
+    # The candidate limit and the bar share one curvature bound; the
+    # polish's own calls evaluate f'' at 2 points.
+    m, sizes = 1024, []
+    original = functionals.second_derivative
+
+    def counting(spec, z):
+        sizes.append(np.size(z))
+        return original(spec, z)
+
+    monkeypatch.setattr(functionals, "second_derivative", counting)
+    diameter(KOEBE_LIKE, 0.6, m=m)
+    assert sizes.count(m) == 1
+    assert set(sizes) == {2, m}
+
+
 def test_circle_image_length_counts_multiplicity():
     fv = circle_image_length(SQUARE, 0.5)
     # Integral of |2 z| over the circle of radius 0.5: 2 pi r * 2 r.
@@ -322,14 +377,9 @@ def test_circle_image_length_counts_multiplicity():
     assert "circle_image" in fv.flags
 
 
-def test_perimeter_univalent_identity():
-    fv = perimeter_univalent(IDENTITY, 0.8)
+def test_circle_image_length_identity():
+    fv = circle_image_length(IDENTITY, 0.8)
     assert abs(fv.value - 2.0 * np.pi * 0.8) <= 1e-8
-
-
-def test_perimeter_univalent_rejects_square_map():
-    with pytest.raises(UnivalenceError):
-        perimeter_univalent(SQUARE, 0.5)
 
 
 def test_univalence_square_map_fails_by_collision():
