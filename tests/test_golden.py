@@ -60,6 +60,7 @@ CASES = {
     ],
     "check_all_csv": ["check", "all", "--spec", POLY, "--format", "csv"],
     "check_all_json": ["check", "all", "--spec", "moebius(0,0.5,1)", "--format", "json"],
+    "check_all_annulus": ["check", "all", "--spec", "annulus(1)", "--format", "csv"],
     **{
         f"check_growth_{kind}": ["check", "growth", "--spec", "poly[0,1]", "--kind", kind]
         for kind in ("rad", "diam", "ndiam", "cap", "area", "perim")
