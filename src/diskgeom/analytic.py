@@ -7,8 +7,8 @@ parameter domain, JSON kind and CLI shorthand.  Field coercion to finite
 numbers, the JSON codec, the disk check and the scalar unwrap are shared,
 and SPEC_KINDS maps each JSON kind to its class for both JSON and the CLI.
 Everything downstream works through evaluate/derivative/sample_circle so
-the estimators never special-case the variant; the one question they ask
-is spec.coefficient_backed.
+the estimators never special-case the variant; the questions they ask
+are spec.coefficient_backed and spec.closed_disk.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import numpy as np
 from ._series import series_derivative, series_eval, series_exp
 from .errors import DomainError, UnsupportedError
 
-# Points must stay strictly inside the unit disk by this margin.
+# Points stay inside |z| < 1 - DISK_MARGIN, or |z| < 1 + DISK_MARGIN (to
+# the rounding of circle points) for a variant analytic on the closed disk.
 DISK_MARGIN = 1e-12
-# Circle samples stay a bit further in so downstream refinement has room.
+# Circles of the former stay a bit further in so refinement has room.
 CIRCLE_MARGIN = 1e-9
 
 
@@ -47,9 +48,11 @@ class _Spec:
     """A variant is a frozen dataclass with fields typed tuple, complex or
     float, a JSON kind, a CLI shorthand (name, brackets) and the methods
     _validate, _value(z), _derivative(z, order) and _taylor(count).
-    coefficient_backed marks exact Taylor coefficients in coeffs."""
+    coefficient_backed marks exact Taylor coefficients in coeffs, and
+    closed_disk a map analytic on the closed disk, unit circle included."""
 
     coefficient_backed = False
+    closed_disk = True
 
     def __post_init__(self):
         for f in fields(self):
@@ -147,6 +150,7 @@ class AnnulusCover(_Spec):
     c: float
     kind = "annulus_cover"
     shorthand = ("annulus", "()")
+    closed_disk = False
 
     def _validate(self):
         if not self.c > 0.0:
@@ -193,31 +197,33 @@ def _variant(spec: FunctionSpec) -> FunctionSpec:
     return spec
 
 
-def _pointwise(formula, z, *args):
-    """formula(z, *args) at points strictly inside the disk; a scalar z
-    gives a complex, an array of points an array."""
+def _pointwise(spec: FunctionSpec, z, order: int = 0):
+    """f (order 0) or f^(order) at points of the disk, as DISK_MARGIN
+    says; a scalar z gives a complex, an array of points an array."""
+    spec = _variant(spec)
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.abs(z) < 1.0 - DISK_MARGIN):
-        raise DomainError("evaluation point must satisfy |z| < 1 - 1e-12")
-    out = formula(z, *args)
+    limit = 1.0 + DISK_MARGIN if spec.closed_disk else 1.0 - DISK_MARGIN
+    if not np.all(np.abs(z) < limit):
+        raise DomainError(f"evaluation point must satisfy |z| < {limit!r}")
+    out = spec._derivative(z, order) if order else spec._value(z)
     return out if out.shape else complex(out)
 
 
 def evaluate(spec: FunctionSpec, z):
-    """Evaluate f at a point or ndarray of points strictly inside the disk."""
-    return _pointwise(_variant(spec)._value, z)
+    """Evaluate f at a point or ndarray of points of the (closed) disk."""
+    return _pointwise(spec, z)
 
 
 def derivative(spec: FunctionSpec, z, order: int = 1):
-    """Derivative of given order at any points strictly inside the disk."""
+    """Derivative of given order at points of the disk, as evaluate."""
     if order < 1:
         raise DomainError("derivative order must be >= 1")
-    return _pointwise(_variant(spec)._derivative, z, order)
+    return _pointwise(spec, z, order)
 
 
 def second_derivative(spec: FunctionSpec, z):
     """f'' at arbitrary points (internal; used for discretization estimates)."""
-    return _pointwise(_variant(spec)._derivative, z, 2)
+    return _pointwise(spec, z, 2)
 
 
 def taylor_coefficients(spec: FunctionSpec, count: int) -> np.ndarray:
@@ -228,9 +234,11 @@ def taylor_coefficients(spec: FunctionSpec, count: int) -> np.ndarray:
 
 
 def sample_circle(spec: FunctionSpec, r: float, m: int) -> BoundarySample:
-    """Image of m equally spaced points on |z| = r, angles 2 pi k / m."""
-    if not 0.0 < r <= 1.0 - CIRCLE_MARGIN:
-        raise DomainError("circle radius must satisfy 0 < r <= 1 - 1e-9")
+    """Image of m equally spaced points on |z| = r, angles 2 pi k / m;
+    r = 1 when the variant is closed_disk."""
+    top = 1.0 if _variant(spec).closed_disk else 1.0 - CIRCLE_MARGIN
+    if not 0.0 < r <= top:
+        raise DomainError(f"circle radius must satisfy 0 < r <= {top!r}")
     if m < 1:
         raise DomainError("need at least one sample")
     angles = 2.0 * np.pi * np.arange(m) / m

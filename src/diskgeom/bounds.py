@@ -2,10 +2,10 @@
 
 Each checker returns an InequalityReport with lhs, rhs, slack and an
 equality flag at an explicit tolerance.  Open-disk quantities such as
-Diam f(D) are estimated by polynomial extrapolation of the functional
-over radii approaching 1, with a quadratic-versus-cubic stability guard;
-sampling alone cannot reach the open-disk sup.  The estimators, disk
-values and report names of the growth checks come from functionals.KINDS.
+Diam f(D) are read on the unit circle: a map analytic on the closed disk
+(spec.closed_disk) has the same sup-type functionals and area on D as on
+its closure.  The estimators, disk values and report names of the growth
+checks come from functionals.KINDS.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .analytic import (
     FunctionSpec,
     derivative,
     evaluate,
-    sample_circle,
     scale_spec,
     taylor_coefficients,
 )
@@ -36,14 +35,9 @@ from .functionals import (
 )
 
 DEFAULT_EQUALITY_TOL = 1e-6
-# Radii used to extrapolate open-disk functionals to r = 1.
-EXTRAPOLATION_RADII = (0.996, 0.997, 0.998, 0.999)
-# Boundary samples per radius there and for the Schur bound, twice the
-# estimators' default.
+# Boundary samples of the open-disk functionals and of the Schur bound,
+# twice the estimators' default.
 FINE_SAMPLES = 8192
-# Relative disagreement between quadratic and cubic extrapolation that
-# marks the estimate unstable.
-EXTRAPOLATION_GUARD = 5e-3
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -85,49 +79,22 @@ def _make_report(
     )
 
 
-def _neville_at_one(radii, values) -> float:
-    xs = [1.0 - r for r in radii]
-    table = list(values)
-    k = len(table)
-    for level in range(1, k):
-        for i in range(k - level):
-            table[i] = (xs[i + level] * table[i] - xs[i] * table[i + 1]) / (
-                xs[i + level] - xs[i]
-            )
-    return float(table[0])
-
-
 def disk_functional_estimate(spec: FunctionSpec, kind: str, n: int = 4):
-    """Open-disk functional of f(D), extrapolated from radii near 1.
+    """Open-disk functional of f(D), read on the unit circle.
 
-    Returns (value, abs_error).  The smooth boundary-driven kinds use cubic
-    extrapolation over four radii with the quadratic comparison as a
-    stability guard; area-based kinds (functionals.KINDS marks them) take
-    the scanline-section estimate at the largest radius, for cap the bracket
-    midpoint.
+    Returns (value, abs_error) of the kind's estimate at r = 1 on
+    FINE_SAMPLES samples, for cap the bracket midpoint.  NormalizationError
+    for a map analytic on the open disk only, such as the annulus cover.
     """
-    fk = functional_kind(kind)
-    radii = EXTRAPOLATION_RADII[-1:] if fk.uses_area else EXTRAPOLATION_RADII
-    fvs = [fk.estimate(spec, r, n, m=FINE_SAMPLES) for r in radii]
-    if fk.uses_area:
-        return fvs[0].value, fvs[0].abs_error
-    values = [fv.value for fv in fvs]
-    cubic = _neville_at_one(EXTRAPOLATION_RADII, values)
-    quad = _neville_at_one(EXTRAPOLATION_RADII[1:], values[1:])
-    scale = max(abs(cubic), 1e-300)
-    gap = abs(cubic - quad)
-    if gap > EXTRAPOLATION_GUARD * scale:
-        raise NormalizationError(
-            f"open-disk {kind} extrapolation unstable: cubic {cubic:.6g} vs "
-            f"quadratic {quad:.6g}"
-        )
-    err = gap + 3.0 * max(fv.abs_error for fv in fvs)
-    return cubic, err
+    if not spec.closed_disk:
+        raise NormalizationError(f"{spec.kind} is not analytic on the closed disk")
+    fv = functional_kind(kind).estimate(spec, 1.0, n, m=FINE_SAMPLES)
+    return fv.value, fv.abs_error
 
 
 def normalize_spec(spec: FunctionSpec, kind: str = "diam", n: int = 4):
-    """Rescale a coefficient-backed spec so its open-disk functional hits
-    the disk value (Diam 2, Rad 1, and so on).  Returns the new spec."""
+    """Rescale a coefficient-backed spec so its open-disk functional, read
+    on the unit circle, hits the disk value (Diam 2, Rad 1, and so on)."""
     fk = functional_kind(kind)
     value, _ = disk_functional_estimate(spec, kind, n=n)
     if value <= 0.0:
@@ -142,8 +109,8 @@ def check_growth(
     """Schwarz-type growth inequality: functional of f(r D) against its
     value on r D, for specs normalized to the unit-disk value.
 
-    Raises NormalizationError when the extrapolated unit-disk functional
-    deviates from the disk value by more than one percent.
+    Raises NormalizationError when the unit-disk functional, read on the
+    unit circle, deviates from the disk value by more than one percent.
     """
     fk = functional_kind(kind)
     disk_target = fk.norm(1.0, n)
@@ -172,7 +139,7 @@ def check_don(
     """Two-point bound |f(z) - f(0)| <= 2|z|/(1 + sqrt(1 - |z|^2)) for
     maps with Diam f(D) <= 2.
 
-    The diameter precondition is checked by extrapolation unless a
+    The diameter precondition is checked on the unit circle unless a
     precomputed estimate is supplied.  Equality holds only for disk
     automorphism images at the single point z = 2b/(1 + |b|^2).
     """
@@ -251,17 +218,15 @@ def check_schur(
     """Second-order Schwarz bound for maps with sup |(f(z) - f(0))/z| <= 1:
     max over |z| <= r of |f(z) - f(0) - f'(0) z| against
     (1 - |f'(0)|^2) r^2 / (1 - |f'(0)| r), both sides on FINE_SAMPLES
-    circle samples.
+    circle samples.  By the maximum principle the sup is Rad f(D), which
+    disk_functional_estimate reads on the unit circle.
     """
     if not (0.0 < r < 1.0):
         raise DomainError("r must lie in (0, 1)")
+    sup, _ = disk_functional_estimate(spec, "rad")
+    if sup > 1.0 + max(tol, 1e-9):
+        raise NormalizationError(f"sup |(f(z) - f(0))/z| is about {sup:.6g}, above 1")
     f0 = complex(evaluate(spec, 0.0))
-    probe = sample_circle(spec, 0.999, FINE_SAMPLES)
-    ratio = np.abs(probe.values - f0) / 0.999
-    if float(np.max(ratio)) > 1.0 + max(tol, 1e-9):
-        raise NormalizationError(
-            f"sup |(f(z) - f(0))/z| is about {float(np.max(ratio)):.6g}, above 1"
-        )
     a = complex(derivative(spec, 0.0))
     lhs, err, _ = _circle_max(spec, r, FINE_SAMPLES, f0, a)
     rhs = (1.0 - abs(a) ** 2) * r * r / (1.0 - abs(a) * r)

@@ -18,9 +18,9 @@ positive, summed from exact horizontal sections of the polyline, and f is
 injective on r D exactly when f' has no zeros there and f(r T) is a simple
 curve (Darboux-Picard).
 
-SciPy is imported on first use, by the stand-ins minimize, cKDTree and quad.
-The polish runs its Newton method, _newton, through minimize as a custom
-method, so a wrapper of that binding still sees every polish.
+SciPy is imported on first use, by the stand-ins cKDTree and quad.  The
+polish runs its own Newton method, minimize, through the module binding, so
+a wrapper of that binding sees every polish.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .quadrature import _lazy_scipy, integrate
 
-minimize = _lazy_scipy("optimize", "minimize")
 cKDTree = _lazy_scipy("spatial", "cKDTree")
 
 DEFAULT_SAMPLES = 4096
@@ -259,8 +258,8 @@ def _exchange(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _newton(fun, x0, **_):
-    """Modified Newton descent, a custom method of scipy.optimize.minimize.
+def minimize(fun, x0):
+    """Modified Newton descent of fun from x0.
 
     fun(x) returns (value, gradient, Hessian).  Each step solves with the
     Hessian's eigenvalues replaced by |lambda|, floored at 1e-12 (1 + max
@@ -336,7 +335,7 @@ def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     exact gradient and Hessian of _neg_log_sum resolves it.  Returns (log
     objective, image points, angles).
     """
-    theta = minimize(partial(_neg_log_sum, spec, r), angles0, method=_newton).x
+    theta = minimize(partial(_neg_log_sum, spec, r), angles0).x
     w = evaluate(spec, r * np.exp(1j * theta))
     return _log_objective(w, np.arange(angles0.size)), w, theta
 
@@ -792,7 +791,7 @@ class FunctionalKind:
     estimator(spec, r, n, **knobs) estimates F(f(r D)) from the knobs it
     uses; norm(r, n) is F(r D), so norm(1, n) is the unit-disk value, and
     `normalization` labels it.  uses_area marks the kinds that read an area
-    method; they are too rough in r to extrapolate to the open disk.
+    method; a growth curve resolves "auto" for them once, at its outer radius.
     Growth curves plot the interval's upper end when upper_endpoint is set;
     F scales as |s|^2 under f -> s f when squared is set.  `report` names
     the growth inequality report.

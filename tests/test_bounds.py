@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from diskgeom import (
+    AnnulusCover,
+    DomainError,
     InequalityReport,
     Moebius,
     NormalizationError,
@@ -26,8 +28,10 @@ from diskgeom import (
     check_schur,
     disk_functional_estimate,
     diameter,
+    evaluate,
     normalize_spec,
     report_to_json,
+    sample_circle,
 )
 
 SEED = 20260815
@@ -75,10 +79,31 @@ def test_disk_estimate_identity_radius():
     assert err <= 1e-6
 
 
-def test_disk_estimate_high_degree_monomial():
-    # Steep boundary growth near r = 1 must survive the stability guard.
-    value, _ = disk_functional_estimate(Polynomial((0.0,) * 8 + (1.0,)), "diam")
-    assert abs(value - 2.0) <= 1e-4
+@pytest.mark.parametrize("spec, rad", [
+    *(pytest.param(Polynomial((0.0,) * k + (1.0,)), 1.0, id=f"z{k}") for k in (*range(1, 9), 50)),
+    *(pytest.param(Moebius(0.0, b, 1.0), 1.0 + b, id=f"moebius{b}") for b in (0.5, 0.9, 0.99)),
+])
+def test_disk_estimate_closed_forms(spec, rad):
+    # Each map takes the closed disk onto the closed unit disk (z^k covers
+    # it k times), with f(0) at distance rad - 1 from its centre.
+    for kind, exact in (("rad", rad), ("diam", 2.0), ("area", math.pi)):
+        value, err = disk_functional_estimate(spec, kind)
+        assert abs(value - exact) <= err, kind
+
+
+def test_open_disk_functionals_need_a_closed_disk_map():
+    # The annulus cover is analytic on the open disk only.
+    for kind in ("rad", "diam", "ndiam", "cap", "area", "perim"):
+        with pytest.raises(NormalizationError):
+            disk_functional_estimate(AnnulusCover(1.0), kind)
+    with pytest.raises(DomainError):
+        evaluate(AnnulusCover(1.0), 1.0)
+    with pytest.raises(DomainError):
+        sample_circle(AnnulusCover(1.0), 1.0, 8)
+    p = Polynomial((0.0, 1.0, 0.2))
+    assert evaluate(p, 1.0) == 1.2
+    z = np.exp(0.5j * np.pi * np.arange(4))
+    assert np.allclose(sample_circle(p, 1.0, 4).values, z + 0.2 * z * z, rtol=0.0, atol=1e-15)
 
 
 def test_normalize_spec_diam():
@@ -200,6 +225,19 @@ def test_schur_strict_for_small_multiple():
     rep = check_schur(Polynomial((0.0, 0.0, 0.5)), 0.5, tol=EQ_TOL)
     assert rep.passed
     assert not rep.equality
+
+
+def test_schur_probes_the_unit_circle():
+    # sup |(f(z) - f(0))/z| = 0.99 + 0.0105 = 1.0005 is reached on the
+    # circle; at r = 0.999 the z^100 term has shrunk by a tenth.
+    with pytest.raises(NormalizationError):
+        check_schur(Polynomial((0.0, 0.99) + (0.0,) * 99 + (0.0105,)), 0.5)
+
+
+def test_schur_rejects_the_annulus_cover():
+    # Its sup over D is 2, approached only at z = +-1, outside its domain.
+    with pytest.raises(NormalizationError):
+        check_schur(AnnulusCover(0.002), 0.5)
 
 
 def test_schur_rejects_unbounded():

@@ -489,7 +489,7 @@ def test_newton_halves_steps_that_overshoot():
         values.append(float(np.sqrt(1.0 + x[0] ** 2)))
         return values[-1], x / values[-1], np.array([[values[-1] ** -3]])
 
-    res = functionals._newton(fun, np.array([2.0]))
+    res = functionals.minimize(fun, np.array([2.0]))
     assert res.nfev == len(values)
     assert abs(res.x[0]) <= 1e-6
     assert res.fun == fun(res.x)[0] <= values[0]
