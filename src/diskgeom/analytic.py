@@ -87,11 +87,19 @@ class Polynomial(_Spec):
     def from_args(cls, args):
         return cls(tuple(args))
 
+    def _series(self, order):
+        """Coefficients of f^(order), built once per spec: a cache keyed on
+        equal coefficient tuples would merge 0.0 and -0.0."""
+        cache = self.__dict__.setdefault("_series_cache", {})
+        if order not in cache:
+            cache[order] = series_derivative(np.asarray(self.coeffs), order)
+        return cache[order]
+
     def _value(self, z):
-        return series_eval(np.asarray(self.coeffs), z)
+        return series_eval(self._series(0), z)
 
     def _derivative(self, z, order):
-        return series_eval(series_derivative(np.asarray(self.coeffs), order), z)
+        return series_eval(self._series(order), z)
 
     def _taylor(self, count):
         return np.array((self.coeffs + (0j,) * count)[:count], dtype=complex)
@@ -203,7 +211,7 @@ def _pointwise(spec: FunctionSpec, z, order: int = 0):
     spec = _variant(spec)
     z = np.asarray(z, dtype=complex)
     limit = 1.0 + DISK_MARGIN if spec.closed_disk else 1.0 - DISK_MARGIN
-    if not np.all(np.abs(z) < limit):
+    if not (np.abs(z) < limit).all():
         raise DomainError(f"evaluation point must satisfy |z| < {limit!r}")
     out = spec._derivative(z, order) if order else spec._value(z)
     return out if out.shape else complex(out)

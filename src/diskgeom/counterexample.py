@@ -63,25 +63,27 @@ def univalence_threshold(c: float) -> float:
     return math.tanh(math.pi / (2.0 * c))
 
 
-def _logcosh(y: float) -> float:
-    y = abs(y)
-    return y + math.log1p(math.exp(-2.0 * y)) - math.log(2.0)
+def _logcosh(y):
+    y = np.abs(y)
+    return y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0)
 
 
 def _area_from_s(c: float, s: float, quad_tol: float) -> float:
-    """A as a function of s = 2 atanh r, valid in both regimes."""
+    """A as a function of s = 2 atanh r, valid in both regimes.
+
+    The integrand vanishes like a square root at t = c s, so the quadrature
+    runs in u with t = t_end (1 - u^2), on which it is smooth.
+    """
     if s <= 0.0:
         return 0.0
     log_cosh_s = _logcosh(s)
     t_end = min(c * s, math.pi)
 
-    def integrand(t: float) -> float:
-        ratio_log = _logcosh(t / c) - log_cosh_s
-        if ratio_log >= 0.0:
-            return 0.0
-        return 2.0 * math.sinh(2.0 * c * math.acos(math.exp(ratio_log)))
+    def integrand(u: np.ndarray) -> np.ndarray:
+        ratio_log = np.minimum(_logcosh(t_end * (1.0 - u * u) / c) - log_cosh_s, 0.0)
+        return 4.0 * t_end * u * np.sinh(2.0 * c * np.arccos(np.exp(ratio_log)))
 
-    value, _ = integrate(integrand, 0.0, t_end, abs_tol=quad_tol)
+    value, _ = integrate(integrand, 0.0, 1.0, abs_tol=quad_tol)
     return value
 
 
@@ -187,10 +189,8 @@ def limit_target(x: float) -> float:
     if not (0.0 < x <= 1.0):
         raise DomainError("x must lie in (0, 1]")
 
-    def integrand(u: float) -> float:
-        if u == 0.0:
-            return 1.0
-        return math.asin(u) / u
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return np.divide(np.arcsin(u), u, out=np.ones_like(u), where=u != 0.0)
 
     value, _ = integrate(integrand, 0.0, x, abs_tol=TARGET_QUAD_TOL)
     return -value

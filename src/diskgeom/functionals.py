@@ -18,13 +18,14 @@ positive, summed from exact horizontal sections of the polyline, and f is
 injective on r D exactly when f' has no zeros there and f(r T) is a simple
 curve (Darboux-Picard).
 
-SciPy is imported on first use, by the stand-ins cKDTree and quad.  The
-polish runs its own Newton method, minimize, through the module binding, so
-a wrapper of that binding sees every polish.
+SciPy is imported on first use, by the stand-in cKDTree of the univalence
+test, its only use.  The polish runs its own Newton method, minimize,
+through the module binding, so a wrapper of that binding sees every polish.
 """
 
 from __future__ import annotations
 
+import importlib
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cache, partial, reduce
@@ -42,7 +43,17 @@ from .errors import (
     ResourceError,
     UnsupportedError,
 )
-from .quadrature import _lazy_scipy, integrate
+from .quadrature import integrate
+
+
+def _lazy_scipy(module: str, name: str):
+    """scipy.<module>.<name>, imported on first call; a wrapper of the binding sees every call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"scipy.{module}"), name)(*args, **kwargs)
+
+    call.__module__, call.__name__, call.__qualname__ = f"scipy.{module}", name, name
+    return call
+
 
 cKDTree = _lazy_scipy("spatial", "cKDTree")
 
@@ -572,15 +583,16 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
 
 def circle_image_length(spec: FunctionSpec, r: float) -> FunctionalValue:
     """Length of the curve f(r T) counting multiplicity: integral of |f'| r,
-    by quadrature to LENGTH_QUAD_TOL.  The error estimate is QUADPACK's,
-    floored at the tolerance asked for, which QUADPACK's can undercut.
+    by adaptive Gauss-Kronrod quadrature to LENGTH_QUAD_TOL, one derivative
+    call per pass.  The error estimate is QUADPACK's, floored at the
+    tolerance asked for, which QUADPACK's can undercut.
 
     Always an upper bound for the perimeter of the image set; equals it
     when f is injective on the closed disk of radius r.
     """
 
-    def integrand(theta: float) -> float:
-        return abs(complex(derivative(spec, r * np.exp(1j * theta)))) * r
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        return np.abs(derivative(spec, r * np.exp(1j * theta))) * r
 
     value, err = integrate(integrand, 0.0, 2.0 * np.pi, abs_tol=LENGTH_QUAD_TOL)
     err = max(err, LENGTH_QUAD_TOL * max(1.0, abs(value)))

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from diskgeom import (
     Moebius,
     Polynomial,
     PowerSeries,
+    QuadratureError,
     UnsupportedError,
     derivative,
     evaluate,
@@ -271,3 +273,58 @@ def test_integrate_known_value():
     value, err = integrate(np.sin, 0.0, np.pi)
     assert abs(value - 2.0) <= 1e-10
     assert err <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-5.0, 5.0),
+    length=st.floats(0.1, 6.0),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=11),
+    rate=st.floats(0.1, 3.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_integrate_error_covers_closed_forms(a, length, coeffs, rate, sign):
+    # A trigonometric polynomial a0 + sum (c_k cos kx + s_k sin kx) and
+    # exp(lam x), each against its antiderivative in 40 digits.
+    b = a + length
+    cos_k, sin_k = coeffs[1::2], coeffs[2::2]
+
+    def trig(x):
+        out = np.full_like(x, coeffs[0])
+        for k, (c, s) in enumerate(zip(cos_k, sin_k), start=1):
+            out += c * np.cos(k * x) + s * np.sin(k * x)
+        return out
+
+    lam = sign * rate
+    with mpmath.workdps(40):
+        def trig_prim(x):
+            x = mpmath.mpf(x)
+            return coeffs[0] * x + mpmath.fsum(
+                (c * mpmath.sin(k * x) - s * mpmath.cos(k * x)) / k
+                for k, (c, s) in enumerate(zip(cos_k, sin_k), start=1)
+            )
+
+        cases = [
+            (trig, trig_prim(b) - trig_prim(a)),
+            (lambda x: np.exp(lam * x), (mpmath.exp(lam * mpmath.mpf(b)) - mpmath.exp(lam * mpmath.mpf(a))) / lam),
+        ]
+        for fn, exact in cases:
+            value, err = integrate(fn, a, b)
+            assert abs(mpmath.mpf(value) - exact) <= err
+
+
+def test_integrate_square_root_endpoint():
+    value, err = integrate(lambda x: np.sqrt(1.0 - x), 0.0, 1.0)
+    assert abs(value - 2.0 / 3.0) <= err
+
+
+def test_integrate_raises_when_the_tolerance_is_out_of_reach():
+    def pole(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (x - 0.5) ** 2
+
+    # The pole makes a node's value infinite; 400 intervals cannot resolve
+    # the oscillation, so its error estimate stays far above the tolerance.
+    for fn in (pole, lambda x: np.sin(1e6 * x)):
+        with pytest.raises(QuadratureError):
+            integrate(fn, 0.0, 1.0)
