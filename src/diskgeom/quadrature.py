@@ -58,26 +58,25 @@ def _qk15(fn, lo: np.ndarray, hi: np.ndarray):
         resabs = np.abs(f) @ KRONROD * half
         resasc = np.abs(f - 0.5 * resk[:, None]) @ KRONROD * half
         err = np.abs(resk - f @ GAUSS) * half
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
         err = np.maximum(err, 50.0 * EPS * resabs)
         value = resk * half
         return value, np.where(np.isfinite(value + err), err, np.inf)
 
 
-def quad(fn, a: float, b: float, tol: float, limit: int = MAX_INTERVALS):
+def quad(fn, a: float, b: float, tol: float):
     """(value, error) of the integral of fn over [a, b], with a < b: passes
-    of bisection until the summed error is within tol max(1, |I|) or the
-    interval count reaches limit (the worst intervals are split first)."""
+    of bisection until the summed error is within tol max(1, |I|) or there
+    are MAX_INTERVALS intervals (the worst are split first)."""
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     value, err = _qk15(fn, lo, hi)
     while True:
         total, error = float(value.sum()), float(err.sum())
         budget = tol * max(1.0, abs(total))
-        if error <= budget or lo.size >= limit:
+        if error <= budget or lo.size >= MAX_INTERVALS:
             return total, error
         split = np.flatnonzero(err > budget / lo.size)
-        split = split[np.argsort(-err[split], kind="stable")[: limit - lo.size]]
+        split = split[np.argsort(-err[split], kind="stable")[: MAX_INTERVALS - lo.size]]
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
         mid = 0.5 * (lo[split] + hi[split])
