@@ -77,6 +77,7 @@ CASES = {
     "fekete": ["fekete", "--spec", "poly[0,1]"],
     "fekete_json": ["fekete", "--spec", "poly[0,1]", "--format", "json"],
     "identities": ["identities", "--n-max", "16"],
+    "identities_default": ["identities"],
     "identities_csv": ["identities", "--n-max", "16", "--format", "csv"],
 }
 
