@@ -17,6 +17,7 @@ import numpy as np
 
 from .bounds import InequalityReport, _make_report
 from .errors import ConditioningWarning, DomainError
+from .functionals import _pairs
 
 VANDERMONDE_MAX_N = 64
 VANDERMONDE_REL_TOL = 1e-9
@@ -25,6 +26,29 @@ SECOND_SUM_TOL = 1e-11
 # Pairwise gaps below this trigger a ConditioningWarning in the
 # determinant comparison.
 NEAR_COINCIDENT_GAP = 1e-6
+
+
+def _gaps(points) -> np.ndarray:
+    """|p_i - p_j| over the pairs i < j."""
+    pts = np.asarray(points)
+    rows, cols = _pairs(pts.size)
+    return np.abs(pts[rows] - pts[cols])
+
+
+def _log_abs_det(points) -> float:
+    """log |det V| of the points' Vandermonde matrix, -inf when it is
+    singular; DomainError above VANDERMONDE_MAX_N points."""
+    n = len(points)
+    if n > VANDERMONDE_MAX_N:
+        raise DomainError(f"n must be <= {VANDERMONDE_MAX_N}")
+    return float(np.linalg.slogdet(np.vander(np.asarray(points), n, increasing=True))[1])
+
+
+def _exact_sum(terms: np.ndarray, expected: float):
+    """(sum, expected, residual) of complex terms, with the real and
+    imaginary parts each summed by math.fsum."""
+    total = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return total, complex(expected, 0.0), abs(total - expected)
 
 
 @dataclass(frozen=True)
@@ -36,15 +60,11 @@ class PointTuple:
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        n = len(pts)
-        if n < 2:
+        if len(pts) < 2:
             raise DomainError("need at least two points")
         if any(abs(p) > 1.0 + 1e-12 for p in pts):
             raise DomainError("points must lie in the closed unit disk")
-        arr = np.asarray(pts)
-        diff = np.abs(arr[:, None] - arr[None, :])
-        iu = np.triu_indices(n, k=1)
-        if float(np.min(diff[iu])) <= 1e-12:
+        if float(np.min(_gaps(pts))) <= 1e-12:
             raise DomainError("points must be pairwise distinct")
 
     def __len__(self) -> int:
@@ -66,25 +86,16 @@ def vandermonde_check(t: PointTuple):
     domain, so n = 64 near-extremal tuples stay in range.
     """
     n = len(t)
-    if n > VANDERMONDE_MAX_N:
-        raise DomainError(f"n must be <= {VANDERMONDE_MAX_N}")
-    pts = np.asarray(t.points)
-    diff = np.abs(pts[:, None] - pts[None, :])
-    iu = np.triu_indices(n, k=1)
-    gaps = diff[iu]
+    logdet = _log_abs_det(t.points)
+    gaps = _gaps(t.points)
     if float(np.min(gaps)) < NEAR_COINCIDENT_GAP:
         warnings.warn(
             "near-coincident points make the Vandermonde comparison ill-conditioned",
             ConditioningWarning,
         )
     log_product = float(np.sum(np.log(gaps)))
-    vand = np.vander(pts, n, increasing=True)
-    sign, logdet = np.linalg.slogdet(vand)
-    product = math.exp(log_product)
-    det_abs = math.exp(logdet) if sign != 0 else 0.0
-    rel = abs(log_product - logdet)
-    match = bool(rel <= VANDERMONDE_REL_TOL * n * n)
-    return product, det_abs, match
+    match = bool(abs(log_product - logdet) <= VANDERMONDE_REL_TOL * n * n)
+    return math.exp(log_product), math.exp(logdet), match
 
 
 def hadamard_bound_check(t: PointTuple) -> InequalityReport:
@@ -92,11 +103,7 @@ def hadamard_bound_check(t: PointTuple) -> InequalityReport:
     tolerance of VANDERMONDE_REL_TOL n^2; equality holds exactly for
     rotated roots of unity."""
     n = len(t)
-    if n > VANDERMONDE_MAX_N:
-        raise DomainError(f"n must be <= {VANDERMONDE_MAX_N}")
-    vand = np.vander(np.asarray(t.points), n, increasing=True)
-    sign, logdet = np.linalg.slogdet(vand)
-    lhs = math.exp(logdet) if sign != 0 else 0.0
+    lhs = math.exp(_log_abs_det(t.points))
     rhs = float(n) ** (n / 2.0)
     tol = VANDERMONDE_REL_TOL * n * n * rhs
     return _make_report("Hadamard", lhs, rhs, tol, {"n": n})
@@ -111,15 +118,8 @@ def roots_of_unity_sum(n: int, j: int):
     """
     if not 1 <= j <= n:
         raise DomainError("need 1 <= j <= n")
-    alpha = roots_of_unity(n)
-    terms = [
-        (1.0 - alpha[(j * k) % n]) / (1.0 - alpha[k]) for k in range(1, n)
-    ]
-    total = complex(
-        math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)
-    )
-    expected = complex(n - j, 0.0)
-    return total, expected, abs(total - expected)
+    alpha, k = roots_of_unity(n), np.arange(1, n)
+    return _exact_sum((1.0 - alpha[j * k % n]) / (1.0 - alpha[k]), n - j)
 
 
 def second_sum(n: int, p: int):
@@ -130,16 +130,12 @@ def second_sum(n: int, p: int):
     """
     if not 1 <= p <= n:
         raise DomainError("need 1 <= p <= n")
-    alpha = roots_of_unity(n)
-    terms = [
-        (1.0 - alpha[(k * p) % n]) / (1.0 - alpha[k]) ** 2 for k in range(1, n)
-    ]
-    total = complex(
-        math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)
-    )
+    alpha, k = roots_of_unity(n), np.arange(1, n)
     a_const = (n - 1) / 2.0
-    expected = complex(p * a_const - (n - p / 2.0) * (p - 1), 0.0)
-    return total, expected, abs(total - expected)
+    return _exact_sum(
+        (1.0 - alpha[k * p % n]) / (1.0 - alpha[k]) ** 2,
+        p * a_const - (n - p / 2.0) * (p - 1),
+    )
 
 
 def fekete_witness_is_roots(witness, tol: float) -> bool:
@@ -168,12 +164,9 @@ def fekete_witness_is_roots(witness, tol: float) -> bool:
         rotation = unit[0]
     else:
         rotation = cmath.exp(1j * cmath.phase(mean_power) / n)
-    roots = scale * rotation * np.exp(2j * np.pi * np.arange(n) / n)
+    roots = scale * rotation * roots_of_unity(n)
     ordered = pts[np.argsort(np.angle(pts / rotation))]
-    best = np.inf
-    for shift in range(n):
-        dev = float(np.max(np.abs(np.roll(ordered, -shift) - roots)))
-        best = min(best, dev)
+    best = min(float(np.max(np.abs(np.roll(ordered, -s) - roots))) for s in range(n))
     return bool(best <= tol * max(1.0, scale))
 
 
