@@ -64,15 +64,18 @@ def univalence_threshold(c: float) -> float:
 
 
 def _logcosh(y):
+    """log cosh y, as log1p(2 sinh^2(y/2)) below |y| = 1, where the other form cancels."""
     y = np.abs(y)
-    return y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0)
+    small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(y, 1.0)) ** 2)
+    return np.where(y < 1.0, small, y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0))
 
 
 def _area_from_s(c: float, s: float, quad_tol: float) -> float:
     """A as a function of s = 2 atanh r, valid in both regimes.
 
     The integrand vanishes like a square root at t = c s, so the quadrature
-    runs in u with t = t_end (1 - u^2), on which it is smooth.
+    runs in u with t = t_end (1 - u^2), on which it is smooth.  arccos(e^x)
+    is 2 arcsin(sqrt(-expm1(x) / 2)), which keeps its digits as x -> 0.
     """
     if s <= 0.0:
         return 0.0
@@ -81,7 +84,8 @@ def _area_from_s(c: float, s: float, quad_tol: float) -> float:
 
     def integrand(u: np.ndarray) -> np.ndarray:
         ratio_log = np.minimum(_logcosh(t_end * (1.0 - u * u) / c) - log_cosh_s, 0.0)
-        return 4.0 * t_end * u * np.sinh(2.0 * c * np.arccos(np.exp(ratio_log)))
+        angle = 2.0 * np.arcsin(np.sqrt(-0.5 * np.expm1(ratio_log)))
+        return 4.0 * t_end * u * np.sinh(2.0 * c * angle)
 
     value, _ = integrate(integrand, 0.0, 1.0, abs_tol=quad_tol)
     return value
@@ -135,7 +139,11 @@ def _log_shrink_rate(c: float) -> float:
 
 
 def _s_of_x(x: float, rate: float) -> float:
-    """s = 2 atanh(e^(-x rate)) without forming 1 - r."""
+    """s = 2 atanh(r), r = e^(-x rate); above r = 1/2 as log(2 - d) - log(d)
+    with d = 1 - r from expm1, and directly below, where that cancels."""
+    r = math.exp(-x * rate)
+    if r < 0.5:
+        return 2.0 * math.atanh(r)
     d = -math.expm1(-x * rate)
     return math.log(2.0 - d) - math.log(d)
 
@@ -153,6 +161,7 @@ def check_not_log_convex(
     The grid is uniform in x = -log r / log coth(pi/(2c)), so x = 1 is
     the threshold and uniform x is geometric in r.  A negative second
     difference below 10 quad_tol exhibits the log-convexity failure.
+    DomainError when an area underflows, or is otherwise not positive and finite.
     """
     if points < 3:
         raise DomainError("need at least 3 grid points")
@@ -163,6 +172,8 @@ def check_not_log_convex(
     rate = _log_shrink_rate(c)
     xs = np.linspace(x_min, x_max, points)
     areas = np.array([_area_from_s(c, _s_of_x(float(x), rate), quad_tol) for x in xs])
+    if not (np.isfinite(areas) & (areas > 0.0)).all():
+        raise DomainError(f"an area on the grid is not positive and finite: {areas.tolist()}")
     # Reverse to increasing radius (x increasing means r decreasing).
     xs_r = xs[::-1]
     areas_r = areas[::-1]

@@ -7,7 +7,9 @@ series, and for small c its log develops a concave kink at the
 threshold.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from diskgeom import (
     limit_target,
     univalence_threshold,
 )
+from diskgeom.cli import main
 
 AGREE_TOL = 1e-8
 # Known value of the limit profile at x = 1: -(pi / 2) log 2.
@@ -99,6 +102,44 @@ def test_small_c_path_is_stable():
     # positive across the threshold.
     run = check_not_log_convex(0.01, x_min=0.5, x_max=1.5, points=7)
     assert all(math.isfinite(a) and a > 0.0 for a in run.A_values)
+
+
+def test_small_radii_keep_their_digits():
+    # At c = 300 the grid reaches r = 3.9e-10, where A = 4 pi c^2 r^2
+    # (1 + 2 c^2 r^2 + ...); the first two radii put the correction below
+    # 1e-9, and the areas match the two-term expansion to rounding.
+    c = 300.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = check_not_log_convex(c, points=5)
+    for r, a in list(zip(run.r_grid, run.A_values))[:2]:
+        leading = 4.0 * math.pi * c * c * r * r
+        assert a == pytest.approx(leading, rel=1e-9)
+        assert a == pytest.approx(leading * (1.0 + 2.0 * c * c * r * r), rel=1e-12)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_small_radii_print_strict_json(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["counterexample", "--c", "300", "--points", "5", "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert all(a > 0.0 for a in payload["A"])
+
+
+def test_underflowing_area_is_a_domain_error(capsys):
+    # r = 7.9e-229 at x = 100 puts the area below the smallest double.
+    with pytest.raises(DomainError):
+        check_not_log_convex(300.0, points=3, x_max=100.0)
+    code = main(["counterexample", "--c", "300", "--points", "3", "--x-max", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DomainError"
 
 
 def test_limit_target_closed_form_at_one():
