@@ -346,9 +346,8 @@ def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
     exact gradient and Hessian of _neg_log_sum resolves it.  Returns (log
     objective, image points, angles).
     """
-    theta = minimize(partial(_neg_log_sum, spec, r), angles0).x
-    w = evaluate(spec, r * np.exp(1j * theta))
-    return _log_objective(w, np.arange(angles0.size)), w, theta
+    result = minimize(partial(_neg_log_sum, spec, r), angles0)
+    return -result.fun, evaluate(spec, r * np.exp(1j * result.x)), result.x
 
 
 def n_diameter(
