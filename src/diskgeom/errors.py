@@ -17,10 +17,6 @@ class ResourceError(DiskGeomError):
     """A computation would exceed its sample or memory budget."""
 
 
-class UnivalenceError(DiskGeomError):
-    """Operation requires an injective map, but the sampled check failed."""
-
-
 class NormalizationError(DiskGeomError):
     """Caller-supplied spec does not satisfy the required normalization."""
 
