@@ -44,6 +44,8 @@ KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
 GAUSS = np.zeros(15)
 GAUSS[1::2] = _WG + _WG[-2::-1]
 EPS = np.finfo(float).eps
+# The spacing of subnormal floats, where EPS times a value underflows.
+TINY = np.finfo(float).smallest_subnormal
 
 
 def _qk15(fn, lo: np.ndarray, hi: np.ndarray):
@@ -59,7 +61,7 @@ def _qk15(fn, lo: np.ndarray, hi: np.ndarray):
         resasc = np.abs(f - 0.5 * resk[:, None]) @ KRONROD * half
         err = np.abs(resk - f @ GAUSS) * half
         err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
-        err = np.maximum(err, 50.0 * EPS * resabs)
+        err = np.maximum(err, 50.0 * (EPS * resabs + TINY))
         value = resk * half
         return value, np.where(np.isfinite(value + err), err, np.inf)
 
