@@ -172,8 +172,8 @@ def check_not_log_convex(
     rate = _log_shrink_rate(c)
     xs = np.linspace(x_min, x_max, points)
     areas = np.array([_area_from_s(c, _s_of_x(float(x), rate), quad_tol) for x in xs])
-    if not (np.isfinite(areas) & (areas > 0.0)).all():
-        raise DomainError(f"an area on the grid is not positive and finite: {areas.tolist()}")
+    if not (ok := np.isfinite(areas) & (areas > 0.0)).all():
+        raise DomainError(f"{np.sum(~ok)} of the {points} areas are not positive and finite")
     # Reverse to increasing radius (x increasing means r decreasing).
     xs_r = xs[::-1]
     areas_r = areas[::-1]
