@@ -192,11 +192,13 @@ SPEC_KINDS = {cls.kind: cls for cls in (Polynomial, PowerSeries, Moebius, Annulu
 
 @dataclass(frozen=True)
 class BoundarySample:
-    """Image samples of a circle |z| = r under a spec."""
+    """Image samples of a circle |z| = r under a spec: the sample points
+    r e^(i angles) and their images."""
 
     r: float
     angles: np.ndarray
     values: np.ndarray
+    points: np.ndarray
 
 
 def _variant(spec: FunctionSpec) -> FunctionSpec:
@@ -250,8 +252,8 @@ def sample_circle(spec: FunctionSpec, r: float, m: int) -> BoundarySample:
     if m < 1:
         raise DomainError("need at least one sample")
     angles = 2.0 * np.pi * np.arange(m) / m
-    values = evaluate(spec, r * np.exp(1j * angles))
-    return BoundarySample(r=float(r), angles=angles, values=np.asarray(values))
+    points = r * np.exp(1j * angles)
+    return BoundarySample(r=float(r), angles=angles, values=evaluate(spec, points), points=points)
 
 
 def scale_spec(spec: FunctionSpec, s: complex) -> FunctionSpec:

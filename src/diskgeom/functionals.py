@@ -139,7 +139,7 @@ def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: com
     sampled at spacing 2 pi / m.  Returns (value, abs_error, f at the max).
     """
     sample = sample_circle(spec, r, m)
-    zs = r * np.exp(1j * sample.angles)
+    zs = sample.points
     g = np.abs(sample.values - shift - slope * zs)
     k = int(np.argmax(g))
     value = float(g[k])
@@ -198,7 +198,7 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
     stride = max(1, m // COARSE_SAMPLES)
     wc = w[::stride]
     dc = np.abs(wc[:, None] - wc[None, :])
-    maxima, dtheta = _derivative_maxima(spec, r * np.exp(1j * sample.angles)), 2.0 * np.pi / m
+    maxima, dtheta = _derivative_maxima(spec, sample.points), 2.0 * np.pi / m
     limit = dc.max() - _curvature(r, maxima, dc.max()) * (stride * dtheta) ** 2
     ci, cj = np.nonzero(dc >= limit)
     peak = ci < cj

@@ -183,6 +183,9 @@ def test_sample_circle_shapes_and_values():
     sample = sample_circle(p, 0.5, 64)
     assert sample.values.shape == (64,)
     assert np.max(np.abs(np.abs(sample.values) - 0.5)) <= EXACT
+    # The sample points are the ones evaluated, bit for bit.
+    assert np.array_equal(sample.points, 0.5 * np.exp(1j * sample.angles))
+    assert np.array_equal(sample.values, evaluate(p, sample.points))
 
 
 def test_scale_spec_divides_image():
