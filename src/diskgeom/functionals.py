@@ -6,8 +6,8 @@ n-point diameter by multi-start exchange optimization, perimeter by
 quadrature of |f'| over the circle, and a two-sided capacity bracket.
 The diameter (all pairs) and the n-diameter (exchange, its restarts run
 together as the rows of one index array) search a subgrid of about
-COARSE_SAMPLES circle samples for basins and polish the best few with one
-Newton ascent over boundary angles, _polish_tuple.
+COARSE_SAMPLES circle samples for basins and polish the best few together,
+as the rows of one Newton ascent over boundary angles, _polish_tuples.
 KINDS holds, for each functional kind, its estimator call and normalizer;
 growth curves, growth checks and the CLI all read them from there.
 
@@ -185,9 +185,10 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
     the torus of angle pairs and lies within curv dtc^2 of the largest,
     where dtc is the subgrid step: the diametral pair has a subgrid pair
     within dtc / 2 of each end.  The POLISHED farthest start from the
-    farthest sample pair within a subgrid step of them and go to the tuple
-    polish of n_diameter at n = 2, which maximizes log|p - q| over the two
-    boundary angles; a later polish wins only by more than rounding.
+    farthest sample pair within a subgrid step of them and go, as the rows
+    of one call, to the tuple polish of n_diameter at n = 2, which maximizes
+    log|p - q| over the two boundary angles; a later row wins only by more
+    than rounding.
     """
     sample = sample_circle(spec, r, m)
     w = sample.values
@@ -205,7 +206,7 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
     for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
         peak &= dc[ci, cj] >= dc[(ci + di) % wc.size, (cj + dj) % wc.size]
     ci, cj = ci[peak], cj[peak]
-    value, witness, best = 0.0, None, None
+    value, witness, starts = 0.0, None, []
     for k in np.argsort(-dc[ci, cj], kind="stable")[:POLISHED]:
         rows, cols = ((c * stride + np.arange(-stride, stride + 1)) % m for c in (ci[k], cj[k]))
         diff = w[rows][:, None] - w[cols][None, :]
@@ -213,7 +214,9 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
         i, j = rows[a], cols[b]
         if abs(complex(w[i] - w[j])) > value:
             value, witness = float(abs(complex(w[i] - w[j]))), (complex(w[i]), complex(w[j]))
-        _, (p, q), _ = _polish_tuple(spec, r, sample.angles[[i, j]])
+        starts.append(sample.angles[[i, j]])
+    best = None
+    for p, q in _polish_tuples(spec, r, np.array(starts))[1]:
         if best is None or abs(p - q) > best[0] + 1e-13 * (1.0 + best[0]):
             best = (float(abs(p - q)), (complex(p), complex(q)))
     if best[0] > value:
@@ -270,81 +273,104 @@ def _exchange(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def minimize(fun, x0):
-    """Modified Newton descent of fun from x0.
+    """Modified Newton descent of fun from each row of the (k, n) array x0.
 
-    fun(x) returns (value, gradient, Hessian).  Each step solves with the
-    Hessian's eigenvalues replaced by |lambda|, floored at 1e-12 (1 + max
-    |lambda|), so the step descends across saddles and exact ridges, and is
-    halved until the value does not get worse.  The descent stops before
+    fun(x) takes (k, n) rows and returns each row's value, gradient and
+    Hessian as (k,), (k, n) and (k, n, n) arrays.  A row's step solves with
+    its Hessian's eigenvalues replaced by |lambda|, floored at 1e-12 (1 +
+    max |lambda|), so the step descends across saddles and exact ridges,
+    and is halved until the value does not get worse.  A row stops before
     evaluating a step whose predicted gain -g.step / 2 is below 1e-17 (1 +
     |value|): at the optimum, rounding of the value would reject it anyway.
-    At most 100 steps.  Returns x, fun and nfev as attributes; x is x0 when
-    fun(x0) is not finite.
+    At most 100 steps a row.  Each round evaluates the trial steps of all
+    rows still descending in one call of fun; rows do not mix, so each ends
+    where it would alone.  Returns x, fun and nfev, the number of row
+    evaluations, as attributes; a row keeps x0 when fun is not finite there.
     """
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     f, g, h = fun(x)
-    nfev = 1
-    for _ in range(100):
-        if not np.isfinite(f):
-            break
-        lam, vec = np.linalg.eigh(h)
-        lam = np.abs(lam)
-        lam = np.maximum(lam, 1e-12 * (1.0 + lam.max()))
-        step = -vec @ ((vec.T @ g) / lam)
-        while 0.5 * abs(float(g @ step)) >= 1e-17 * (1.0 + abs(f)):
-            trial = fun(x + step)
-            nfev += 1
-            if trial[0] <= f:
-                break
-            step = 0.5 * step
-        else:
-            break
-        x = x + step
-        f, g, h = trial
-    return SimpleNamespace(x=x, fun=f, nfev=nfev)
+    nfev, steps = len(x), np.zeros(len(x), dtype=int)
+    step, going = np.zeros_like(x), np.zeros(len(x), dtype=bool)
+    # The rows that take a new Newton step.
+    fresh = np.flatnonzero(np.isfinite(f))
+    while True:
+        if fresh.size:
+            lam, vec = np.linalg.eigh(h[fresh])
+            lam = np.abs(lam)
+            lam = np.maximum(lam, 1e-12 * (1.0 + lam.max(axis=1, keepdims=True)))
+            proj = (np.swapaxes(vec, 1, 2) @ g[fresh, :, None]) / lam[:, :, None]
+            step[fresh] = (-vec @ proj)[:, :, 0]
+            going[fresh] = True
+        gain = 0.5 * np.abs((g[:, None, :] @ step[:, :, None])[:, 0, 0])
+        going &= gain >= 1e-17 * (1.0 + np.abs(f))
+        rows = np.flatnonzero(going)
+        if not rows.size:
+            return SimpleNamespace(x=x, fun=f, nfev=nfev)
+        tf, tg, th = fun(x[rows] + step[rows])
+        nfev += rows.size
+        better = tf <= f[rows]
+        step[rows[~better]] *= 0.5
+        fresh = rows[better]
+        x[fresh] += step[fresh]
+        f[fresh], g[fresh], h[fresh] = tf[better], tg[better], th[better]
+        steps[fresh] += 1
+        going[fresh] = False
+        fresh = fresh[(steps[fresh] < 100) & np.isfinite(f[fresh])]
 
 
 def _neg_log_sum(spec: FunctionSpec, r: float, theta: np.ndarray):
-    """-S, -grad S and -Hessian S in the angles theta, where
-    S = sum_{i<j} log|w_i - w_j| and w = f(r e^(i theta)); +inf for a
-    coincident pair.
+    """-S, -grad S and -Hessian S in the angles of each row of the (k, n)
+    array theta, as (k,), (k, n) and (k, n, n) arrays, where
+    S = sum_{i<j} log|w_i - w_j| over a row and w = f(r e^(i theta)); a row
+    with a coincident pair gets +inf and zero derivatives.
 
     With w' = i z f' and w'' = -z f' - z^2 f'', the gradient is
     Re(w_i' sum_j 1 / (w_i - w_j)), the Hessian Re(w_i' w_j' / (w_i - w_j)^2)
     off the diagonal and Re(w_i'' sum_j 1 / (w_i - w_j) - w_i'^2 sum_j
-    1 / (w_i - w_j)^2) on it.
+    1 / (w_i - w_j)^2) on it.  All k n points go to one call each of
+    evaluate, derivative and second_derivative, and each row comes out as
+    it would alone.  So each row's logs are summed as a 1-D array: numpy
+    does not promise that a sum over an axis of a 2-D array keeps that order.
     """
-    n = theta.size
+    k, n = theta.shape
     z = r * np.exp(1j * theta)
     w = evaluate(spec, z)
     f1 = derivative(spec, z)
     dw = 1j * z * f1
     d2w = -z * f1 - z * z * second_derivative(spec, z)
-    diff = w[:, None] - w[None, :]
-    ad = np.abs(diff)[_pairs(n)]
-    if np.any(ad <= 0.0):
-        return np.inf, np.zeros(n), np.zeros((n, n))
-    # S's derivatives do not change when f is scaled.  Scaling by a power of
-    # two is exact, and bringing w' near 1 keeps w'^2 from overflowing.
-    unit = 2.0 ** -np.frexp(np.max(np.abs(dw)))[1]
-    diff, dw, d2w = diff * unit, dw * unit, d2w * unit
+    diff = w[:, :, None] - w[:, None, :]
+    rows, cols = _pairs(n)
+    ad = np.abs(diff)[:, rows, cols]
+    # S's derivatives do not change when f is scaled.  Scaling a row by a
+    # power of two is exact, and bringing w' near 1 keeps w'^2 from overflowing.
+    unit = 2.0 ** -np.frexp(np.abs(dw).max(axis=1, keepdims=True))[1]
+    diff, dw, d2w = diff * unit[:, :, None], dw * unit, d2w * unit
+    # Unit distances keep the rows with a coincident pair finite until they
+    # are overwritten.
+    bad = np.flatnonzero((ad <= 0.0).any(axis=1))
+    diff[bad], ad[bad] = 1.0, 1.0
+    diag = np.arange(n)
     inv = 1.0 / (diff + np.eye(n))
-    np.fill_diagonal(inv, 0.0)
+    inv[:, diag, diag] = 0.0
     inv2 = inv * inv
-    sum1, sum2 = inv.sum(axis=1), inv2.sum(axis=1)
-    hess = np.real(dw[:, None] * dw[None, :] * inv2)
-    np.fill_diagonal(hess, np.real(d2w * sum1 - dw * dw * sum2))
-    return -float(np.sum(np.log(ad))), -np.real(dw * sum1), -hess
+    sum1, sum2 = inv.sum(axis=2), inv2.sum(axis=2)
+    hess = np.real(dw[:, :, None] * dw[:, None, :] * inv2)
+    hess[:, diag, diag] = np.real(d2w * sum1 - dw * dw * sum2)
+    value = -np.array([np.add.reduce(row) for row in np.log(ad)])
+    grad, hess = -np.real(dw * sum1), -hess
+    value[bad], grad[bad], hess[bad] = np.inf, 0.0, 0.0
+    return value, grad, hess
 
 
-def _polish_tuple(spec: FunctionSpec, r: float, angles0: np.ndarray):
-    """Newton ascent of the pairwise log-distance sum over tuple angles.
+def _polish_tuples(spec: FunctionSpec, r: float, angles0: np.ndarray):
+    """Newton ascent of the pairwise log-distance sum over the tuple angles
+    of each row of the (k, n) array angles0, all rows in one descent.
 
     Polishes the n_diameter tuples and, at n = 2, the diameter's candidate
     pairs.  Coordinate exchange on grid samples stalls along the
     near-degenerate rotational direction; a joint Newton step with the
-    exact gradient and Hessian of _neg_log_sum resolves it.  Returns (log
-    objective, image points, angles).
+    exact gradient and Hessian of _neg_log_sum resolves it.  Returns the
+    log objectives, image points and angles of the rows.
     """
     result = minimize(partial(_neg_log_sum, spec, r), angles0)
     return -result.fun, evaluate(spec, r * np.exp(1j * result.x)), result.x
@@ -364,11 +390,12 @@ def n_diameter(
     deterministic starts, run as the rows of one _exchange call (calls of at
     most COARSE_SAMPLES // n rows for large n), finds the basins on a subgrid
     of the m samples, at least max(COARSE_SAMPLES, n) of them where m
-    allows; the POLISHED best distinct tuples go to the continuous polish,
-    which makes the value independent of the grid.  The error estimate is the parabolic gain at
-    the exchange of the winner's nearest samples on the full grid.  Restarts
-    that polish to distinct tuples are distinct local maxima; restarts that
-    reach the same tuple with different values flag restart_disagreement.
+    allows; the POLISHED best distinct tuples go to the continuous polish as
+    the rows of one call, which makes the value independent of the grid.
+    The error estimate is the parabolic gain at the exchange of the
+    winner's nearest samples on the full grid.  Restarts that polish to
+    distinct tuples are distinct local maxima; restarts that reach the same
+    tuple with different values flag restart_disagreement.
     Extremal tuples lie on the outer boundary, so sampling f(r T) loses only
     the angular discretization.  For n = 2 this is the diameter.
     DomainError when n < 2 or n > m.
@@ -405,7 +432,8 @@ def n_diameter(
     for S, idx in finals:
         if np.isfinite(S):
             distinct.setdefault(tuple(sorted(idx)), sample.angles[idx * stride])
-    polished = [_polish_tuple(spec, r, angles) for angles in list(distinct.values())[:POLISHED]]
+    tuples = list(distinct.values())[:POLISHED]
+    polished = list(zip(*_polish_tuples(spec, r, np.array(tuples)))) if tuples else []
     # The first of the largest: a polished tuple wins only when strictly better.
     value_S, witness_pts, theta = max(
         [(best_S, wc[best_idx], sample.angles[best_idx * stride])] + polished, key=lambda t: t[0]

@@ -356,7 +356,8 @@ def test_scipy_calls_go_through_module_bindings(monkeypatch, module, name, call)
 
 def test_diameter_evaluates_second_derivative_on_its_samples_once(monkeypatch):
     # The candidate limit and the bar share one curvature bound; the
-    # polish's own calls evaluate f'' at 2 points.
+    # polish's own calls evaluate f'' at the 2 points of each of its k <=
+    # POLISHED pairs still descending, and a pair that stops never returns.
     m, sizes = 1024, []
     original = functionals.second_derivative
 
@@ -367,7 +368,9 @@ def test_diameter_evaluates_second_derivative_on_its_samples_once(monkeypatch):
     monkeypatch.setattr(functionals, "second_derivative", counting)
     diameter(KOEBE_LIKE, 0.6, m=m)
     assert sizes.count(m) == 1
-    assert set(sizes) == {2, m}
+    polish = [size for size in sizes if size != m]
+    assert polish and set(polish) <= {2 * k for k in range(1, functionals.POLISHED + 1)}
+    assert polish == sorted(polish, reverse=True)
 
 
 def test_circle_image_length_counts_multiplicity():
@@ -435,13 +438,14 @@ def test_n_diameter_distinct_maxima_are_not_flagged(index, r, best):
 def test_n_diameter_flags_disagreement_on_one_tuple(monkeypatch):
     # Two polishes of one tuple that end at different values are a polish
     # failure, and only that is flagged.
-    original, values = functionals._polish_tuple, iter((0.0, -0.5, -1.0))
+    original = functionals._polish_tuples
 
     def disagreeing(spec, r, angles0):
-        S, w, theta = original(spec, r, np.arange(angles0.size, dtype=float))
-        return S + next(values), w, theta
+        k, n = angles0.shape
+        S, w, theta = original(spec, r, np.tile(np.arange(n, dtype=float), (k, 1)))
+        return S + np.array([0.0, -0.5, -1.0])[:k], w, theta
 
-    monkeypatch.setattr(functionals, "_polish_tuple", disagreeing)
+    monkeypatch.setattr(functionals, "_polish_tuples", disagreeing)
     with pytest.warns(OptimizationWarning, match="restarts disagree"):
         fv = n_diameter(KOEBE_LIKE, 0.7, 4, m=1024)
     assert fv.flags == ("restart_disagreement",)
@@ -456,11 +460,11 @@ def test_polish_derivatives_match_central_differences(spec, n):
     # Jittered polygon angles keep the pairs apart, and so the third
     # derivatives that limit the differences small.
     theta = 2.0 * np.pi * np.arange(n) / n + rng.uniform(-0.3, 0.3, n)
-    _, grad, hess = functionals._neg_log_sum(spec, r, theta)
+    (_,), (grad,), (hess,) = functionals._neg_log_sum(spec, r, theta[None])
     for k in range(n):
         step = h * np.eye(n)[k]
-        fp, gp, _ = functionals._neg_log_sum(spec, r, theta + step)
-        fm, gm, _ = functionals._neg_log_sum(spec, r, theta - step)
+        (fp,), (gp,), _ = functionals._neg_log_sum(spec, r, (theta + step)[None])
+        (fm,), (gm,), _ = functionals._neg_log_sum(spec, r, (theta - step)[None])
         assert abs((fp - fm) / (2.0 * h) - grad[k]) <= 1e-7 * (1.0 + np.max(np.abs(grad)))
         assert np.max(np.abs((gp - gm) / (2.0 * h) - hess[:, k])) <= 1e-7 * (
             1.0 + np.max(np.abs(hess))
@@ -472,7 +476,7 @@ def test_polish_derivatives_do_not_depend_on_the_scale_of_f():
     # derivatives of S are those of f, bit for bit.
     scale = 2.0**600
     scaled = Polynomial(tuple(scale * c for c in KOEBE_LIKE.coeffs))
-    theta = np.array([0.1, 2.0, 4.0])
+    theta = np.array([[0.1, 2.0, 4.0]])
     _, grad, hess = functionals._neg_log_sum(KOEBE_LIKE, 0.9, theta)
     _, grad_s, hess_s = functionals._neg_log_sum(scaled, 0.9, theta)
     assert np.array_equal(grad, grad_s) and np.array_equal(hess, hess_s)
@@ -486,13 +490,13 @@ def test_newton_halves_steps_that_overshoot():
     values = []
 
     def fun(x):
-        values.append(float(np.sqrt(1.0 + x[0] ** 2)))
-        return values[-1], x / values[-1], np.array([[values[-1] ** -3]])
+        values.append(float(np.sqrt(1.0 + x[0, 0] ** 2)))
+        return np.array([values[-1]]), x / values[-1], np.array([[[values[-1] ** -3]]])
 
-    res = functionals.minimize(fun, np.array([2.0]))
+    res = functionals.minimize(fun, np.array([[2.0]]))
     assert res.nfev == len(values)
-    assert abs(res.x[0]) <= 1e-6
-    assert res.fun == fun(res.x)[0] <= values[0]
+    assert abs(res.x[0, 0]) <= 1e-6
+    assert res.fun[0] == fun(res.x)[0][0] <= values[0]
 
 
 @pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY, ac10_polynomial(0)))
@@ -500,15 +504,49 @@ def test_polish_never_ends_below_its_start(spec):
     rng = np.random.default_rng(SEED)
     for r in (0.05, 0.6, 0.999):
         for n in (2, 3, 4, 6):
-            for _ in range(3):
-                theta0 = rng.uniform(0.0, 2.0 * np.pi, n)
-                w0 = evaluate(spec, r * np.exp(1j * theta0))
-                S, _, _ = functionals._polish_tuple(spec, r, theta0)
-                assert S >= functionals._log_objective(w0, np.arange(n))
+            theta0 = rng.uniform(0.0, 2.0 * np.pi, (3, n))
+            w0 = evaluate(spec, r * np.exp(1j * theta0))
+            S, _, _ = functionals._polish_tuples(spec, r, theta0)
+            for k in range(3):
+                assert S[k] >= functionals._log_objective(w0[k], np.arange(n))
     # A coincident pair has no finite objective; the start comes back.
-    S, _, theta = functionals._polish_tuple(spec, 0.6, np.array([0.3, 0.3, 2.0]))
-    assert S == -np.inf
-    assert np.array_equal(theta, [0.3, 0.3, 2.0])
+    S, _, theta = functionals._polish_tuples(spec, 0.6, np.array([[0.3, 0.3, 2.0]]))
+    assert S[0] == -np.inf
+    assert np.array_equal(theta[0], [0.3, 0.3, 2.0])
+
+
+@pytest.mark.parametrize("spec", [KOEBE_LIKE, AnnulusCover(1.0), ac10_polynomial(0)],
+                         ids=["quadratic", "annulus", "ac10poly0"])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_batched_polish_rows_match_single_rows(monkeypatch, spec, n):
+    # Rows descend together but do not mix: each ends, bit for bit, where it
+    # would alone, after as many evaluations.  The last batch holds a
+    # coincident pair, whose row keeps its start at objective -inf.
+    nfev, original = [], functionals.minimize
+
+    def recording(fun, x0):
+        result = original(fun, x0)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(functionals, "minimize", recording)
+    rng = np.random.default_rng(SEED + n)
+    coincident = rng.uniform(0.0, 2.0 * np.pi, (2, n))
+    coincident[1, 1] = coincident[1, 0]
+    batches = [rng.uniform(0.0, 2.0 * np.pi, (k, n)) for k in (1, 2, 3)] + [coincident]
+    for r in (0.05, 0.6, 0.95):
+        for batch in batches:
+            del nfev[:]
+            together = functionals._polish_tuples(spec, r, batch)
+            for k, row in enumerate(batch):
+                alone = functionals._polish_tuples(spec, r, row[None])
+                for a, b in zip(together, alone):
+                    assert a[k].tobytes() == b[0].tobytes()
+            assert nfev[0] == sum(nfev[1:])
+    S, _, theta = together
+    assert S[1] == -np.inf
+    assert theta[1].tobytes() == coincident[1].tobytes()
+    assert np.isfinite(S[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -517,15 +555,15 @@ def test_polish_on_the_identity_rotation_ridge(n):
     # singular along the rotation, exactly at the polygon.
     r, pairs = 0.9, n * (n - 1) / 2
     polygon = 2.0 * np.pi * np.arange(n) / n
-    hess = functionals._neg_log_sum(IDENTITY, r, polygon)[2]
+    hess = functionals._neg_log_sum(IDENTITY, r, polygon[None])[2][0]
     assert np.min(np.abs(np.linalg.eigvalsh(hess))) <= 1e-12
     rng = np.random.default_rng(SEED)
     starts = [polygon, polygon + 0.7, polygon + rng.normal(0.0, 0.05, n)]
     starts += [rng.uniform(0.0, 2.0 * np.pi, n) for _ in range(5)]
-    for theta0 in starts:
-        S, _, _ = functionals._polish_tuple(IDENTITY, r, theta0)
-        expected = disk_n_diameter(n) * r
-        assert abs(np.exp(S / pairs) - expected) <= 1e-14 * expected
+    S, _, _ = functionals._polish_tuples(IDENTITY, r, np.array(starts))
+    expected = disk_n_diameter(n) * r
+    for value in S:
+        assert abs(np.exp(value / pairs) - expected) <= 1e-14 * expected
 
 
 def test_benchmark_tracer_counts_through_module_bindings(monkeypatch):
