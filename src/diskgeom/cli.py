@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from .analytic import SPEC_KINDS, AnnulusCover, FunctionSpec, _c2j, spec_from_json, spec_hash
 from .bounds import (
@@ -331,7 +332,10 @@ def _add_common(sub, *, spec=True, fmt_default="json"):
     sub.add_argument("--format", choices=("csv", "json"), default=fmt_default)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args starts every call
+    from a fresh namespace, so one call leaves nothing for the next."""
     parser = _Parser(prog="diskgeom", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 

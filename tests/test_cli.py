@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import diskgeom
+from diskgeom import cli
 from diskgeom import (
     AnnulusCover,
     Moebius,
@@ -25,7 +26,12 @@ SEED_ARGS = ["--seed", "3"]
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of main(argv); an argument error exits
+    as the console script does."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -327,6 +333,28 @@ def test_unknown_flag_is_config_error(capsys):
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("series, codes", [
+    ([["eval", "--nope", "1"], ["eval", "--spec", "poly[0,1,0.2]", "--kind", "rad"]], [2, 0]),
+    ([["check", "schur", "--spec", "poly[0,0.5,0.3]", "--r", "0.3"],
+      ["check", "schur", "--spec", "poly[0,0.5,0.3]"]], [0, 0]),
+    ([["eval", "--spec", "poly[0,1,0.2]", "--kind", "rad", "--seed", "3"],
+      ["identities", "--n-max", "8", "--tuples", "20"]], [0, 0]),
+], ids=["error-then-valid", "option-then-default", "seed-then-own-default"])
+def test_shared_parser_carries_nothing_between_calls(capsys, monkeypatch, series, codes):
+    # main builds its parser once per process; each call of a series must
+    # print and exit as it does with a parser of its own.
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run_cli(capsys, *argv) for argv in series]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert shared == [run_cli(capsys, *argv) for argv in series]
+    assert [code for code, _, _ in shared] == codes
+    for argv, (code, out, err) in zip(series, shared):
+        if code == 2:
+            assert json.loads(err)["error"] == "ConfigError"
+        if argv[0] == "identities":
+            assert json.loads(out)["seed"] == 20260815
 
 
 # Runs in a fresh interpreter, since this session has SciPy loaded already:
