@@ -78,6 +78,7 @@ CASES = {
     "fekete_json": ["fekete", "--spec", "poly[0,1]", "--format", "json"],
     "identities": ["identities", "--n-max", "16"],
     "identities_default": ["identities"],
+    "identities_seed7": ["identities", "--n-max", "40", "--tuples", "1000", "--seed", "7"],
     "identities_csv": ["identities", "--n-max", "16", "--format", "csv"],
 }
 
