@@ -1,9 +1,12 @@
 """Exact algebraic identities for roots of unity and Vandermonde products.
 
 Everything here is exact up to rounding, so tolerances scale with n and
-machine epsilon only.  Root powers are looked up modulo n from a single
-precomputed table, which keeps expressions like alpha^(jk) bit-identical
-for congruent exponents.
+machine epsilon only.  Root powers are looked up modulo n from one table
+per n, which keeps expressions like alpha^(jk) bit-identical for congruent
+exponents; the sums of all j for one n are the rows of one term matrix
+built from that table.  Tuples of points are checked as (k, n) stacks:
+the pair gaps, the validity masks and one stacked log-determinant serve
+every row at once, and the public one-tuple checks are the one-row case.
 """
 
 from __future__ import annotations
@@ -26,29 +29,105 @@ SECOND_SUM_TOL = 1e-11
 # Pairwise gaps below this trigger a ConditioningWarning in the
 # determinant comparison.
 NEAR_COINCIDENT_GAP = 1e-6
+# The most terms one block of root-of-unity sums holds, so that the working
+# set stays bounded at any n.
+SUM_BLOCK_TERMS = 2**16
 
 
-def _gaps(points) -> np.ndarray:
-    """|p_i - p_j| over the pairs i < j."""
-    pts = np.asarray(points)
-    rows, cols = _pairs(pts.size)
-    return np.abs(pts[rows] - pts[cols])
+def _gaps(stack: np.ndarray) -> np.ndarray:
+    """|p_i - p_j| over the pairs i < j of each row of a (k, n) stack."""
+    rows, cols = _pairs(stack.shape[1])
+    return np.abs(stack[:, rows] - stack[:, cols])
 
 
-def _log_abs_det(points) -> float:
-    """log |det V| of the points' Vandermonde matrix, -inf when it is
-    singular; DomainError above VANDERMONDE_MAX_N points."""
-    n = len(points)
+def _row_faults(stack: np.ndarray) -> tuple:
+    """(outside, coincident) masks of the rows of a (k, n) stack of points:
+    some |p| > 1 + 1e-12, or some pair gap <= 1e-12."""
+    return (np.abs(stack) > 1.0 + 1e-12).any(axis=1), _gaps(stack).min(axis=1) <= 1e-12
+
+
+def _log_abs_det(stack: np.ndarray) -> np.ndarray:
+    """log |det V| of each row's Vandermonde matrix, -inf where it is
+    singular, from one stacked slogdet; DomainError above VANDERMONDE_MAX_N
+    points.  The powers come from multiply.accumulate, as in np.vander."""
+    k, n = stack.shape
     if n > VANDERMONDE_MAX_N:
         raise DomainError(f"n must be <= {VANDERMONDE_MAX_N}")
-    return float(np.linalg.slogdet(np.vander(np.asarray(points), n, increasing=True))[1])
+    v = np.empty((k, n, n), dtype=complex)
+    v[:, :, 0] = 1.0
+    v[:, :, 1:] = stack[:, :, None]
+    np.multiply.accumulate(v[:, :, 1:], out=v[:, :, 1:], axis=2)
+    return np.linalg.slogdet(v)[1]
 
 
-def _exact_sum(terms: np.ndarray, expected: float):
-    """(sum, expected, residual) of complex terms, with the real and
-    imaginary parts each summed by math.fsum."""
-    total = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
-    return total, complex(expected, 0.0), abs(total - expected)
+def _vandermonde_rows(stack: np.ndarray, logdet: np.ndarray) -> tuple:
+    """(log_product, match) of each row of a (k, n) stack of distinct
+    points: the log of prod |p_i - p_j|, and whether it agrees with the
+    row's log |det V| to VANDERMONDE_REL_TOL n^2."""
+    n = stack.shape[1]
+    gaps = _gaps(stack)
+    if (gaps < NEAR_COINCIDENT_GAP).any():
+        warnings.warn(
+            "near-coincident points make the Vandermonde comparison ill-conditioned",
+            ConditioningWarning,
+        )
+    # Each row's logs are summed as a 1-D array: numpy does not promise that
+    # a sum over axis 1 rounds the same way.
+    log_product = np.array([np.sum(row) for row in np.log(gaps)])
+    return log_product, np.abs(log_product - logdet) <= VANDERMONDE_REL_TOL * n * n
+
+
+def _hadamard_report(n: int, logdet: float) -> InequalityReport:
+    rhs = float(n) ** (n / 2.0)
+    tol = VANDERMONDE_REL_TOL * n * n * rhs
+    return _make_report("Hadamard", math.exp(logdet), rhs, tol, {"n": n})
+
+
+def _tuple_checks(stack: np.ndarray) -> tuple:
+    """(vandermonde_ok, hadamard_ok) over the rows of a (k, n) stack of
+    points, skipping the rows that PointTuple rejects; one log-determinant
+    per row serves both checks."""
+    outside, coincident = _row_faults(stack)
+    stack = stack[~(outside | coincident)]
+    logdet = _log_abs_det(stack)
+    n = stack.shape[1]
+    return (
+        bool(_vandermonde_rows(stack, logdet)[1].all()),
+        all(_hadamard_report(n, d).passed for d in logdet.tolist()),
+    )
+
+
+def _root_sums(n: int, js) -> tuple:
+    """(lemma, second): for each j of js, the (sum, expected, residual) of
+    roots_of_unity_sum(n, j) and of second_sum(n, j).
+
+    The terms of a block of j form one matrix, 1 - alpha^(jk) over the rows
+    j and the columns k = 1..n-1, read from one table of root powers modulo
+    n and divided by (1 - alpha^k) and by (1 - alpha^k)^2.  A block holds at
+    most SUM_BLOCK_TERMS terms.  The real and imaginary parts of each row are
+    summed by math.fsum, so the sums are exactly rounded.
+    """
+    alpha, k = roots_of_unity(n), np.arange(1, n)
+    base = 1.0 - alpha[k]
+    square = base**2
+    a_const = (n - 1) / 2.0
+    lemma, second = [], []
+    step = max(1, SUM_BLOCK_TERMS // max(1, n - 1))
+    for start in range(0, len(js), step):
+        block = js[start : start + step]
+        terms = 1.0 - alpha[np.multiply.outer(block, k) % n]
+        lemma += _exact_sums(terms / base, [n - j for j in block])
+        second += _exact_sums(
+            terms / square, [j * a_const - (n - j / 2.0) * (j - 1) for j in block]
+        )
+    return lemma, second
+
+
+def _exact_sums(terms: np.ndarray, expected: list) -> list:
+    """(sum, expected, residual) of each row of a complex matrix, with the
+    real and imaginary parts each summed by math.fsum."""
+    totals = map(complex, map(math.fsum, terms.real.tolist()), map(math.fsum, terms.imag.tolist()))
+    return [(t, e, abs(t - e)) for t, e in zip(totals, map(complex, expected))]
 
 
 @dataclass(frozen=True)
@@ -62,9 +141,10 @@ class PointTuple:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise DomainError("need at least two points")
-        if any(abs(p) > 1.0 + 1e-12 for p in pts):
+        outside, coincident = _row_faults(np.array([pts]))
+        if outside[0]:
             raise DomainError("points must lie in the closed unit disk")
-        if float(np.min(_gaps(pts))) <= 1e-12:
+        if coincident[0]:
             raise DomainError("points must be pairwise distinct")
 
     def __len__(self) -> int:
@@ -85,28 +165,17 @@ def vandermonde_check(t: PointTuple):
     difference is at most 1e-9 n^2.  Both sides are computed in the log
     domain, so n = 64 near-extremal tuples stay in range.
     """
-    n = len(t)
-    logdet = _log_abs_det(t.points)
-    gaps = _gaps(t.points)
-    if float(np.min(gaps)) < NEAR_COINCIDENT_GAP:
-        warnings.warn(
-            "near-coincident points make the Vandermonde comparison ill-conditioned",
-            ConditioningWarning,
-        )
-    log_product = float(np.sum(np.log(gaps)))
-    match = bool(abs(log_product - logdet) <= VANDERMONDE_REL_TOL * n * n)
-    return math.exp(log_product), math.exp(logdet), match
+    stack = np.array([t.points])
+    logdet = _log_abs_det(stack)
+    log_product, match = _vandermonde_rows(stack, logdet)
+    return math.exp(log_product[0]), math.exp(logdet[0]), bool(match[0])
 
 
 def hadamard_bound_check(t: PointTuple) -> InequalityReport:
     """|det V_n| <= n^(n/2) for points in the closed disk, to a relative
     tolerance of VANDERMONDE_REL_TOL n^2; equality holds exactly for
     rotated roots of unity."""
-    n = len(t)
-    lhs = math.exp(_log_abs_det(t.points))
-    rhs = float(n) ** (n / 2.0)
-    tol = VANDERMONDE_REL_TOL * n * n * rhs
-    return _make_report("Hadamard", lhs, rhs, tol, {"n": n})
+    return _hadamard_report(len(t), _log_abs_det(np.array([t.points]))[0])
 
 
 def roots_of_unity_sum(n: int, j: int):
@@ -118,8 +187,7 @@ def roots_of_unity_sum(n: int, j: int):
     """
     if not 1 <= j <= n:
         raise DomainError("need 1 <= j <= n")
-    alpha, k = roots_of_unity(n), np.arange(1, n)
-    return _exact_sum((1.0 - alpha[j * k % n]) / (1.0 - alpha[k]), n - j)
+    return _root_sums(n, [j])[0][0]
 
 
 def second_sum(n: int, p: int):
@@ -130,12 +198,7 @@ def second_sum(n: int, p: int):
     """
     if not 1 <= p <= n:
         raise DomainError("need 1 <= p <= n")
-    alpha, k = roots_of_unity(n), np.arange(1, n)
-    a_const = (n - 1) / 2.0
-    return _exact_sum(
-        (1.0 - alpha[k * p % n]) / (1.0 - alpha[k]) ** 2,
-        p * a_const - (n - p / 2.0) * (p - 1),
-    )
+    return _root_sums(n, [p])[1][0]
 
 
 def fekete_witness_is_roots(witness, tol: float) -> bool:
@@ -173,32 +236,31 @@ def fekete_witness_is_roots(witness, tol: float) -> bool:
 def identity_suite(n_max: int = 64, tuple_count: int = 200, seed: int = 20260815) -> dict:
     """Run the sum identities for all n <= n_max and the Vandermonde and
     Hadamard checks on seeded random disk tuples; returns residual maxima
-    and pass booleans."""
+    and pass booleans.
+
+    The sums of each n run as the rows of one term matrix.  The tuples are
+    drawn one at a time from the seeded stream, then checked as one stack
+    per tuple size.
+    """
     if n_max < 2 or tuple_count < 1:
         raise DomainError("need n_max >= 2 and tuple_count >= 1")
     worst_lemma = 0.0
     worst_second = 0.0
     for n in range(2, n_max + 1):
-        for j in range(1, n + 1):
-            _, _, res = roots_of_unity_sum(n, j)
-            worst_lemma = max(worst_lemma, res / n)
-            _, _, res2 = second_sum(n, j)
-            worst_second = max(worst_second, res2 / (n * n))
+        lemma, second = _root_sums(n, range(1, n + 1))
+        worst_lemma = max([worst_lemma] + [res / n for _, _, res in lemma])
+        worst_second = max([worst_second] + [res / (n * n) for _, _, res in second])
     rng = np.random.default_rng(seed)
-    vand_ok = True
-    hadamard_ok = True
+    groups = {}
     for _ in range(tuple_count):
         n = int(rng.integers(2, 13))
-        raw = rng.uniform(-1.0, 1.0, size=(n, 2))
-        pts = raw[:, 0] + 1j * raw[:, 1]
-        pts = pts / np.maximum(np.abs(pts), 1.0)
-        try:
-            tup = PointTuple(tuple(pts))
-        except DomainError:
-            continue
-        _, _, match = vandermonde_check(tup)
-        vand_ok = vand_ok and match
-        hadamard_ok = hadamard_ok and hadamard_bound_check(tup).passed
+        groups.setdefault(n, []).append(rng.uniform(-1.0, 1.0, size=(n, 2)))
+    vand_ok = hadamard_ok = True
+    for raws in groups.values():
+        raw = np.array(raws)
+        pts = raw[:, :, 0] + 1j * raw[:, :, 1]
+        v_ok, h_ok = _tuple_checks(pts / np.maximum(np.abs(pts), 1.0))
+        vand_ok, hadamard_ok = vand_ok and v_ok, hadamard_ok and h_ok
     return {
         "lemma_residual": worst_lemma,
         "second_sum_residual": worst_second,

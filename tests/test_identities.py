@@ -1,7 +1,9 @@
 """Exact root-of-unity sums, Vandermonde products, Hadamard equality."""
 
 import cmath
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,13 @@ from diskgeom import (
     roots_of_unity_sum,
     second_sum,
     vandermonde_check,
+)
+from diskgeom.identities import (
+    _hadamard_report,
+    _log_abs_det,
+    _row_faults,
+    _tuple_checks,
+    _vandermonde_rows,
 )
 
 SEED = 20260815
@@ -144,3 +153,101 @@ def test_identity_suite_small():
     assert result["vandermonde_ok"]
     assert result["hadamard_ok"]
     assert result["lemma_residual"] <= 1e-12
+
+
+@functools.cache
+def reference_sums(n_max: int) -> tuple:
+    # The suite's sum loop before its rows were stacked: one public call per
+    # (n, j).
+    worst_lemma = 0.0
+    worst_second = 0.0
+    for n in range(2, n_max + 1):
+        for j in range(1, n + 1):
+            _, _, res = roots_of_unity_sum(n, j)
+            worst_lemma = max(worst_lemma, res / n)
+            _, _, res2 = second_sum(n, j)
+            worst_second = max(worst_second, res2 / (n * n))
+    return worst_lemma, worst_second
+
+
+@functools.cache
+def reference_tuples(tuple_count: int, seed: int) -> tuple:
+    # The suite's tuple loop before its rows were stacked: one PointTuple
+    # and one call of each public check per tuple.
+    rng = np.random.default_rng(seed)
+    vand_ok = True
+    hadamard_ok = True
+    for _ in range(tuple_count):
+        n = int(rng.integers(2, 13))
+        raw = rng.uniform(-1.0, 1.0, size=(n, 2))
+        pts = raw[:, 0] + 1j * raw[:, 1]
+        pts = pts / np.maximum(np.abs(pts), 1.0)
+        try:
+            tup = PointTuple(tuple(pts))
+        except DomainError:
+            continue
+        _, _, match = vandermonde_check(tup)
+        vand_ok = vand_ok and match
+        hadamard_ok = hadamard_ok and hadamard_bound_check(tup).passed
+    return vand_ok, hadamard_ok
+
+
+def test_identity_suite_matches_per_call_reference():
+    for n_max in (2, 3, 16, 64):
+        worst_lemma, worst_second = reference_sums(n_max)
+        for seed in (0, 7, SEED):
+            for tuple_count in (1, 200, 1000):
+                vand_ok, hadamard_ok = reference_tuples(tuple_count, seed)
+                expected = {
+                    "lemma_residual": worst_lemma,
+                    "second_sum_residual": worst_second,
+                    "lemma_ok": worst_lemma <= SUM_TOL,
+                    "second_sum_ok": worst_second <= SECOND_TOL,
+                    "vandermonde_ok": vand_ok,
+                    "hadamard_ok": hadamard_ok,
+                }
+                assert repr(identity_suite(n_max, tuple_count, seed)) == repr(expected)
+
+
+GOOD = (0.1, 0.3 + 0.2j, -0.4j)
+COINCIDENT = (0.2, 0.2, 0.5j)
+# Outside the disk by 1e-9, with a gap of about 1e-7 that would warn if the
+# row were kept.
+OUTSIDE = (1.0 + 1e-9, 1.0 - 1e-7, 0.0)
+
+
+def test_stacked_tuple_checks_skip_the_rows_point_tuple_rejects():
+    stack = np.array([GOOD, COINCIDENT, OUTSIDE])
+    outside, coincident = _row_faults(stack)
+    assert outside.tolist() == [False, False, True]
+    assert coincident.tolist() == [False, True, False]
+    for row in (COINCIDENT, OUTSIDE):
+        with pytest.raises(DomainError):
+            PointTuple(row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        # A kept coincident row would fail the Vandermonde match.
+        assert _tuple_checks(stack) == (True, True)
+        assert _tuple_checks(np.array([COINCIDENT, OUTSIDE])) == (True, True)
+
+
+def test_stacked_tuple_checks_warn_on_a_near_coincident_row():
+    with pytest.warns(ConditioningWarning):
+        assert _tuple_checks(np.array([GOOD, (0.0, 1e-7, 0.5)])) == (True, True)
+
+
+def test_one_tuple_checks_equal_their_row_of_a_stack():
+    rng = np.random.default_rng(SEED + 3)
+    rows = [
+        tuple(cmath.exp(0.37j) * roots_of_unity(5)),
+        tuple(rng.uniform(-0.7, 0.7, 5) + 1j * rng.uniform(-0.7, 0.7, 5)),
+        (0.1, 0.3 + 0.2j, -0.4j, 0.6, -0.5 - 0.5j),
+    ]
+    stack = np.array(rows)
+    logdet = _log_abs_det(stack)
+    log_product, match = _vandermonde_rows(stack, logdet)
+    for i, row in enumerate(rows):
+        t = PointTuple(row)
+        stacked = (math.exp(log_product[i]), math.exp(logdet[i]), bool(match[i]))
+        assert repr(vandermonde_check(t)) == repr(stacked)
+        assert repr(hadamard_bound_check(t)) == repr(_hadamard_report(5, logdet[i]))
