@@ -22,6 +22,12 @@ from diskgeom.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 POLY = "poly[0,1,0.2]"
+# Polynomial 0 of the acceptance test AC10's stream, numpy.random.default_rng(20260815).
+AC10_POLY0 = (
+    "poly[0.25192859815738317-0.68406499195177362j,0.54705643258170855-2.4124487853532783j,"
+    "0.069401015516602646+0.17463714547323439j,-0.18322976220469084+0.88955835408099337j,"
+    "-0.1657153301845341+1.0558162766139239j,-1.4244484668168733+0.91476230782625456j]"
+)
 
 CASES = {
     **{
@@ -41,6 +47,9 @@ CASES = {
     "sweep_ndiam_annulus_n6": [
         "sweep", "--spec", "annulus(1)", "--kind", "ndiam", "--n", "6", "--points", "5",
     ],
+    # The default 17-point grid at full JSON precision.
+    "sweep_ndiam_ac10poly0": ["sweep", "--spec", AC10_POLY0, "--kind", "ndiam", "--format", "json"],
+    "sweep_diam_moebius": ["sweep", "--spec", "moebius(0,0.5,1)", "--kind", "diam", "--format", "json"],
     "eval_ndiam_moebius_n3": [
         "eval", "--spec", "moebius(0,0.5,1)", "--kind", "ndiam", "--n", "3", "--r", "0.9",
     ],
