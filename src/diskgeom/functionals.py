@@ -7,8 +7,11 @@ quadrature of |f'| over the circle, and a two-sided capacity bracket.
 The diameter (all pairs) and the n-diameter (exchange, its restarts run
 together as the rows of one index array) search a subgrid of about
 COARSE_SAMPLES circle samples for basins and polish the best few together,
-as the rows of one Newton ascent over boundary angles, _polish_tuples.
-KINDS holds, for each functional kind, its estimator call and normalizer;
+as the rows of one Newton ascent over boundary angles, _polish_tuples.  On
+a grid of radii the basins are searched radius by radius and the tuples of
+every radius polished as the rows of one ascent, each row on its own
+circle (_polish_radii); one radius is the grid of one.  KINDS holds, for
+each functional kind, its estimator over a radius grid and its normalizer;
 growth curves, growth checks and the CLI all read them from there.
 
 Set area and univalence share one mechanism, the refined boundary curve
@@ -65,6 +68,8 @@ DEFAULT_RESTARTS = 16
 COARSE_SAMPLES = 256
 # Distinct basins that diameter and n_diameter polish.
 POLISHED = 3
+# Most Hessian entries, rows times n^2, of the rows of one polish call.
+POLISH_ENTRIES = 2**16
 # Most boundary samples that one refinement of f(r T) may evaluate.
 SAMPLE_CAP = 2**24
 # Absolute and relative quadrature tolerance of the curve length of f(r T).
@@ -177,30 +182,15 @@ def _cross(a: complex, b: complex) -> float:
     return a.real * b.imag - a.imag * b.real
 
 
-def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:
-    """Diameter of f(r D) from all pairwise distances on a subgrid of the
-    m circle samples, every (m // COARSE_SAMPLES)-th.
-
-    Candidates are the subgrid pairs whose distance is a local maximum on
-    the torus of angle pairs and lies within curv dtc^2 of the largest,
-    where dtc is the subgrid step: the diametral pair has a subgrid pair
-    within dtc / 2 of each end.  The POLISHED farthest start from the
-    farthest sample pair within a subgrid step of them and go, as the rows
-    of one call, to the tuple polish of n_diameter at n = 2, which maximizes
-    log|p - q| over the two boundary angles; a later row wins only by more
-    than rounding.
-    """
-    sample = sample_circle(spec, r, m)
-    w = sample.values
-    if _is_constant(w):
-        return FunctionalValue(
-            kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
-        )
+def _diameter_candidates(sample, maxima: tuple) -> tuple:
+    """The best sample pair's distance and points, and the start angles of
+    the POLISHED farthest candidate pairs, as diameter describes them."""
+    w, m = sample.values, sample.values.size
     stride = max(1, m // COARSE_SAMPLES)
     wc = w[::stride]
     dc = np.abs(wc[:, None] - wc[None, :])
-    maxima, dtheta = _derivative_maxima(spec, sample.points), 2.0 * np.pi / m
-    limit = dc.max() - _curvature(r, maxima, dc.max()) * (stride * dtheta) ** 2
+    dtheta = 2.0 * np.pi / m
+    limit = dc.max() - _curvature(sample.r, maxima, dc.max()) * (stride * dtheta) ** 2
     ci, cj = np.nonzero(dc >= limit)
     peak = ci < cj
     for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
@@ -215,14 +205,55 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
         if abs(complex(w[i] - w[j])) > value:
             value, witness = float(abs(complex(w[i] - w[j]))), (complex(w[i]), complex(w[j]))
         starts.append(sample.angles[[i, j]])
+    return value, witness, np.array(starts)
+
+
+def _diameter_run(spec: FunctionSpec, r: float, m: int):
+    """diameter at one radius, as a run of _polish_radii: it yields the
+    start angles of its candidate pairs and is sent their polished rows.
+    It keeps no sample array while it waits, since a sweep holds the runs
+    of all its radii until the polish."""
+    sample = sample_circle(spec, r, m)
+    w = sample.values
+    if _is_constant(w):
+        return FunctionalValue(
+            kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
+        )
+    maxima, dtheta = _derivative_maxima(spec, sample.points), 2.0 * np.pi / m
+    value, witness, starts = _diameter_candidates(sample, maxima)
+    del sample, w
+    _, points, _ = yield starts
     best = None
-    for p, q in _polish_tuples(spec, r, np.array(starts))[1]:
+    for p, q in points:
         if best is None or abs(p - q) > best[0] + 1e-13 * (1.0 + best[0]):
             best = (float(abs(p - q)), (complex(p), complex(q)))
     if best[0] > value:
         value, witness = best
     err = 0.5 * _curvature(r, maxima, value) * dtheta * dtheta + 1e-13 * (1.0 + value)
     return FunctionalValue(kind="diam", value=value, abs_error=err, witness=witness)
+
+
+def _diameters(spec: FunctionSpec, radii, m: int = DEFAULT_SAMPLES) -> list:
+    """diameter at each radius, the candidate pairs of all radii polished
+    as the rows of one descent."""
+    return _polish_radii(spec, radii, partial(_diameter_run, spec, m=m))
+
+
+def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:
+    """Diameter of f(r D) from all pairwise distances on a subgrid of the
+    m circle samples, every (m // COARSE_SAMPLES)-th.
+
+    Candidates are the subgrid pairs whose distance is a local maximum on
+    the torus of angle pairs and lies within curv dtc^2 of the largest,
+    where dtc is the subgrid step: the diametral pair has a subgrid pair
+    within dtc / 2 of each end.  The POLISHED farthest start from the
+    farthest sample pair within a subgrid step of them and go, as the rows
+    of one call, to the tuple polish of n_diameter at n = 2, which maximizes
+    log|p - q| over the two boundary angles; a later row wins only by more
+    than rounding.  The one-radius case of _diameters, which a diam growth
+    curve calls on its whole grid.
+    """
+    return _diameters(spec, [r], m)[0]
 
 
 # ---- n-point diameter ----
@@ -237,10 +268,18 @@ def _pairs(n: int):
     return rows, cols
 
 
-def _log_objective(w: np.ndarray, idx: np.ndarray) -> float:
-    pts = w[idx]
-    d = np.abs(pts[:, None] - pts[None, :])[_pairs(len(idx))]
-    return -np.inf if np.any(d == 0.0) else float(np.sum(np.log(d)))
+def _log_sums(d: np.ndarray) -> np.ndarray:
+    """Each row's sum of log d, summed as a 1-D array: numpy does not
+    promise that a sum over an axis of a 2-D array keeps that order."""
+    with np.errstate(divide="ignore"):
+        return np.array([np.add.reduce(row) for row in np.log(d)])
+
+
+def _log_objectives(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sum of log|w_i - w_j| over the pairs of each row of the (k, n)
+    indices idx into w; -inf for a row with a coincident pair."""
+    rows, cols = _pairs(idx.shape[1])
+    return _log_sums(np.abs(w[idx[:, rows]] - w[idx[:, cols]]))
 
 
 def _exchange(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -275,8 +314,10 @@ def _exchange(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def minimize(fun, x0):
     """Modified Newton descent of fun from each row of the (k, n) array x0.
 
-    fun(x) takes (k, n) rows and returns each row's value, gradient and
-    Hessian as (k,), (k, n) and (k, n, n) arrays.  A row's step solves with
+    fun(x, rows) takes (j, n) points and the indices into x0 of the j rows
+    they belong to, so that each row can carry data of its own, such as the
+    radius of its circle, and returns each point's value, gradient and
+    Hessian as (j,), (j, n) and (j, n, n) arrays.  A row's step solves with
     its Hessian's eigenvalues replaced by |lambda|, floored at 1e-12 (1 +
     max |lambda|), so the step descends across saddles and exact ridges,
     and is halved until the value does not get worse.  A row stops before
@@ -288,7 +329,7 @@ def minimize(fun, x0):
     evaluations, as attributes; a row keeps x0 when fun is not finite there.
     """
     x = np.array(x0, dtype=float)
-    f, g, h = fun(x)
+    f, g, h = fun(x, np.arange(len(x)))
     nfev, steps = len(x), np.zeros(len(x), dtype=int)
     step, going = np.zeros_like(x), np.zeros(len(x), dtype=bool)
     # The rows that take a new Newton step.
@@ -306,7 +347,7 @@ def minimize(fun, x0):
         rows = np.flatnonzero(going)
         if not rows.size:
             return SimpleNamespace(x=x, fun=f, nfev=nfev)
-        tf, tg, th = fun(x[rows] + step[rows])
+        tf, tg, th = fun(x[rows] + step[rows], rows)
         nfev += rows.size
         better = tf <= f[rows]
         step[rows[~better]] *= 0.5
@@ -318,22 +359,22 @@ def minimize(fun, x0):
         fresh = fresh[(steps[fresh] < 100) & np.isfinite(f[fresh])]
 
 
-def _neg_log_sum(spec: FunctionSpec, r: float, theta: np.ndarray):
+def _neg_log_sum(spec: FunctionSpec, r, theta: np.ndarray):
     """-S, -grad S and -Hessian S in the angles of each row of the (k, n)
     array theta, as (k,), (k, n) and (k, n, n) arrays, where
-    S = sum_{i<j} log|w_i - w_j| over a row and w = f(r e^(i theta)); a row
-    with a coincident pair gets +inf and zero derivatives.
+    S = sum_{i<j} log|w_i - w_j| over a row and w = f(r e^(i theta)) with
+    r the row's radius, from the (k,) radii r or one radius for all rows; a
+    row with a coincident pair gets +inf and zero derivatives.
 
     With w' = i z f' and w'' = -z f' - z^2 f'', the gradient is
     Re(w_i' sum_j 1 / (w_i - w_j)), the Hessian Re(w_i' w_j' / (w_i - w_j)^2)
     off the diagonal and Re(w_i'' sum_j 1 / (w_i - w_j) - w_i'^2 sum_j
     1 / (w_i - w_j)^2) on it.  All k n points go to one call each of
     evaluate, derivative and second_derivative, and each row comes out as
-    it would alone.  So each row's logs are summed as a 1-D array: numpy
-    does not promise that a sum over an axis of a 2-D array keeps that order.
+    it would alone.
     """
     k, n = theta.shape
-    z = r * np.exp(1j * theta)
+    z = np.reshape(r, (-1, 1)) * np.exp(1j * theta)
     w = evaluate(spec, z)
     f1 = derivative(spec, z)
     dw = 1j * z * f1
@@ -356,56 +397,75 @@ def _neg_log_sum(spec: FunctionSpec, r: float, theta: np.ndarray):
     sum1, sum2 = inv.sum(axis=2), inv2.sum(axis=2)
     hess = np.real(dw[:, :, None] * dw[:, None, :] * inv2)
     hess[:, diag, diag] = np.real(d2w * sum1 - dw * dw * sum2)
-    value = -np.array([np.add.reduce(row) for row in np.log(ad)])
+    value = -_log_sums(ad)
     grad, hess = -np.real(dw * sum1), -hess
     value[bad], grad[bad], hess[bad] = np.inf, 0.0, 0.0
     return value, grad, hess
 
 
-def _polish_tuples(spec: FunctionSpec, r: float, angles0: np.ndarray):
+def _polish_tuples(spec: FunctionSpec, r, angles0: np.ndarray):
     """Newton ascent of the pairwise log-distance sum over the tuple angles
-    of each row of the (k, n) array angles0, all rows in one descent.
+    of each row of the (k, n) array angles0, on the circle of its radius in
+    the (k,) radii r, or of the one radius r.
 
     Polishes the n_diameter tuples and, at n = 2, the diameter's candidate
     pairs.  Coordinate exchange on grid samples stalls along the
     near-degenerate rotational direction; a joint Newton step with the
-    exact gradient and Hessian of _neg_log_sum resolves it.  Returns the
-    log objectives, image points and angles of the rows.
+    exact gradient and Hessian of _neg_log_sum resolves it.  The rows
+    descend together in minimize calls of at most POLISH_ENTRIES // n^2
+    rows (one at least), which bounds the Hessians a call holds.  Returns
+    the log objectives, image points and angles of the rows.
     """
-    result = minimize(partial(_neg_log_sum, spec, r), angles0)
-    return -result.fun, evaluate(spec, r * np.exp(1j * result.x)), result.x
+    k, n = angles0.shape
+    radii = np.broadcast_to(np.asarray(r, dtype=float), (k,))
+    group = max(1, POLISH_ENTRIES // (n * n))
+    parts = []
+    for i in range(0, k, group):
+        rs = radii[i : i + group]
+        result = minimize(
+            lambda theta, rows: _neg_log_sum(spec, rs[rows], theta), angles0[i : i + group]
+        )
+        points = evaluate(spec, rs[:, None] * np.exp(1j * result.x))
+        parts.append((-result.fun, points, result.x))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def n_diameter(
-    spec: FunctionSpec,
-    r: float,
-    n: int,
-    m: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> FunctionalValue:
-    """n-point diameter of f(r D): sup over n-tuples of the normalized
-    pairwise-distance product, estimated over boundary samples.
+def _polish_radii(spec: FunctionSpec, radii, run) -> list:
+    """The FunctionalValue of run(r) at each of the radii, all of their
+    tuple polishes in one _polish_tuples call.
 
-    Coordinate-exchange ascent in the log domain from DEFAULT_RESTARTS
-    deterministic starts, run as the rows of one _exchange call (calls of at
-    most COARSE_SAMPLES // n rows for large n), finds the basins on a subgrid
-    of the m samples, at least max(COARSE_SAMPLES, n) of them where m
-    allows; the POLISHED best distinct tuples go to the continuous polish as
-    the rows of one call, which makes the value independent of the grid.
-    The error estimate is the parabolic gain at the exchange of the
-    winner's nearest samples on the full grid.  Restarts that polish to
-    distinct tuples are distinct local maxima; restarts that reach the same
-    tuple with different values flag restart_disagreement.
-    Extremal tuples lie on the outer boundary, so sampling f(r T) loses only
-    the angular discretization.  For n = 2 this is the diameter.
-    DomainError when n < 2 or n > m.
+    run(r) is a generator: it searches the basins at r and yields the
+    (k, n) start angles of its polish, k >= 0, or returns its value without
+    a polish.  All yielded rows go to one _polish_tuples call, with a radius
+    per row; each run is sent its own rows of the result and returns its
+    value.  Rows do not mix, so each radius ends where it would alone.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if n > m:
-        raise DomainError(f"n = {n} exceeds the {m} circle samples")
-    if n == 2:
-        return replace(diameter(spec, r, m=m), kind="ndiam", n=2)
+    values, runs, starts = [None] * len(radii), [], []
+    for i, r in enumerate(radii):
+        gen = run(r)
+        try:
+            starts.append(next(gen))
+        except StopIteration as stop:
+            values[i] = stop.value
+            continue
+        runs.append((i, r, gen))
+    counts = [len(rows) for rows in starts]
+    polished = (np.empty(0),) * 3
+    if sum(counts):
+        rs = np.repeat([r for _, r, _ in runs], counts)
+        polished = _polish_tuples(spec, rs, np.concatenate(starts))
+    for (i, _, gen), end, count in zip(runs, np.cumsum(counts), counts):
+        try:
+            gen.send(tuple(a[end - count : end] for a in polished))
+        except StopIteration as stop:
+            values[i] = stop.value
+    return values
+
+
+def _n_diameter_run(spec: FunctionSpec, r: float, n: int, m: int, seed: int):
+    """n_diameter at one radius for n > 2, as a run of _polish_radii: it
+    yields the start angles of its distinct tuples and is sent their
+    polished rows."""
     sample = sample_circle(spec, r, m)
     w = sample.values
     if _is_constant(w):
@@ -426,18 +486,19 @@ def n_diameter(
     # its stored log columns hold at most max(COARSE_SAMPLES, n) mc floats.
     group = max(1, COARSE_SAMPLES // n)
     ends = np.concatenate([_exchange(wc, starts[i : i + group]) for i in range(0, len(starts), group)])
-    finals = sorted(((_log_objective(wc, idx), idx) for idx in ends), key=lambda t: -t[0])
-    best_S, best_idx = finals[0]
+    scores = _log_objectives(wc, ends)
+    order = np.argsort(-scores, kind="stable")
+    top = ends[order[0]]
+    best = (scores[order[0]], wc[top], sample.angles[top * stride])
     distinct = {}
-    for S, idx in finals:
-        if np.isfinite(S):
-            distinct.setdefault(tuple(sorted(idx)), sample.angles[idx * stride])
+    for idx in ends[order[np.isfinite(scores[order])]]:
+        distinct.setdefault(tuple(sorted(idx)), sample.angles[idx * stride])
     tuples = list(distinct.values())[:POLISHED]
-    polished = list(zip(*_polish_tuples(spec, r, np.array(tuples)))) if tuples else []
+    # A sweep holds the runs of all its radii until the polish.
+    del sample, wc
+    polished = list(zip(*(yield np.array(tuples).reshape(-1, n))))
     # The first of the largest: a polished tuple wins only when strictly better.
-    value_S, witness_pts, theta = max(
-        [(best_S, wc[best_idx], sample.angles[best_idx * stride])] + polished, key=lambda t: t[0]
-    )
+    value_S, witness_pts, theta = max([best] + polished, key=lambda t: t[0])
     value = float(np.exp(value_S / pair_count))
 
     # Second-order continuum gain estimate: parabola through each tuple
@@ -480,6 +541,45 @@ def n_diameter(
     return FunctionalValue(
         kind="ndiam", value=value, abs_error=err, witness=witness, n=n, flags=flags
     )
+
+
+def _n_diameters(spec: FunctionSpec, radii, n: int, m: int = DEFAULT_SAMPLES, seed: int = 0) -> list:
+    """n_diameter at each radius, the distinct tuples of all radii polished
+    as the rows of one descent."""
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    if n > m:
+        raise DomainError(f"n = {n} exceeds the {m} circle samples")
+    if n == 2:
+        return [replace(fv, kind="ndiam", n=2) for fv in _diameters(spec, radii, m)]
+    return _polish_radii(spec, radii, partial(_n_diameter_run, spec, n=n, m=m, seed=seed))
+
+
+def n_diameter(
+    spec: FunctionSpec,
+    r: float,
+    n: int,
+    m: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+) -> FunctionalValue:
+    """n-point diameter of f(r D): sup over n-tuples of the normalized
+    pairwise-distance product, estimated over boundary samples.
+
+    Coordinate-exchange ascent in the log domain from DEFAULT_RESTARTS
+    deterministic starts, run as the rows of one _exchange call (calls of at
+    most COARSE_SAMPLES // n rows for large n), finds the basins on a subgrid
+    of the m samples, at least max(COARSE_SAMPLES, n) of them where m
+    allows; the POLISHED best distinct tuples go to the continuous polish as
+    the rows of one call, which makes the value independent of the grid.
+    The error estimate is the parabolic gain at the exchange of the
+    winner's nearest samples on the full grid.  Restarts that polish to
+    distinct tuples are distinct local maxima; restarts that reach the same
+    tuple with different values flag restart_disagreement.
+    Extremal tuples lie on the outer boundary, so sampling f(r T) loses only
+    the angular discretization.  For n = 2 this is the diameter.
+    DomainError when n < 2 or n > m.
+    """
+    return _n_diameters(spec, [r], n, m, seed)[0]
 
 
 # ---- area from scanline sections of the boundary curve ----
@@ -827,8 +927,11 @@ def capacity_bracket(
 class FunctionalKind:
     """One functional F of the image set: its estimator and normalizer.
 
-    estimator(spec, r, n, **knobs) estimates F(f(r D)) from the knobs it
-    uses; norm(r, n) is F(r D), so norm(1, n) is the unit-disk value, and
+    estimator(spec, radii, n, **knobs) estimates F(f(r D)) at each of the
+    radii, a list of FunctionalValues, from the knobs it uses: diam and
+    ndiam polish the tuples of all radii in one descent, the other kinds
+    loop over the radii.  estimates calls it on a grid and estimate on one
+    radius.  norm(r, n) is F(r D), so norm(1, n) is the unit-disk value, and
     `normalization` labels it.  uses_area marks the kinds that read an area
     method; a growth curve resolves "auto" for them once, at its outer radius.
     Growth curves plot the interval's upper end when upper_endpoint is set;
@@ -844,20 +947,23 @@ class FunctionalKind:
     upper_endpoint: bool = False
     squared: bool = False
 
-    def estimate(
+    def estimates(
         self,
         spec: FunctionSpec,
-        r: float,
+        radii,
         n: int = 4,
         *,
         m: int = DEFAULT_SAMPLES,
         resolution: int = DEFAULT_RESOLUTION,
         seed: int = 0,
         area_method: str = "raster",
-    ) -> FunctionalValue:
+    ) -> list:
         return self.estimator(
-            spec, r, n, m=m, resolution=resolution, seed=seed, area_method=area_method
+            spec, radii, n, m=m, resolution=resolution, seed=seed, area_method=area_method
         )
+
+    def estimate(self, spec: FunctionSpec, r: float, n: int = 4, **knobs) -> FunctionalValue:
+        return self.estimates(spec, [r], n, **knobs)[0]
 
     def curve_value(self, fv: FunctionalValue) -> float:
         return fv.interval[1] if self.upper_endpoint else fv.value
@@ -866,31 +972,34 @@ class FunctionalKind:
 # The order is the order of the CLI's --kind choices.
 KINDS = {
     "rad": FunctionalKind(
-        lambda spec, r, n, m, **_: radius(spec, r, m=m),
+        lambda spec, radii, n, m, **_: [radius(spec, r, m=m) for r in radii],
         lambda r, n: r, "r", "SchwarzGrowth",
     ),
     "diam": FunctionalKind(
-        lambda spec, r, n, m, **_: diameter(spec, r, m=m),
+        lambda spec, radii, n, m, **_: _diameters(spec, radii, m=m),
         lambda r, n: 2.0 * r, "2r", "LandauToeplitz",
     ),
     "ndiam": FunctionalKind(
-        lambda spec, r, n, m, seed, **_: n_diameter(spec, r, n, m=m, seed=seed),
+        lambda spec, radii, n, m, seed, **_: _n_diameters(spec, radii, n, m=m, seed=seed),
         lambda r, n: disk_n_diameter(n) * r, "n^(1/(n-1)) r", "NDiamGrowth",
     ),
     "cap": FunctionalKind(
-        lambda spec, r, n, m, resolution, seed, area_method, **_: capacity_bracket(
-            spec, r, n=n, m=m, resolution=resolution, seed=seed, area_method=area_method
-        ),
+        lambda spec, radii, n, m, resolution, seed, area_method, **_: [
+            capacity_bracket(
+                spec, r, n=n, m=m, resolution=resolution, seed=seed, area_method=area_method
+            )
+            for r in radii
+        ],
         lambda r, n: r, "r", "CapGrowth", uses_area=True, upper_endpoint=True,
     ),
     "area": FunctionalKind(
-        lambda spec, r, n, resolution, area_method, **_: _area_by_method(
-            spec, r, area_method, resolution
-        ),
+        lambda spec, radii, n, resolution, area_method, **_: [
+            _area_by_method(spec, r, area_method, resolution) for r in radii
+        ],
         lambda r, n: np.pi * r * r, "pi r^2", "AreaGrowth", uses_area=True, squared=True,
     ),
     "perim": FunctionalKind(
-        lambda spec, r, n, **_: circle_image_length(spec, r),
+        lambda spec, radii, n, **_: [circle_image_length(spec, r) for r in radii],
         lambda r, n: 2.0 * np.pi * r, "2 pi r", "PerimGrowth",
     ),
 }

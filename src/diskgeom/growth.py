@@ -100,8 +100,10 @@ def phi_curve(
     **knobs,
 ) -> GrowthCurve:
     """Normalized growth curve of one functional kind (a key of
-    functionals.KINDS) over a radius grid.  knobs are the other estimator
-    settings of FunctionalKind.estimate (m, resolution, seed).
+    functionals.KINDS) over a radius grid, from one FunctionalKind.estimates
+    call on the whole grid: diam and ndiam polish the tuples of all radii
+    as the rows of one Newton ascent.  knobs are the other estimator
+    settings (m, resolution, seed).
 
     area_method "auto" is resolved once, at the largest grid radius, by
     resolve_area_method: the exact coefficient series when the spec is
@@ -126,7 +128,7 @@ def phi_curve(
         flags = flags + ("cap_upper_estimate",)
 
     radii = [float(r) for r in grid]
-    values = [fk.estimate(spec, r, n, area_method=area_method, **knobs) for r in radii]
+    values = fk.estimates(spec, radii, n, area_method=area_method, **knobs)
 
     phi = np.empty(grid.size)
     errs = np.empty(grid.size)

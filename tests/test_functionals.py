@@ -489,14 +489,15 @@ def test_newton_halves_steps_that_overshoot():
     # at 0 when |x| > 1; only halved steps reach it.
     values = []
 
-    def fun(x):
+    def fun(x, rows):
+        assert rows.tolist() == [0]
         values.append(float(np.sqrt(1.0 + x[0, 0] ** 2)))
         return np.array([values[-1]]), x / values[-1], np.array([[[values[-1] ** -3]]])
 
     res = functionals.minimize(fun, np.array([[2.0]]))
     assert res.nfev == len(values)
     assert abs(res.x[0, 0]) <= 1e-6
-    assert res.fun[0] == fun(res.x)[0][0] <= values[0]
+    assert res.fun[0] == fun(res.x, np.arange(1))[0][0] <= values[0]
 
 
 @pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY, ac10_polynomial(0)))
@@ -507,8 +508,9 @@ def test_polish_never_ends_below_its_start(spec):
             theta0 = rng.uniform(0.0, 2.0 * np.pi, (3, n))
             w0 = evaluate(spec, r * np.exp(1j * theta0))
             S, _, _ = functionals._polish_tuples(spec, r, theta0)
+            start = functionals._log_objectives(w0.ravel(), np.arange(3 * n).reshape(3, n))
             for k in range(3):
-                assert S[k] >= functionals._log_objective(w0[k], np.arange(n))
+                assert S[k] >= start[k]
     # A coincident pair has no finite objective; the start comes back.
     S, _, theta = functionals._polish_tuples(spec, 0.6, np.array([[0.3, 0.3, 2.0]]))
     assert S[0] == -np.inf
@@ -521,11 +523,17 @@ def test_polish_never_ends_below_its_start(spec):
 def test_batched_polish_rows_match_single_rows(monkeypatch, spec, n):
     # Rows descend together but do not mix: each ends, bit for bit, where it
     # would alone, after as many evaluations.  The last batch holds a
-    # coincident pair, whose row keeps its start at objective -inf.
+    # coincident pair, whose row keeps its start at objective -inf.  Each
+    # evaluation names the rows of x0 it holds, in order and each once.
     nfev, original = [], functionals.minimize
 
     def recording(fun, x0):
-        result = original(fun, x0)
+        def named(x, rows):
+            assert len(x) == len(rows) and np.all(np.diff(rows) > 0)
+            assert 0 <= rows[0] and rows[-1] < len(x0)
+            return fun(x, rows)
+
+        result = original(named, x0)
         nfev.append(result.nfev)
         return result
 
@@ -547,6 +555,31 @@ def test_batched_polish_rows_match_single_rows(monkeypatch, spec, n):
     assert S[1] == -np.inf
     assert theta[1].tobytes() == coincident[1].tobytes()
     assert np.isfinite(S[0])
+
+
+@pytest.mark.parametrize("spec, n, k", [
+    (spec, n, 5) for spec in (KOEBE_LIKE, AnnulusCover(1.0), ac10_polynomial(0)) for n in (2, 4)
+] + [(KOEBE_LIKE, 64, 17)])
+def test_polish_rows_on_their_own_radii_match_single_rows(monkeypatch, spec, n, k):
+    # One call with a radius per row: each row ends, bit for bit, where it
+    # would alone on its own circle.  At n = 64 a minimize call holds at
+    # most POLISH_ENTRIES // 64^2 = 16 rows, so 17 rows take two.
+    sizes, original = [], functionals.minimize
+
+    def sized(fun, x0):
+        sizes.append(len(x0))
+        return original(fun, x0)
+
+    rng = np.random.default_rng(SEED + n)
+    radii = rng.uniform(0.05, 0.95, k)
+    theta0 = 2.0 * np.pi * np.arange(n) / n + rng.uniform(-0.3 / n, 0.3 / n, (k, n))
+    monkeypatch.setattr(functionals, "minimize", sized)
+    together = functionals._polish_tuples(spec, radii, theta0)
+    assert sizes == ([16, 1] if n == 64 else [k])
+    for i in range(k):
+        alone = functionals._polish_tuples(spec, radii[i], theta0[i][None])
+        for a, b in zip(together, alone):
+            assert a[i].tobytes() == b[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -1,11 +1,14 @@
 """Growth curves phi(r), their verdicts, limits, and CSV serialization."""
 
 import io
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diskgeom import (
+    AnnulusCover,
     GridError,
     GrowthCurve,
     Moebius,
@@ -13,16 +16,25 @@ from diskgeom import (
     check_log_convex,
     check_monotone,
     default_grid,
+    diameter,
     limit_at_zero,
+    n_diameter,
     phi_curve,
     write_curve_csv,
 )
+from diskgeom import functionals, growth
 
 SEED = 20260815
 GRID7 = default_grid(7, 0.1, 0.9)
 LINEAR = Polynomial((5.0, 3.0))
 SQUARE = Polynomial((0.0, 0.0, 1.0))
 KOEBE_LIKE = Polynomial((0.0, 1.0, 0.2))
+# Polynomial 0 of the acceptance test AC10's stream.
+AC10_POLY0 = Polynomial((
+    0.25192859815738317 - 0.68406499195177362j, 0.54705643258170855 - 2.4124487853532783j,
+    0.069401015516602646 + 0.17463714547323439j, -0.18322976220469084 + 0.88955835408099337j,
+    -0.1657153301845341 + 1.0558162766139239j, -1.4244484668168733 + 0.91476230782625456j,
+))
 
 
 def test_default_grid_is_geometric():
@@ -159,3 +171,91 @@ def test_write_curve_csv_to_path(tmp_path):
     write_curve_csv(curve, path)
     text = path.read_text()
     assert text.startswith("kind=rad,")
+
+
+def _sweep_and_per_radius(monkeypatch, spec, kind, n):
+    """The estimates a phi_curve sweep reads, and the per-radius diameter or
+    n_diameter calls at its radii, each as the reprs of its values and the
+    texts of its warnings; also the row counts of the sweep's minimize calls."""
+    seen, sizes = [], []
+    kind_of = growth.functional_kind
+
+    def recording_kind(name):
+        fk = kind_of(name)
+
+        def estimator(*args, **kwargs):
+            values = fk.estimator(*args, **kwargs)
+            seen.extend(values)
+            return values
+
+        return replace(fk, estimator=estimator)
+
+    minimize = functionals.minimize
+
+    def sized(fun, x0):
+        sizes.append(len(x0))
+        return minimize(fun, x0)
+
+    monkeypatch.setattr(growth, "functional_kind", recording_kind)
+    monkeypatch.setattr(functionals, "minimize", sized)
+    with warnings.catch_warnings(record=True) as swept:
+        warnings.simplefilter("always")
+        curve = phi_curve(spec, kind, n=n)
+    monkeypatch.undo()
+    one = (lambda r: diameter(spec, r)) if kind == "diam" else (lambda r: n_diameter(spec, r, n))
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        per_radius = [one(r) for r in curve.r_grid]
+    return (
+        ([repr(fv) for fv in seen], [str(w.message) for w in swept]),
+        ([repr(fv) for fv in per_radius], [str(w.message) for w in alone]),
+        sizes,
+    )
+
+
+@pytest.mark.parametrize("spec", [KOEBE_LIKE, AC10_POLY0, AnnulusCover(1.0)],
+                         ids=["quadratic", "ac10poly0", "annulus"])
+@pytest.mark.parametrize("kind, n", [("diam", 2), ("ndiam", 2), ("ndiam", 3), ("ndiam", 4),
+                                     ("ndiam", 6)])
+def test_sweep_matches_per_radius_estimates(monkeypatch, spec, kind, n):
+    # A sweep polishes the tuples of all its radii as the rows of one
+    # descent; value, bar, witness, flags and warnings are those of one
+    # call per radius.
+    swept, alone, sizes = _sweep_and_per_radius(monkeypatch, spec, kind, n)
+    assert swept == alone
+    assert len(swept[0]) == len(default_grid())
+    assert len(sizes) == 1
+
+
+def test_sweep_mixes_radii_with_one_and_three_tuples(monkeypatch):
+    # On z + 0.45 z^2 at n = 3 the restarts reach 3 distinct tuples at most
+    # radii of the default grid and 1 at the largest.
+    spec, counts = Polynomial((0.0, 1.0, 0.45)), []
+    polish = functionals._polish_tuples
+
+    def counting(spec, r, angles0):
+        counts.extend(np.unique(r, return_counts=True)[1].tolist())
+        return polish(spec, r, angles0)
+
+    monkeypatch.setattr(functionals, "_polish_tuples", counting)
+    swept, alone, _ = _sweep_and_per_radius(monkeypatch, spec, "ndiam", 3)
+    assert {1, 3} <= set(counts)
+    assert swept == alone
+
+
+@pytest.mark.parametrize("kind, n", [("diam", 2), ("ndiam", 4)])
+def test_sweep_of_a_constant_map_polishes_nothing(monkeypatch, kind, n):
+    # No radius has polish rows, so minimize is never called.
+    swept, alone, sizes = _sweep_and_per_radius(monkeypatch, Polynomial((2.0,)), kind, n)
+    assert swept == alone
+    assert sizes == []
+    assert all("degenerate" in text for text in swept[0])
+
+
+def test_sweep_polish_splits_into_bounded_calls(monkeypatch):
+    # With room for 4 rows of n = 6 in a call, the 51 rows of a sweep take
+    # 13 minimize calls, and each radius still ends where it would alone.
+    monkeypatch.setattr(functionals, "POLISH_ENTRIES", 4 * 6 * 6)
+    swept, alone, sizes = _sweep_and_per_radius(monkeypatch, KOEBE_LIKE, "ndiam", 6)
+    assert swept == alone
+    assert sizes == [4] * 12 + [3]

@@ -20,6 +20,7 @@ from diskgeom import (
     second_sum,
     vandermonde_check,
 )
+from diskgeom import identities
 from diskgeom.identities import (
     _hadamard_report,
     _log_abs_det,
@@ -251,3 +252,27 @@ def test_one_tuple_checks_equal_their_row_of_a_stack():
         stacked = (math.exp(log_product[i]), math.exp(logdet[i]), bool(match[i]))
         assert repr(vandermonde_check(t)) == repr(stacked)
         assert repr(hadamard_bound_check(t)) == repr(_hadamard_report(5, logdet[i]))
+
+
+def test_identity_suite_checks_the_seeded_tuples(monkeypatch):
+    # The suite's pass booleans cannot tell which tuples it checked, so the
+    # stacks that reach _tuple_checks are compared with a redraw of the
+    # seeded stream: per tuple, its size, then its points in the square,
+    # pulled into the closed disk.
+    stacks, original = [], identities._tuple_checks
+
+    def recording(stack):
+        stacks.append(stack.copy())
+        return original(stack)
+
+    monkeypatch.setattr(identities, "_tuple_checks", recording)
+    identity_suite(n_max=2, tuple_count=1000, seed=7)
+    rng, groups = np.random.default_rng(7), {}
+    for _ in range(1000):
+        n = int(rng.integers(2, 13))
+        raw = rng.uniform(-1.0, 1.0, (n, 2))
+        pts = raw[:, 0] + 1j * raw[:, 1]
+        groups.setdefault(n, []).append(pts / np.maximum(np.abs(pts), 1.0))
+    assert [stack.shape for stack in stacks] == [(len(g), n) for n, g in groups.items()]
+    for stack, rows in zip(stacks, groups.values()):
+        assert stack.tobytes() == np.array(rows).tobytes()
