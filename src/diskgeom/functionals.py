@@ -68,7 +68,7 @@ DEFAULT_RESTARTS = 16
 COARSE_SAMPLES = 256
 # Distinct basins that diameter and n_diameter polish.
 POLISHED = 3
-# Most Hessian entries, rows times n^2, of the rows of one polish call.
+# Most Hessian entries, rows times n^2, that one minimize call of the polish holds.
 POLISH_ENTRIES = 2**16
 # Most boundary samples that one refinement of f(r T) may evaluate.
 SAMPLE_CAP = 2**24
@@ -577,7 +577,8 @@ def n_diameter(
     tuple with different values flag restart_disagreement.
     Extremal tuples lie on the outer boundary, so sampling f(r T) loses only
     the angular discretization.  For n = 2 this is the diameter.
-    DomainError when n < 2 or n > m.
+    DomainError when n < 2 or n > m.  The one-radius case of _n_diameters,
+    which an ndiam growth curve calls on its whole grid.
     """
     return _n_diameters(spec, [r], n, m, seed)[0]
 

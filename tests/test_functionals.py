@@ -435,6 +435,28 @@ def test_n_diameter_distinct_maxima_are_not_flagged(index, r, best):
         assert fv.value >= best * (1.0 - 1e-13)
 
 
+@pytest.mark.parametrize("n", [3, 4, 6, 10])
+def test_stacked_restart_scores_match_the_per_row_loop(n):
+    # n_diameter scores its 16 restarts in one stacked evaluation; the scores
+    # and their stable order are those of the per-row loop it replaced.
+    rng = np.random.default_rng(SEED + n)
+    w = evaluate(ac10_polynomial(0), 0.9 * np.exp(2j * np.pi * np.arange(256) / 256))
+    ends = np.array([rng.choice(256, n, replace=False) for _ in range(16)])
+    ends[5, 1] = ends[5, 0]
+    ends[9] = ends[2]
+
+    def one(idx):
+        pts = w[idx]
+        d = np.abs(pts[:, None] - pts[None, :])[np.triu_indices(n, k=1)]
+        return -np.inf if np.any(d == 0.0) else float(np.sum(np.log(d)))
+
+    loop = [one(idx) for idx in ends]
+    scores = functionals._log_objectives(w, ends)
+    assert [repr(float(s)) for s in scores] == [repr(s) for s in loop]
+    order = sorted(range(16), key=lambda k: -loop[k])
+    assert np.argsort(-scores, kind="stable").tolist() == order
+
+
 def test_n_diameter_flags_disagreement_on_one_tuple(monkeypatch):
     # Two polishes of one tuple that end at different values are a polish
     # failure, and only that is flagged.
