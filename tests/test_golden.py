@@ -22,6 +22,8 @@ from diskgeom.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 POLY = "poly[0,1,0.2]"
+# Not univalent on 0.9 D: f'(z) = 1 + 1.2 z vanishes at z = -0.833.
+CRITICAL = "poly[0,1,0.6]"
 # Polynomial 0 of the acceptance test AC10's stream, numpy.random.default_rng(20260815).
 AC10_POLY0 = (
     "poly[0.25192859815738317-0.68406499195177362j,0.54705643258170855-2.4124487853532783j,"
@@ -67,6 +69,15 @@ CASES = {
         "sweep", "--spec", "moebius(0,0.5,1)", "--kind", "cap", "--points", "5",
         "--resolution", "256", "--format", "json",
     ],
+    # f' vanishes at -0.833 inside 0.9 D, so "auto" picks the raster area.
+    "eval_area_critical": ["eval", "--spec", CRITICAL, "--kind", "area", "--r", "0.9"],
+    "check_polya_critical": ["check", "polya", "--spec", CRITICAL, "--r", "0.9"],
+    "sweep_area_critical_json": [
+        "sweep", "--spec", CRITICAL, "--kind", "area", "--points", "5", "--resolution", "256",
+        "--format", "json",
+    ],
+    # A constant map: f' vanishes everywhere.
+    "check_all_constant": ["check", "all", "--spec", "poly[2]"],
     "check_all_csv": ["check", "all", "--spec", POLY, "--format", "csv"],
     "check_all_json": ["check", "all", "--spec", "moebius(0,0.5,1)", "--format", "json"],
     "check_all_annulus": ["check", "all", "--spec", "annulus(1)", "--format", "csv"],
