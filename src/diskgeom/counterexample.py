@@ -130,8 +130,10 @@ def _log_shrink_rate(c: float) -> float:
     """L = -log tanh(pi/(2c)), the log-radius step to the threshold."""
     if not 0.0 < c < math.inf:
         raise DomainError("c must be finite and positive")
-    y = math.pi / (2.0 * c)
-    log_tanh = math.log1p(-math.exp(-2.0 * y)) - math.log1p(math.exp(-2.0 * y))
+    q = math.exp(-math.pi / c)
+    if q == 1.0:
+        raise DomainError(f"c={c} exceeds pi 2^54, where exp(-pi/c) rounds to 1 in double")
+    log_tanh = math.log1p(-q) - math.log1p(q)
     rate = -log_tanh
     if rate <= 0.0:
         raise DomainError(f"c={c} puts the threshold below double resolution")

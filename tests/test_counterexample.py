@@ -142,6 +142,17 @@ def test_underflowing_area_is_a_domain_error(capsys):
     assert json.loads(captured.err)["error"] == "DomainError"
 
 
+def test_c_past_double_resolution_is_a_domain_error(capsys):
+    # Above c = pi 2^54, exp(-pi/c) rounds to 1 and log1p(-1) has no value.
+    code = main(["counterexample", "--c", "1e17"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "DomainError"
+    assert "pi 2^54" in error["message"]
+
+
 def test_limit_target_closed_form_at_one():
     assert limit_target(1.0) == pytest.approx(LIMIT_AT_ONE, abs=1e-10)
 
