@@ -1,4 +1,4 @@
-"""Power-series helpers: composition-free recurrences for exp and sqrt.
+"""Power-series helpers: derivative, evaluation and the recurrence for exp.
 
 Coefficients are ascending (index = power of z) in 1-D complex numpy arrays.
 """
@@ -26,22 +26,6 @@ def series_exp(g: np.ndarray, count: int) -> np.ndarray:
     for n in range(1, count):
         f[n] = np.dot(weighted[1 : n + 1], f[n - 1 :: -1][:n]) / n
     return f
-
-
-def series_sqrt(c: np.ndarray, count: int) -> np.ndarray:
-    """Taylor coefficients of sqrt(c(z)) (principal branch); requires c[0] != 0."""
-    c = np.asarray(c, dtype=complex)
-    if c.shape[0] == 0 or c[0] == 0:
-        raise ValueError("series_sqrt expects nonzero constant term")
-    ck = np.zeros(count, dtype=complex)
-    upto = min(count, c.shape[0])
-    ck[:upto] = c[:upto]
-    b = np.zeros(count, dtype=complex)
-    b[0] = np.sqrt(complex(ck[0]))
-    for n in range(1, count):
-        conv = np.dot(b[1:n], b[n - 1 : 0 : -1]) if n >= 2 else 0.0
-        b[n] = (ck[n] - conv) / (2.0 * b[0])
-    return b
 
 
 def series_derivative(coeffs: np.ndarray, order: int = 1) -> np.ndarray:

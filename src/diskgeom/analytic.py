@@ -3,9 +3,10 @@
 A spec is one of four frozen dataclass variants (polynomial, truncated
 power series, disk automorphism, annulus covering map), and each variant
 owns its formulas: value, derivative of any order, Taylor coefficients,
-parameter domain, JSON kind and CLI shorthand.  Field coercion to finite
-numbers, the JSON codec, the disk check and the scalar unwrap are shared,
-and SPEC_KINDS maps each JSON kind to its class for both JSON and the CLI.
+the zeros of f', parameter domain, JSON kind and CLI shorthand.  Field
+coercion to finite numbers, the JSON codec, the disk check and the scalar
+unwrap are shared, and SPEC_KINDS maps each JSON kind to its class for
+both JSON and the CLI.
 Everything downstream works through evaluate/derivative/sample_circle so
 the estimators never special-case the variant; the questions they ask
 are spec.coefficient_backed and spec.closed_disk.
@@ -47,7 +48,8 @@ def _number(v, real: bool = False):
 class _Spec:
     """A variant is a frozen dataclass with fields typed tuple, complex or
     float, a JSON kind, a CLI shorthand (name, brackets) and the methods
-    _validate, _value(z), _derivative(z, order) and _taylor(count).
+    _validate, _value(z), _derivative(z, order), _taylor(count) and
+    _critical_points(), the zeros of f' in the plane.
     coefficient_backed marks exact Taylor coefficients in coeffs, and
     closed_disk a map analytic on the closed disk, unit circle included."""
 
@@ -104,6 +106,27 @@ class Polynomial(_Spec):
     def _taylor(self, count):
         return np.array((self.coeffs + (0j,) * count)[:count], dtype=complex)
 
+    def _critical_points(self):
+        d = self._series(1)
+        if not d.any():
+            # f' vanishes everywhere; 0 stands for every point.
+            return np.zeros(1, dtype=complex)
+        # Leading terms below 2^-52 of the largest coefficient change f' on
+        # the closed disk by less than the rounding of its values, but their
+        # zeros far outside it would cost np.roots the digits of those near it.
+        top = np.flatnonzero(np.abs(d) >= 2.0**-52 * np.abs(d).max())[-1]
+        z = np.roots(d[top::-1]).astype(complex)
+        # Zeros far apart in size still share the rounding of one companion
+        # matrix; Newton steps on f' restore the small ones' digits.  A step
+        # counts when it is short and does not raise |f'|, so no zero jumps.
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                step = series_eval(d, z) / series_eval(self._series(2), z)
+                ok = np.abs(step) <= 1e-6 * (1.0 + np.abs(z))
+                ok &= np.abs(series_eval(d, z - step)) <= np.abs(series_eval(d, z))
+                z = np.where(ok, z - step, z)
+        return z
+
 
 class PowerSeries(Polynomial):
     """Truncated Taylor series; truncation degree is len(coeffs) - 1."""
@@ -147,6 +170,10 @@ class Moebius(_Spec):
             c[n] = fac * bbar ** (n - 1)
         return c
 
+    def _critical_points(self):
+        # f' = c (1 - |b|^2) / (1 - conj(b) z)^2 has no zeros.
+        return np.empty(0, dtype=complex)
+
 
 @dataclass(frozen=True)
 class AnnulusCover(_Spec):
@@ -183,6 +210,10 @@ class AnnulusCover(_Spec):
         g = np.zeros(count, dtype=complex)
         g[1::2] = [2j * self.c / k for k in range(1, count, 2)]
         return series_exp(g, count)
+
+    def _critical_points(self):
+        # f' = 2ic f / (1 - z^2), and f = exp(g) has no zeros.
+        return np.empty(0, dtype=complex)
 
 
 FunctionSpec = Union[Polynomial, PowerSeries, Moebius, AnnulusCover]
@@ -241,6 +272,12 @@ def taylor_coefficients(spec: FunctionSpec, count: int) -> np.ndarray:
     if count < 1:
         raise DomainError("count must be >= 1")
     return _variant(spec)._taylor(count)
+
+
+def critical_points(spec: FunctionSpec) -> np.ndarray:
+    """The zeros of f' in the plane, as a complex array; [0] when f' is
+    identically zero, where 0 stands for every point."""
+    return _variant(spec)._critical_points()
 
 
 def sample_circle(spec: FunctionSpec, r: float, m: int) -> BoundarySample:

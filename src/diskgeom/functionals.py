@@ -18,8 +18,8 @@ Set area and univalence share one mechanism, the refined boundary curve
 f(r T) and the argument principle: the winding number of f(r T) around w
 counts the preimages of w in r D, so the set area is the area where it is
 positive, summed from exact horizontal sections of the polyline, and f is
-injective on r D exactly when f' has no zeros there and f(r T) is a simple
-curve (Darboux-Picard).
+injective on r D exactly when f' has no zeros there (the spec lists them)
+and f(r T) is a simple curve (Darboux-Picard).
 
 SciPy is imported on first use, by the stand-in cKDTree of the univalence
 test, its only use.  The polish runs its own Newton method, minimize,
@@ -38,8 +38,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._series import series_derivative, series_sqrt
-from .analytic import FunctionSpec, derivative, evaluate, sample_circle, second_derivative
+from .analytic import (
+    FunctionSpec, critical_points, derivative, evaluate, sample_circle, second_derivative,
+)
 from .errors import (
     DomainError,
     OptimizationWarning,
@@ -586,23 +587,23 @@ def n_diameter(
 # ---- area from scanline sections of the boundary curve ----
 
 
-def _refine_circle(fn, r, values, too_coarse):
-    """Bisect the angle steps of samples of fn on |z| = r until none is too coarse.
+def _refine_circle(spec: FunctionSpec, r: float, values: np.ndarray, step: float):
+    """Bisect the angle steps of samples of f on |z| = r until no step of
+    the images, the last one closing the circle, is longer than step.
 
-    values holds fn at the angles 2 pi k / m; too_coarse(values) flags step
-    k -> k+1 (the last step closes the circle).  Returns the sorted angles
-    and the values, at most SAMPLE_CAP of them.
+    values holds f at the angles 2 pi k / m.  Returns the sorted angles and
+    the values, at most SAMPLE_CAP of them.
     """
     angles = 2.0 * np.pi * np.arange(values.size) / values.size
     for _ in range(40):
-        bad = np.nonzero(too_coarse(values))[0]
+        bad = np.nonzero(np.abs(np.roll(values, -1) - values) > step)[0]
         if bad.size == 0:
             return angles, values
         if values.size + bad.size > SAMPLE_CAP:
             raise ResourceError("boundary refinement exceeded the sample budget")
         mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
         angles = np.insert(angles, bad + 1, mid)
-        values = np.insert(values, bad + 1, fn(r * np.exp(1j * mid)))
+        values = np.insert(values, bad + 1, evaluate(spec, r * np.exp(1j * mid)))
     raise ResourceError("boundary refinement did not converge in 40 passes")
 
 
@@ -635,9 +636,7 @@ def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESO
     if ulp > 2.0 * min(cell_w, cell_h):
         raise ResourceError("the image is below the float resolution of its values at this grid")
     step = max(0.5 * min(cell_w, cell_h), 4.0 * ulp)
-    angles, values = _refine_circle(
-        partial(evaluate, spec), r, probe, lambda w: np.abs(np.roll(w, -1) - w) > step
-    )
+    angles, values = _refine_circle(spec, r, probe, step)
     return angles, values, (lo_x, lo_y, cell_w, cell_h)
 
 
@@ -727,50 +726,7 @@ def circle_image_length(spec: FunctionSpec, r: float) -> FunctionalValue:
     return FunctionalValue(kind="perim", value=value, abs_error=err, flags=("circle_image",))
 
 
-def _sqrt_deriv_series_length(spec: FunctionSpec, r: float) -> Optional[float]:
-    """Perimeter via 2 pi r sum |b_n|^2 r^(2n) with b = sqrt-series of f'."""
-    coeffs = np.asarray(spec.coeffs, dtype=complex)
-    dcoeffs = series_derivative(coeffs, 1)
-    if dcoeffs[0] == 0:
-        return None
-    count = 256
-    while True:
-        b = series_sqrt(dcoeffs, count)
-        n = np.arange(count)
-        terms = np.abs(b) ** 2 * float(r) ** (2 * n)
-        total = 2.0 * np.pi * r * float(np.sum(terms))
-        tail = 2.0 * np.pi * r * float(np.max(terms[-8:])) * count
-        if tail < 1e-12 * max(total, 1.0) or count >= 8192:
-            return total
-        count *= 2
-
-
 # ---- univalence ----
-
-
-def _critical_point(
-    spec: FunctionSpec, r: float, z: np.ndarray, d: np.ndarray, count: int
-) -> complex:
-    """One of the count zeros of f' in r D, from samples d = f'(z) on r T.
-
-    The contour moments (1 / 2 pi i) integral of z^k f''/f' dz, summed
-    over the refined steps, are the power sums of the zeros; Newton's
-    identities turn them into a polynomial whose roots Newton's method on
-    f' then polishes.  Returns the root where |f'| is least.
-    """
-    dlog = np.log(np.roll(d, -1) / d)
-    zm = 0.5 * (z + np.roll(z, -1))
-    sums = [complex(np.sum(zm**k * dlog)) / (2j * np.pi) for k in range(1, count + 1)]
-    e = [1.0 + 0j]
-    for k in range(1, count + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
-    roots = np.roots([(-1) ** k * e[k] for k in range(count + 1)])
-    roots = np.where(np.abs(roots) < r, roots, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(20):
-            nxt = roots - derivative(spec, roots) / second_derivative(spec, roots)
-            roots = np.where(np.abs(nxt) < r, nxt, roots)
-    return complex(roots[np.argmin(np.abs(derivative(spec, roots)))])
 
 
 def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
@@ -780,9 +736,13 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     whose midpoints lie within the longest step of each other; Newton's
     method on the two boundary angles then solves the two real equations
     f(r e^(i t1)) = f(r e^(i t2)).  The diagonal t1 = t2 solves them too,
-    hence the separation floor.
+    hence the separation floor.  The search runs on f scaled by a power of
+    two that brings |f| near 1, which changes no rounding and keeps the
+    products of coordinates finite, whatever the size of f.
     """
     angles, w, _ = _boundary_curve(spec, r)
+    unit = 2.0 ** -float(np.frexp(np.max(np.abs(w)))[1])
+    w = w * unit
     seg = np.roll(w, -1) - w
     mid = w + 0.5 * seg
     pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
@@ -801,13 +761,14 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(20):
             z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
-            gap = evaluate(spec, z1) - evaluate(spec, z2)
-            g1, g2 = 1j * z1 * derivative(spec, z1), -1j * z2 * derivative(spec, z2)
+            gap = evaluate(spec, z1) * unit - evaluate(spec, z2) * unit
+            g1 = 1j * z1 * (derivative(spec, z1) * unit)
+            g2 = -1j * z2 * (derivative(spec, z2) * unit)
             det = _cross(g1, g2)
             t1, t2 = t1 - _cross(gap, g2) / det, t2 - _cross(g1, gap) / det
         z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
         scale = 2.0 * float(np.max(np.abs(w - np.mean(w)))) + 1e-300
-        ok = (np.abs(evaluate(spec, z1) - evaluate(spec, z2)) < 1e-9 * scale) & (
+        ok = (np.abs(evaluate(spec, z1) * unit - evaluate(spec, z2) * unit) < 1e-9 * scale) & (
             np.abs(z1 - z2) > min_sep
         )
     if not np.any(ok):
@@ -821,34 +782,21 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
 
     For f analytic on a neighbourhood of the disk, f is injective exactly
     when f' has no zeros there and f(r T) is a simple curve.  The zeros of
-    f' are counted by the turning of arg f' along r T, sampled until each
-    step turns by less than pi / 8.  Self-crossings of f(r T) are searched
-    on the boundary polyline that area uses at its default resolution
-    (steps of half a cell, or 4 float spacings of |f| where that is more)
-    and confirmed by Newton's method.  A false verdict carries a critical
-    point (z, z) or a colliding pair (z1, z2).
+    f' come exact from the spec, critical_points, and one within |z| <=
+    r (1 + 1e-12) counts as on the disk.  Self-crossings of f(r T) are
+    searched on the boundary polyline that area uses at its default
+    resolution (steps of half a cell, or 4 float spacings of |f| where that
+    is more) and confirmed by Newton's method.  A false verdict carries a
+    critical point (z, z) or a colliding pair (z1, z2).
     """
-    m0 = 4096
-    d0 = derivative(spec, r * np.exp(2j * np.pi * np.arange(m0) / m0))
-    tiny = 1e-12 * (1.0 + float(np.max(np.abs(d0))))
-
-    def turns_fast(d):
-        nxt = np.roll(d, -1)
-        fast = np.abs(np.angle(nxt * np.conj(d))) >= np.pi / 8.0
-        return fast & (np.minimum(np.abs(d), np.abs(nxt)) > tiny)
-
-    angles, d = _refine_circle(partial(derivative, spec), r, d0, turns_fast)
-    z = r * np.exp(1j * angles)
-    k = int(np.argmin(np.abs(d)))
-    if abs(d[k]) <= tiny:
-        return UnivalenceResult(False, (complex(z[k]), complex(z[k])), "vanishing derivative")
-    count = int(round(float(np.sum(np.angle(np.roll(d, -1) * np.conj(d)))) / (2.0 * np.pi)))
-    if count > 0:
-        zc = _critical_point(spec, r, z, d, count)
-        return UnivalenceResult(False, (zc, zc), "vanishing derivative")
-    # f is locally injective, so a genuine collision is not within one
-    # initial grid step of the diagonal.
-    pair = _self_crossing(spec, r, 2.0 * np.pi * r / m0)
+    zeros = critical_points(spec)
+    inside = zeros[np.abs(zeros) <= r * (1.0 + 1e-12)]
+    if inside.size:
+        z = complex(inside[0])
+        return UnivalenceResult(False, (z, z), "vanishing derivative")
+    # f is locally injective, so a genuine collision is not within 2 pi r / 4096
+    # of the diagonal.
+    pair = _self_crossing(spec, r, 2.0 * np.pi * r / 4096)
     if pair is not None:
         return UnivalenceResult(False, pair, "image collision")
     return UnivalenceResult(True, None, "")
@@ -879,6 +827,32 @@ def _area_by_method(
 # ---- capacity bracket ----
 
 
+def _capacity_brackets(
+    spec: FunctionSpec, radii, n: int, m: int, resolution: int, seed: int, area_method: str
+) -> list:
+    """capacity_bracket at each radius, the d_n tuples of all radii polished
+    as the rows of one descent; the estimator of KINDS["cap"]."""
+    areas = [_area_by_method(spec, r, area_method, resolution) for r in radii]
+    dns = _n_diameters(spec, radii, n, m=m, seed=seed)
+    norm = disk_n_diameter(n)
+    brackets = []
+    for a, dn in zip(areas, dns):
+        lo_raw = float(np.sqrt(max(a.value, 0.0) / np.pi))
+        hi_raw = dn.value / norm
+        err_lo = (
+            a.abs_error / (2.0 * np.sqrt(np.pi * a.value)) if a.value > a.abs_error
+            else float(np.sqrt(max(a.value + a.abs_error, 0.0) / np.pi)) - lo_raw
+        )
+        lo = max(lo_raw - err_lo, 0.0)
+        hi = hi_raw + dn.abs_error / norm
+        flags = tuple(dn.flags) + (("bracket_inverted",) if lo_raw > hi_raw else ())
+        brackets.append(FunctionalValue(
+            kind="cap", value=0.5 * (lo + hi), abs_error=0.5 * (hi - lo), witness=dn.witness,
+            interval=(lo, hi), n=n, flags=flags,
+        ))
+    return brackets
+
+
 def capacity_bracket(
     spec: FunctionSpec,
     r: float,
@@ -893,32 +867,10 @@ def capacity_bracket(
     Lower endpoint sqrt(Area / pi), upper endpoint d_n / n^(1/(n-1)).
     Estimator errors are propagated outward into the interval; the value
     is the midpoint.  The bracket_inverted flag signals under-resolution.
+    The one-radius case of _capacity_brackets, which a cap growth curve
+    calls on its whole grid.
     """
-    a = _area_by_method(spec, r, area_method, resolution)
-    dn = n_diameter(spec, r, n, m=m, seed=seed)
-    norm = disk_n_diameter(n)
-    lo_raw = float(np.sqrt(max(a.value, 0.0) / np.pi))
-    hi_raw = dn.value / norm
-    err_lo = (
-        a.abs_error / (2.0 * np.sqrt(np.pi * a.value)) if a.value > a.abs_error
-        else float(np.sqrt(max(a.value + a.abs_error, 0.0) / np.pi)) - lo_raw
-    )
-    err_hi = dn.abs_error / norm
-    lo = max(lo_raw - err_lo, 0.0)
-    hi = hi_raw + err_hi
-    flags = tuple(dn.flags)
-    if lo_raw > hi_raw:
-        flags = flags + ("bracket_inverted",)
-    mid = 0.5 * (lo + hi)
-    return FunctionalValue(
-        kind="cap",
-        value=mid,
-        abs_error=0.5 * (hi - lo),
-        witness=dn.witness,
-        interval=(lo, hi),
-        n=n,
-        flags=flags,
-    )
+    return _capacity_brackets(spec, [r], n, m, resolution, seed, area_method)[0]
 
 
 # ---- functional kinds ----
@@ -929,8 +881,8 @@ class FunctionalKind:
     """One functional F of the image set: its estimator and normalizer.
 
     estimator(spec, radii, n, **knobs) estimates F(f(r D)) at each of the
-    radii, a list of FunctionalValues, from the knobs it uses: diam and
-    ndiam polish the tuples of all radii in one descent, the other kinds
+    radii, a list of FunctionalValues, from the knobs it uses: diam, ndiam
+    and cap polish the tuples of all radii in one descent, the other kinds
     loop over the radii.  estimates calls it on a grid and estimate on one
     radius.  norm(r, n) is F(r D), so norm(1, n) is the unit-disk value, and
     `normalization` labels it.  uses_area marks the kinds that read an area
@@ -985,13 +937,7 @@ KINDS = {
         lambda r, n: disk_n_diameter(n) * r, "n^(1/(n-1)) r", "NDiamGrowth",
     ),
     "cap": FunctionalKind(
-        lambda spec, radii, n, m, resolution, seed, area_method, **_: [
-            capacity_bracket(
-                spec, r, n=n, m=m, resolution=resolution, seed=seed, area_method=area_method
-            )
-            for r in radii
-        ],
-        lambda r, n: r, "r", "CapGrowth", uses_area=True, upper_endpoint=True,
+        _capacity_brackets, lambda r, n: r, "r", "CapGrowth", uses_area=True, upper_endpoint=True,
     ),
     "area": FunctionalKind(
         lambda spec, radii, n, resolution, area_method, **_: [

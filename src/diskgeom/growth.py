@@ -101,8 +101,8 @@ def phi_curve(
 ) -> GrowthCurve:
     """Normalized growth curve of one functional kind (a key of
     functionals.KINDS) over a radius grid, from one FunctionalKind.estimates
-    call on the whole grid: diam and ndiam polish the tuples of all radii
-    as the rows of one Newton ascent.  knobs are the other estimator
+    call on the whole grid: diam, ndiam and cap polish the tuples of all
+    radii as the rows of one Newton ascent.  knobs are the other estimator
     settings (m, resolution, seed).
 
     area_method "auto" is resolved once, at the largest grid radius, by

@@ -45,8 +45,8 @@ from diskgeom import (
     vandermonde_check,
     PointTuple,
 )
+from diskgeom._series import series_derivative
 from diskgeom.counterexample import _area_from_s, _log_shrink_rate, _s_of_x
-from diskgeom.functionals import _sqrt_deriv_series_length
 
 SEED = 20260815
 IDENTITY = Polynomial((0.0, 1.0))
@@ -57,6 +57,40 @@ AUTOMORPHISM = Moebius(0.0, 0.5, 1.0)
 
 def report(index: int, ok: bool, detail: str) -> None:
     print(f"AC-{index}: {'PASS' if ok else 'FAIL'} ({detail})")
+
+
+def series_sqrt(c: np.ndarray, count: int) -> np.ndarray:
+    """Taylor coefficients of sqrt(c(z)) (principal branch); requires c[0] != 0."""
+    c = np.asarray(c, dtype=complex)
+    if c.shape[0] == 0 or c[0] == 0:
+        raise ValueError("series_sqrt expects nonzero constant term")
+    ck = np.zeros(count, dtype=complex)
+    upto = min(count, c.shape[0])
+    ck[:upto] = c[:upto]
+    b = np.zeros(count, dtype=complex)
+    b[0] = np.sqrt(complex(ck[0]))
+    for n in range(1, count):
+        conv = np.dot(b[1:n], b[n - 1 : 0 : -1]) if n >= 2 else 0.0
+        b[n] = (ck[n] - conv) / (2.0 * b[0])
+    return b
+
+
+def sqrt_deriv_series_length(spec, r: float):
+    """Perimeter of f(r D) for univalent f as 2 pi r sum |b_n|^2 r^(2n),
+    with b the sqrt-series of f' (AC-12's oracle); None when f'(0) = 0."""
+    dcoeffs = series_derivative(np.asarray(spec.coeffs, dtype=complex), 1)
+    if dcoeffs[0] == 0:
+        return None
+    count = 256
+    while True:
+        b = series_sqrt(dcoeffs, count)
+        n = np.arange(count)
+        terms = np.abs(b) ** 2 * float(r) ** (2 * n)
+        total = 2.0 * np.pi * r * float(np.sum(terms))
+        tail = 2.0 * np.pi * r * float(np.max(terms[-8:])) * count
+        if tail < 1e-12 * max(total, 1.0) or count >= 8192:
+            return total
+        count *= 2
 
 
 def test_ac1_disk_n_diameter_and_fekete_points():
@@ -329,10 +363,20 @@ def test_ac12_raster_vs_series_cross_check():
         gap = abs(a_raster.value - a_series.value)
         area_ok = area_ok and gap <= 2.0 * (a_raster.abs_error + a_series.abs_error)
         quad = circle_image_length(spec, 0.5)
-        series_len = _sqrt_deriv_series_length(spec, 0.5)
+        series_len = sqrt_deriv_series_length(spec, 0.5)
         worst_perim = max(worst_perim, abs(quad.value - series_len))
         perim_ok = perim_ok and abs(quad.value - series_len) <= 1e-6
     ok = area_ok and perim_ok
     report(12, ok, f"areas within bands {area_ok}, worst perimeter gap {worst_perim:.1e}")
     assert area_ok
     assert perim_ok
+
+
+# AC-12's perimeter oracle, checked on its own.
+def test_series_sqrt_squares_back():
+    rng = np.random.default_rng(SEED + 1)
+    c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    c[0] = 1.5 + 0.2j
+    s = series_sqrt(c, 10)
+    square = np.convolve(s, s)[:10]
+    assert np.max(np.abs(square - c[:10])) <= 1e-10

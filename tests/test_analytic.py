@@ -28,7 +28,7 @@ from diskgeom import (
     spec_to_json,
     taylor_coefficients,
 )
-from diskgeom._series import series_derivative, series_eval, series_exp, series_sqrt
+from diskgeom._series import series_derivative, series_eval, series_exp
 from diskgeom.quadrature import integrate
 
 EXACT = 1e-14
@@ -255,15 +255,6 @@ def test_series_exp_against_exp():
     e = series_exp(g, 8)
     expected = np.array([1.0 / math.factorial(k) for k in range(8)])
     assert np.max(np.abs(e - expected)) <= SERIES_TOL
-
-
-def test_series_sqrt_squares_back():
-    rng = np.random.default_rng(SEED + 1)
-    c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    c[0] = 1.5 + 0.2j
-    s = series_sqrt(c, 10)
-    square = np.convolve(s, s)[:10]
-    assert np.max(np.abs(square - c[:10])) <= 1e-10
 
 
 def test_series_derivative_shifts_degree():

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskgeom import (
@@ -34,6 +34,8 @@ from diskgeom import (
     n_diameter,
     radius,
     sample_circle,
+    scale_spec,
+    taylor_coefficients,
 )
 import diskgeom
 from diskgeom import functionals, quadrature
@@ -675,8 +677,66 @@ def test_univalence_detects_critical_point_on_sample():
         z1, z2 = res.witness
         assert z1 == z2
         assert abs(abs(z1) - radius_c) <= 5e-4
-        roots = np.roots(np.polyder(np.array(spec.coeffs[::-1])))
-        assert np.min(np.abs(roots - z1)) <= 1e-9
+        assert np.min(np.abs(mp_critical_points(spec.coeffs) - z1)) <= 1e-9
+    # f' = 1 + z vanishes at -1, on the circle of radius 1.
+    res = is_univalent_sampled(Polynomial((0.0, 1.0, 0.5)), 1.0)
+    assert res.reason == "vanishing derivative"
+    assert abs(res.witness[0] + 1.0) <= 1e-12
+
+
+def test_univalence_constant_map_has_vanishing_derivative():
+    # f' has no roots to list, yet vanishes everywhere, and f(r T) is a
+    # single point without a crossing.
+    res = is_univalent_sampled(Polynomial((2.0,)), 0.5)
+    assert not res
+    assert res.reason == "vanishing derivative"
+
+
+def mp_critical_points(coeffs) -> np.ndarray:
+    """The zeros of f' for ascending coefficients, by mpmath at 30 digits;
+    [0] when f' vanishes identically, where 0 stands for every point.
+    Where Durand-Kerner does not converge, as on some coefficients hundreds
+    of orders of magnitude apart, they are the eigenvalues of the companion
+    matrix at enough digits to span that range."""
+    with mpmath.workdps(30):
+        d = [k * mpmath.mpc(c) for k, c in enumerate(coeffs)][1:]
+        while d and d[-1] == 0:
+            d.pop()
+        if not d:
+            return np.zeros(1, dtype=complex)
+        n = len(d) - 1
+        try:
+            roots = mpmath.polyroots(d[::-1], maxsteps=200, extraprec=200) if n else []
+        except mpmath.mp.NoConvergence:
+            logs = [mpmath.log10(abs(c)) for c in d if c]
+            with mpmath.workdps(30 + 2 * int(max(logs) - min(logs))):
+                companion = mpmath.zeros(n)
+                for i in range(n):
+                    companion[i, n - 1] = -d[i] / d[n]
+                    if i:
+                        companion[i, i - 1] = 1
+                roots = mpmath.eig(companion, left=False, right=False)
+        return np.array([complex(z) for z in roots], dtype=complex)
+
+
+_coefficient = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(_coefficient, min_size=1, max_size=7),
+    r=st.floats(0.05, 0.99),
+)
+def test_univalence_vanishing_derivative_matches_mpmath(coeffs, r):
+    zeros = mp_critical_points(coeffs)
+    assume(np.all(np.abs(np.abs(zeros) - r) > 1e-9))
+    inside = zeros[np.abs(zeros) <= r]
+    res = is_univalent_sampled(Polynomial(tuple(coeffs)), r)
+    assert (res.reason == "vanishing derivative") == bool(inside.size)
+    if inside.size:
+        z1, z2 = res.witness
+        assert z1 == z2
+        assert np.min(np.abs(inside - z1)) <= 1e-9
 
 
 def test_univalence_detects_collision_annulus_cover():
@@ -700,6 +760,19 @@ def test_univalence_accepts_injective_maps():
         assert is_univalent_sampled(AnnulusCover(c), np.tanh(np.pi / (2.0 * c)) - 1e-3)
     for spec in FAR_SMALL:
         assert is_univalent_sampled(spec, 0.5)
+
+
+def test_univalence_verdict_does_not_depend_on_the_scale_of_f():
+    # The Taylor polynomial of a cover of the annulus wraps past the cover's
+    # threshold, with no zero of f' on the disk; z + 0.3 z^2 + 0.4 z^3 is
+    # injective on 0.9 D.  f and s f are injective together.
+    wrap = Polynomial(tuple(taylor_coefficients(AnnulusCover(3.0), 60)))
+    r = np.tanh(np.pi / 6.0) + 0.05
+    res = is_univalent_sampled(wrap, r)
+    assert res.reason == "image collision"
+    for s in (1e-300, 1e-12, 1e12, 1e300):
+        assert repr(is_univalent_sampled(scale_spec(wrap, s), r)) == repr(res)
+        assert is_univalent_sampled(scale_spec(Polynomial((0.0, 1.0, 0.3, 0.4)), s), 0.9)
 
 
 def test_capacity_bracket_identity_is_tight():

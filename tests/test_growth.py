@@ -13,6 +13,7 @@ from diskgeom import (
     GrowthCurve,
     Moebius,
     Polynomial,
+    capacity_bracket,
     check_log_convex,
     check_monotone,
     default_grid,
@@ -173,10 +174,11 @@ def test_write_curve_csv_to_path(tmp_path):
     assert text.startswith("kind=rad,")
 
 
-def _sweep_and_per_radius(monkeypatch, spec, kind, n):
-    """The estimates a phi_curve sweep reads, and the per-radius diameter or
-    n_diameter calls at its radii, each as the reprs of its values and the
-    texts of its warnings; also the row counts of the sweep's minimize calls."""
+def _sweep_and_per_radius(monkeypatch, spec, kind, n, **knobs):
+    """The estimates a phi_curve sweep with the knobs reads, and the
+    per-radius diameter, n_diameter or capacity_bracket calls at its radii,
+    each as the reprs of its values and the texts of its warnings; also the
+    row counts of the sweep's minimize calls."""
     seen, sizes = [], []
     kind_of = growth.functional_kind
 
@@ -200,9 +202,13 @@ def _sweep_and_per_radius(monkeypatch, spec, kind, n):
     monkeypatch.setattr(functionals, "minimize", sized)
     with warnings.catch_warnings(record=True) as swept:
         warnings.simplefilter("always")
-        curve = phi_curve(spec, kind, n=n)
+        curve = phi_curve(spec, kind, n=n, **knobs)
     monkeypatch.undo()
-    one = (lambda r: diameter(spec, r)) if kind == "diam" else (lambda r: n_diameter(spec, r, n))
+    one = {
+        "diam": lambda r: diameter(spec, r),
+        "ndiam": lambda r: n_diameter(spec, r, n),
+        "cap": lambda r: capacity_bracket(spec, r, n=n, **knobs),
+    }[kind]
     with warnings.catch_warnings(record=True) as alone:
         warnings.simplefilter("always")
         per_radius = [one(r) for r in curve.r_grid]
@@ -222,6 +228,20 @@ def test_sweep_matches_per_radius_estimates(monkeypatch, spec, kind, n):
     # descent; value, bar, witness, flags and warnings are those of one
     # call per radius.
     swept, alone, sizes = _sweep_and_per_radius(monkeypatch, spec, kind, n)
+    assert swept == alone
+    assert len(swept[0]) == len(default_grid())
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("spec, area_method", [
+    (KOEBE_LIKE, "series"), (Moebius(0.0, 0.5, 1.0), "raster"), (AnnulusCover(1.0), "raster"),
+], ids=["quadratic", "moebius", "annulus"])
+def test_cap_sweep_matches_per_radius_brackets(monkeypatch, spec, area_method):
+    # The d_n tuples of all radii go to one descent; each bracket is the
+    # one capacity_bracket gives at its radius.
+    swept, alone, sizes = _sweep_and_per_radius(
+        monkeypatch, spec, "cap", 8, area_method=area_method, resolution=256
+    )
     assert swept == alone
     assert len(swept[0]) == len(default_grid())
     assert len(sizes) == 1
