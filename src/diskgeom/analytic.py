@@ -107,10 +107,15 @@ class Polynomial(_Spec):
         return np.array((self.coeffs + (0j,) * count)[:count], dtype=complex)
 
     def _critical_points(self):
-        d = self._series(1)
-        if not d.any():
+        a = np.asarray(self.coeffs[1:], dtype=complex)
+        if not a.any():
             # f' vanishes everywhere; 0 stands for every point.
             return np.zeros(1, dtype=complex)
+        # f' scaled by a power of two that brings its largest coefficient
+        # near 1 (by 2^1000 at most, for subnormal ones) has the same zeros,
+        # and its coefficients and the divisions of np.roots stay finite.
+        unit = 2.0 ** min(-float(np.frexp(np.abs(a).max())[1]), 1000.0)
+        d = a * unit * np.arange(1, a.size + 1)
         # Leading terms below 2^-52 of the largest coefficient change f' on
         # the closed disk by less than the rounding of its values, but their
         # zeros far outside it would cost np.roots the digits of those near it.
@@ -119,9 +124,10 @@ class Polynomial(_Spec):
         # Zeros far apart in size still share the rounding of one companion
         # matrix; Newton steps on f' restore the small ones' digits.  A step
         # counts when it is short and does not raise |f'|, so no zero jumps.
+        d2 = series_derivative(d)
         with np.errstate(all="ignore"):
             for _ in range(3):
-                step = series_eval(d, z) / series_eval(self._series(2), z)
+                step = series_eval(d, z) / series_eval(d2, z)
                 ok = np.abs(step) <= 1e-6 * (1.0 + np.abs(z))
                 ok &= np.abs(series_eval(d, z - step)) <= np.abs(series_eval(d, z))
                 z = np.where(ok, z - step, z)

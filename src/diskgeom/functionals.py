@@ -737,11 +737,11 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     method on the two boundary angles then solves the two real equations
     f(r e^(i t1)) = f(r e^(i t2)).  The diagonal t1 = t2 solves them too,
     hence the separation floor.  The search runs on f scaled by a power of
-    two that brings |f| near 1, which changes no rounding and keeps the
-    products of coordinates finite, whatever the size of f.
+    two that brings |f| near 1 (or by 2^1000, for a subnormal image), which
+    changes no rounding and keeps the products of coordinates finite.
     """
     angles, w, _ = _boundary_curve(spec, r)
-    unit = 2.0 ** -float(np.frexp(np.max(np.abs(w)))[1])
+    unit = 2.0 ** min(-float(np.frexp(np.max(np.abs(w)))[1]), 1000.0)
     w = w * unit
     seg = np.roll(w, -1) - w
     mid = w + 0.5 * seg

@@ -29,6 +29,7 @@ from diskgeom import (
     taylor_coefficients,
 )
 from diskgeom._series import series_derivative, series_eval, series_exp
+from diskgeom.analytic import critical_points
 from diskgeom.quadrature import integrate
 
 EXACT = 1e-14
@@ -112,6 +113,17 @@ def test_derivative_of_any_order_matches_taylor_series():
             expected = series_eval(series_derivative(coeffs, order), z)
             got = derivative(spec, z, order)
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_critical_points_across_the_float_range():
+    # f' = s (1 + 2z) from subnormal s to s where 2s overflows; a leading
+    # term of f' below 2^-52 of the largest moves nothing near the disk.
+    for s in (5e-324, 1e-310, 1.0, 1e308):
+        assert np.allclose(critical_points(Polynomial((0.0, s, s))), [-0.5], atol=1e-15)
+    assert critical_points(Polynomial((0.0, 1.0, 1e-320))).size == 0
+    assert critical_points(Polynomial((2.0,))).tolist() == [0.0]
+    assert critical_points(Moebius(1.0, 0.5j, 1.0)).size == 0
+    assert critical_points(AnnulusCover(2.0)).size == 0
 
 
 def test_taylor_coefficients_annulus_cover():
