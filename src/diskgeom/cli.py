@@ -343,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
     p_eval.add_argument("--kind", choices=KINDS, required=True)
     p_eval.add_argument("--r", type=float, default=0.5)
-    p_eval.add_argument("--n", type=int, default=4)
-    p_eval.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    p_eval.add_argument("--area-method", choices=("auto", "raster", "series"), default="auto")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sweep = commands.add_parser("sweep", help="growth curve over a geometric radius grid")
@@ -354,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r-min", type=float, default=0.05)
     p_sweep.add_argument("--r-max", type=float, default=0.95)
     p_sweep.add_argument("--points", type=int, default=17)
-    p_sweep.add_argument("--n", type=int, default=4)
-    p_sweep.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    p_sweep.add_argument("--area-method", choices=("auto", "raster", "series"), default="auto")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = commands.add_parser("check", help="named inequality reports, exit 1 on FAIL")
@@ -366,11 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--r", type=float, default=0.5)
     p_check.add_argument("--z", type=lambda s: _parse_complex(s, "--z"), default=0.5 + 0.0j)
     p_check.add_argument("--w", type=lambda s: _parse_complex(s, "--w"), default=None)
-    p_check.add_argument("--n", type=int, default=4)
     p_check.add_argument("--tol", type=float, default=1e-9)
-    p_check.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    p_check.add_argument("--area-method", choices=("auto", "raster", "series"), default="auto")
     p_check.set_defaults(func=_cmd_check)
+
+    for sub in (p_eval, p_sweep, p_check):
+        sub.add_argument("--n", type=int, default=4)
+        sub.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+        sub.add_argument("--area-method", choices=("auto", "raster", "series"), default="auto")
 
     p_cx = commands.add_parser(
         "counterexample", help="annulus-cover area study across the univalence threshold"

@@ -21,14 +21,13 @@ positive, summed from exact horizontal sections of the polyline, and f is
 injective on r D exactly when f' has no zeros there (the spec lists them)
 and f(r T) is a simple curve (Darboux-Picard).
 
-SciPy is imported on first use, by the stand-in cKDTree of the univalence
+SciPy is imported on first use, by the cKDTree function of the univalence
 test, its only use.  The polish runs its own Newton method, minimize,
 through the module binding, so a wrapper of that binding sees every polish.
 """
 
 from __future__ import annotations
 
-import importlib
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cache, partial, reduce
@@ -50,16 +49,11 @@ from .errors import (
 from .quadrature import integrate
 
 
-def _lazy_scipy(module: str, name: str):
-    """scipy.<module>.<name>, imported on first call; a wrapper of the binding sees every call."""
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module(f"scipy.{module}"), name)(*args, **kwargs)
+def cKDTree(*args, **kwargs):
+    """scipy.spatial.cKDTree, imported on first call; a wrapper of this binding sees every call."""
+    from scipy import spatial
 
-    call.__module__, call.__name__, call.__qualname__ = f"scipy.{module}", name, name
-    return call
-
-
-cKDTree = _lazy_scipy("spatial", "cKDTree")
+    return spatial.cKDTree(*args, **kwargs)
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_RESOLUTION = 1024
@@ -217,6 +211,7 @@ def _diameter_run(spec: FunctionSpec, r: float, m: int):
     sample = sample_circle(spec, r, m)
     w = sample.values
     if _is_constant(w):
+        yield np.empty((0, 2))
         return FunctionalValue(
             kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
         )
@@ -276,11 +271,10 @@ def _log_sums(d: np.ndarray) -> np.ndarray:
         return np.array([np.add.reduce(row) for row in np.log(d)])
 
 
-def _log_objectives(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Sum of log|w_i - w_j| over the pairs of each row of the (k, n)
-    indices idx into w; -inf for a row with a coincident pair."""
-    rows, cols = _pairs(idx.shape[1])
-    return _log_sums(np.abs(w[idx[:, rows]] - w[idx[:, cols]]))
+def _gaps(points: np.ndarray) -> np.ndarray:
+    """|p_i - p_j| over the pairs i < j of each row of a (k, n) array of points."""
+    rows, cols = _pairs(points.shape[1])
+    return np.abs(points[:, rows] - points[:, cols])
 
 
 def _exchange(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -381,16 +375,15 @@ def _neg_log_sum(spec: FunctionSpec, r, theta: np.ndarray):
     dw = 1j * z * f1
     d2w = -z * f1 - z * z * second_derivative(spec, z)
     diff = w[:, :, None] - w[:, None, :]
-    rows, cols = _pairs(n)
-    ad = np.abs(diff)[:, rows, cols]
+    gaps = _gaps(w)
     # S's derivatives do not change when f is scaled.  Scaling a row by a
     # power of two is exact, and bringing w' near 1 keeps w'^2 from overflowing.
     unit = 2.0 ** -np.frexp(np.abs(dw).max(axis=1, keepdims=True))[1]
     diff, dw, d2w = diff * unit[:, :, None], dw * unit, d2w * unit
     # Unit distances keep the rows with a coincident pair finite until they
     # are overwritten.
-    bad = np.flatnonzero((ad <= 0.0).any(axis=1))
-    diff[bad], ad[bad] = 1.0, 1.0
+    bad = np.flatnonzero((gaps <= 0.0).any(axis=1))
+    diff[bad] = 1.0
     diag = np.arange(n)
     inv = 1.0 / (diff + np.eye(n))
     inv[:, diag, diag] = 0.0
@@ -398,7 +391,7 @@ def _neg_log_sum(spec: FunctionSpec, r, theta: np.ndarray):
     sum1, sum2 = inv.sum(axis=2), inv2.sum(axis=2)
     hess = np.real(dw[:, :, None] * dw[:, None, :] * inv2)
     hess[:, diag, diag] = np.real(d2w * sum1 - dw * dw * sum2)
-    value = -_log_sums(ad)
+    value = -_log_sums(gaps)
     grad, hess = -np.real(dw * sum1), -hess
     value[bad], grad[bad], hess[bad] = np.inf, 0.0, 0.0
     return value, grad, hess
@@ -420,7 +413,7 @@ def _polish_tuples(spec: FunctionSpec, r, angles0: np.ndarray):
     k, n = angles0.shape
     radii = np.broadcast_to(np.asarray(r, dtype=float), (k,))
     group = max(1, POLISH_ENTRIES // (n * n))
-    parts = []
+    parts = [(np.empty(0), np.empty((0, n), complex), angles0[:0])]
     for i in range(0, k, group):
         rs = radii[i : i + group]
         result = minimize(
@@ -436,30 +429,21 @@ def _polish_radii(spec: FunctionSpec, radii, run) -> list:
     tuple polishes in one _polish_tuples call.
 
     run(r) is a generator: it searches the basins at r and yields the
-    (k, n) start angles of its polish, k >= 0, or returns its value without
-    a polish.  All yielded rows go to one _polish_tuples call, with a radius
-    per row; each run is sent its own rows of the result and returns its
-    value.  Rows do not mix, so each radius ends where it would alone.
+    (k, n) start angles of its polish, k >= 0 (0 for a constant map).  All
+    yielded rows go to one _polish_tuples call, with a radius per row; each
+    run is sent its own rows of the result and returns its value.  Rows do
+    not mix, so each radius ends where it would alone.
     """
-    values, runs, starts = [None] * len(radii), [], []
-    for i, r in enumerate(radii):
-        gen = run(r)
-        try:
-            starts.append(next(gen))
-        except StopIteration as stop:
-            values[i] = stop.value
-            continue
-        runs.append((i, r, gen))
+    runs = [run(r) for r in radii]
+    starts = [next(gen) for gen in runs]
     counts = [len(rows) for rows in starts]
-    polished = (np.empty(0),) * 3
-    if sum(counts):
-        rs = np.repeat([r for _, r, _ in runs], counts)
-        polished = _polish_tuples(spec, rs, np.concatenate(starts))
-    for (i, _, gen), end, count in zip(runs, np.cumsum(counts), counts):
+    polished = _polish_tuples(spec, np.repeat(radii, counts), np.concatenate(starts))
+    values = []
+    for gen, end, count in zip(runs, np.cumsum(counts), counts):
         try:
             gen.send(tuple(a[end - count : end] for a in polished))
         except StopIteration as stop:
-            values[i] = stop.value
+            values.append(stop.value)
     return values
 
 
@@ -470,6 +454,7 @@ def _n_diameter_run(spec: FunctionSpec, r: float, n: int, m: int, seed: int):
     sample = sample_circle(spec, r, m)
     w = sample.values
     if _is_constant(w):
+        yield np.empty((0, n))
         return FunctionalValue(
             kind="ndiam", value=0.0, abs_error=0.0, witness=(complex(w[0]),) * n, n=n,
             flags=("degenerate",),
@@ -487,7 +472,7 @@ def _n_diameter_run(spec: FunctionSpec, r: float, n: int, m: int, seed: int):
     # its stored log columns hold at most max(COARSE_SAMPLES, n) mc floats.
     group = max(1, COARSE_SAMPLES // n)
     ends = np.concatenate([_exchange(wc, starts[i : i + group]) for i in range(0, len(starts), group)])
-    scores = _log_objectives(wc, ends)
+    scores = _log_sums(_gaps(wc[ends]))
     order = np.argsort(-scores, kind="stable")
     top = ends[order[0]]
     best = (scores[order[0]], wc[top], sample.angles[top * stride])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import InequalityReport, _make_report
 from .errors import ConditioningWarning, DomainError
-from .functionals import _pairs
+from .functionals import _gaps, _log_sums
 
 VANDERMONDE_MAX_N = 64
 VANDERMONDE_REL_TOL = 1e-9
@@ -32,12 +32,6 @@ NEAR_COINCIDENT_GAP = 1e-6
 # The most terms one block of root-of-unity sums holds, so that the working
 # set stays bounded at any n.
 SUM_BLOCK_TERMS = 2**16
-
-
-def _gaps(stack: np.ndarray) -> np.ndarray:
-    """|p_i - p_j| over the pairs i < j of each row of a (k, n) stack."""
-    rows, cols = _pairs(stack.shape[1])
-    return np.abs(stack[:, rows] - stack[:, cols])
 
 
 def _row_faults(stack: np.ndarray) -> tuple:
@@ -71,9 +65,7 @@ def _vandermonde_rows(stack: np.ndarray, logdet: np.ndarray) -> tuple:
             "near-coincident points make the Vandermonde comparison ill-conditioned",
             ConditioningWarning,
         )
-    # Each row's logs are summed as a 1-D array: numpy does not promise that
-    # a sum over axis 1 rounds the same way.
-    log_product = np.array([np.sum(row) for row in np.log(gaps)])
+    log_product = _log_sums(gaps)
     return log_product, np.abs(log_product - logdet) <= VANDERMONDE_REL_TOL * n * n
 
 
