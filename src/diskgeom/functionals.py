@@ -83,6 +83,10 @@ class FunctionalValue:
     n: Optional[int] = None
     flags: tuple = field(default_factory=tuple)
 
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.value, self.abs_error, *(self.interval or ())])):
+            raise ResourceError(f"the {self.kind} estimate overflows the float range")
+
 
 @dataclass(frozen=True)
 class UnivalenceResult:
@@ -110,7 +114,7 @@ def disk_n_diameter(n: int) -> float:
 def _is_constant(w: np.ndarray) -> bool:
     """Whether the samples w of f agree to rounding, relative to their size:
     the image is then a single point."""
-    return float(np.max(np.abs(w - w[0]))) < 1e-14 * (1.0 + abs(w[0]))
+    return float(np.max(np.abs(w - w[0]))) <= 1e-14 * float(np.max(np.abs(w)))
 
 
 # ---- radius ----
@@ -128,7 +132,10 @@ def _curvature(r: float, maxima: tuple, value: float) -> float:
     |z| = r at a maximum of size value, from the _derivative_maxima of
     f on r T."""
     m1, m2 = maxima
-    return r * r * m2 + r * m1 + (r * m1) ** 2 / max(value, 1e-300)
+    try:
+        return r * r * m2 + r * m1 + (r * m1) ** 2 / max(value, 1e-300)
+    except OverflowError as exc:
+        raise ResourceError("the curvature bound overflows the float range") from exc
 
 
 def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: complex = 0.0):
@@ -377,8 +384,9 @@ def _neg_log_sum(spec: FunctionSpec, r, theta: np.ndarray):
     diff = w[:, :, None] - w[:, None, :]
     gaps = _gaps(w)
     # S's derivatives do not change when f is scaled.  Scaling a row by a
-    # power of two is exact, and bringing w' near 1 keeps w'^2 from overflowing.
-    unit = 2.0 ** -np.frexp(np.abs(dw).max(axis=1, keepdims=True))[1]
+    # power of two is exact, and bringing w' near 1 (or by 2^1000, for a
+    # subnormal image) keeps w'^2 from overflowing.
+    unit = 2.0 ** np.minimum(-np.frexp(np.abs(dw).max(axis=1, keepdims=True))[1], 1000)
     diff, dw, d2w = diff * unit[:, :, None], dw * unit, d2w * unit
     # Unit distances keep the rows with a coincident pair finite until they
     # are overwritten.
@@ -684,7 +692,8 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
         raise DomainError("r must lie in (0, 1)")
     coeffs = np.asarray(spec.coeffs, dtype=complex)
     n = np.arange(coeffs.shape[0])
-    terms = n * np.abs(coeffs) ** 2 * (float(r) ** (2 * n))
+    with np.errstate(over="ignore"):
+        terms = n * np.abs(coeffs) ** 2 * (float(r) ** (2 * n))
     value = float(np.pi * np.sum(terms))
     err = 1e-15 * value * max(coeffs.shape[0], 2)
     return FunctionalValue(kind="area", value=value, abs_error=err)
@@ -779,6 +788,10 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
     if inside.size:
         z = complex(inside[0])
         return UnivalenceResult(False, (z, z), "vanishing derivative")
+    if spec.coefficient_backed:
+        # Translation moves no crossing, and without a_0 the samples of a small
+        # image far from 0 keep their digits.
+        spec = replace(spec, coeffs=(0j,) + spec.coeffs[1:])
     # f is locally injective, so a genuine collision is not within 2 pi r / 4096
     # of the diagonal.
     pair = _self_crossing(spec, r, 2.0 * np.pi * r / 4096)

@@ -122,6 +122,19 @@ def test_out_of_domain_number_exits_2_with_json_error(capsys, argv):
     assert json.loads(err)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    *(["eval", "--spec", "poly[0,1e200,1e200]", "--kind", "area", "--r", "0.4",
+       "--area-method", method] for method in ("raster", "series", "auto")),
+    *(["eval", "--spec", "poly[0,1e160,3e159]", "--kind", kind, "--r", "0.5"]
+      for kind in ("cap", "diam", "rad")),
+])
+def test_overflowing_estimate_exits_2_with_json_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ResourceError"
+
+
 def test_eval_json_payload(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "--spec", "poly[0,2]", "--kind", "rad", "--r", "0.5",

@@ -98,14 +98,13 @@ def test_diameter_moebius_closed_form():
 
 
 def test_diameter_constant_is_degenerate():
-    fv = diameter(Polynomial((2.0,)), 0.5)
-    assert fv.value == 0.0
-    assert "degenerate" in fv.flags
-    # The area of a point is 0 at every size of the constant.
+    # A point has diameter, n-diameter and area 0 at every size of the
+    # constant, the zero map included.
     for c in (0.0, 2.0, 1e5):
-        fv = area(Polynomial((c,)), 0.5)
-        assert fv.value == 0.0
-        assert "degenerate" in fv.flags
+        for fv in (diameter(Polynomial((c,)), 0.5), n_diameter(Polynomial((c,)), 0.5, 4),
+                   area(Polynomial((c,)), 0.5)):
+            assert fv.value == 0.0
+            assert "degenerate" in fv.flags
 
 
 def test_diameter_witness_realizes_value():
@@ -290,19 +289,21 @@ _polynomial = st.lists(st.builds(complex, _unit, _unit), min_size=2, max_size=6)
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     _polynomial, st.floats(0.05, 0.999), _turn, _turn,
-    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.floats(-100.0, 100.0),
 )
-def test_boundary_estimators_invariant_under_rigid_motions(coeffs, r, pre, post, shift):
-    # post f(pre z) + shift, with |pre| = |post| = 1, moves the image rigidly:
-    # its radius about f(0), diameter and n-diameters are those of f.
+def test_boundary_estimators_invariant_under_rigid_motions(coeffs, r, pre, post, shift, log_s):
+    # s (post f(pre z) + shift), with |pre| = |post| = 1, moves the image
+    # rigidly and scales it by s: its radius about f(0), diameter and
+    # n-diameters are s times those of f.
+    s = 10.0**log_s
     coeffs = np.array(coeffs)
     moved = post * coeffs * pre ** np.arange(coeffs.size)
     moved[0] += shift
-    f, g = Polynomial(tuple(coeffs)), Polynomial(tuple(moved))
+    f, g = Polynomial(tuple(coeffs)), Polynomial(tuple(s * moved))
     for estimate in (radius, diameter, lambda spec, r: n_diameter(spec, r, 3),
                      lambda spec, r: n_diameter(spec, r, 4)):
         a, b = estimate(f, r), estimate(g, r)
-        assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+        assert abs(s * a.value - b.value) <= s * a.abs_error + b.abs_error
 
 
 def test_area_series_koebe_like():
@@ -760,6 +761,32 @@ def test_univalence_accepts_injective_maps():
         assert is_univalent_sampled(AnnulusCover(c), np.tanh(np.pi / (2.0 * c)) - 1e-3)
     for spec in FAR_SMALL:
         assert is_univalent_sampled(spec, 0.5)
+
+
+def test_univalence_searches_a_small_image_far_from_0_on_its_own_scale(monkeypatch):
+    # The crossing search runs on f - f(0), whose samples keep their digits,
+    # so the boundary curve is refined and the tree finds a few pairs per
+    # point where an image constant to rounding handed it all of them.
+    found, tree = [], functionals.cKDTree
+
+    class Counting:
+        def __init__(self, data):
+            self.size, self.tree = len(data), tree(data)
+
+        def query_pairs(self, *args, **kwargs):
+            pairs = self.tree.query_pairs(*args, **kwargs)
+            found.append((self.size, len(pairs)))
+            return pairs
+
+    monkeypatch.setattr(functionals, "cKDTree", Counting)
+    for coeffs in ((1e5, 1e-10), (1.0, 1e-15), (1e6, 1e-8)):
+        found.clear()
+        assert is_univalent_sampled(Polynomial(coeffs), 0.5)
+        assert [pairs <= 2 * size for size, pairs in found] == [True]
+    # So "auto" reads the exact series area, where the raster's float
+    # resolution guard refuses this image.
+    fv = functionals._area_by_method(Polynomial((1e6, 1e-8)), 0.5, "auto")
+    assert abs(fv.value - np.pi * 1e-16 * 0.25) <= fv.abs_error
 
 
 def test_univalence_verdict_does_not_depend_on_the_scale_of_f():
