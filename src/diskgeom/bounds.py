@@ -173,16 +173,22 @@ def check_don_symmetric(
 
     The algebraically equivalent closed form with the sqrt((1-|z|^2)(1-|w|^2))
     denominator is evaluated as well; their gap is reported in the context.
+    The tolerance is at least three times the rhs's share of the estimated
+    diameter's error, d/(1+sqrt(1-d^2)) times it; a supplied diam_estimate
+    counts as exact.
     """
     z, w = complex(z), complex(w)
     if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("z and w must lie in the open unit disk")
     if diam_estimate is None:
-        diam_estimate, _ = disk_functional_estimate(spec, "diam")
+        diam_estimate, diam_err = disk_functional_estimate(spec, "diam")
+    else:
+        diam_err = 0.0
     lhs = abs(complex(evaluate(spec, z)) - complex(evaluate(spec, w)))
     denom = 1.0 - np.conj(w) * z
     delta = abs(z - w) / abs(denom)
-    rhs = diam_estimate * delta / (1.0 + math.sqrt(max(1.0 - delta * delta, 0.0)))
+    root = 1.0 + math.sqrt(max(1.0 - delta * delta, 0.0))
+    rhs = diam_estimate * delta / root
     alt = (
         diam_estimate
         * abs(z - w)
@@ -192,7 +198,7 @@ def check_don_symmetric(
         "z": [z.real, z.imag], "w": [w.real, w.imag],
         "diam_estimate": diam_estimate, "rhs_identity_gap": abs(rhs - alt),
     }
-    return _make_report("Don", lhs, rhs, tol, context)
+    return _make_report("Don", lhs, rhs, max(tol, 3.0 * delta / root * diam_err), context)
 
 
 def check_poukka(
