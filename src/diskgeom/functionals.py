@@ -416,7 +416,7 @@ def _polish_tuples(spec: FunctionSpec, r, angles0: np.ndarray):
     exact gradient and Hessian of _neg_log_sum resolves it.  The rows
     descend together in minimize calls of at most POLISH_ENTRIES // n^2
     rows (one at least), which bounds the Hessians a call holds.  Returns
-    the log objectives, image points and angles of the rows.
+    the log objectives, image points and angles of the rows, empty for k = 0.
     """
     k, n = angles0.shape
     radii = np.broadcast_to(np.asarray(r, dtype=float), (k,))
