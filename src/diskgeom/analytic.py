@@ -23,7 +23,6 @@ from typing import Union
 
 import numpy as np
 
-from ._series import series_derivative, series_eval, series_exp
 from .errors import DomainError, UnsupportedError
 
 # Points stay inside |z| < 1 - DISK_MARGIN, or |z| < 1 + DISK_MARGIN (to
@@ -90,18 +89,20 @@ class Polynomial(_Spec):
         return cls(tuple(args))
 
     def _series(self, order):
-        """Coefficients of f^(order), built once per spec: a cache keyed on
-        equal coefficient tuples would merge 0.0 and -0.0."""
+        """Coefficients of f^(order), highest power first, built once per
+        spec: a cache keyed on equal coefficient tuples would merge 0.0 and
+        -0.0."""
         cache = self.__dict__.setdefault("_series_cache", {})
         if order not in cache:
-            cache[order] = series_derivative(np.asarray(self.coeffs), order)
+            p = np.asarray(self.coeffs)[::-1]
+            cache[order] = np.polyder(p, order) if order else p
         return cache[order]
 
     def _value(self, z):
-        return series_eval(self._series(0), z)
+        return np.polyval(self._series(0), z)
 
     def _derivative(self, z, order):
-        return series_eval(self._series(order), z)
+        return np.polyval(self._series(order), z)
 
     def _taylor(self, count):
         return np.array((self.coeffs + (0j,) * count)[:count], dtype=complex)
@@ -124,12 +125,12 @@ class Polynomial(_Spec):
         # Zeros far apart in size still share the rounding of one companion
         # matrix; Newton steps on f' restore the small ones' digits.  A step
         # counts when it is short and does not raise |f'|, so no zero jumps.
-        d2 = series_derivative(d)
+        d, d2 = d[::-1], np.polyder(d[::-1])
         with np.errstate(all="ignore"):
             for _ in range(3):
-                step = series_eval(d, z) / series_eval(d2, z)
+                step = np.polyval(d, z) / np.polyval(d2, z)
                 ok = np.abs(step) <= 1e-6 * (1.0 + np.abs(z))
-                ok &= np.abs(series_eval(d, z - step)) <= np.abs(series_eval(d, z))
+                ok &= np.abs(np.polyval(d, z - step)) <= np.abs(np.polyval(d, z))
                 z = np.where(ok, z - step, z)
         return z
 
@@ -215,7 +216,13 @@ class AnnulusCover(_Spec):
         # f = exp(g) with g = 2 i c atanh(z): g_k = 2ic/k for odd k.
         g = np.zeros(count, dtype=complex)
         g[1::2] = [2j * self.c / k for k in range(1, count, 2)]
-        return series_exp(g, count)
+        # n f_n = sum_{k=1..n} k g_k f_{n-k}, from f' = g' f.
+        f = np.zeros(count, dtype=complex)
+        f[0] = 1.0
+        weighted = np.arange(count) * g
+        for n in range(1, count):
+            f[n] = np.dot(weighted[1 : n + 1], f[n - 1 :: -1][:n]) / n
+        return f
 
     def _critical_points(self):
         # f' = 2ic f / (1 - z^2), and f = exp(g) has no zeros.

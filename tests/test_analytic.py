@@ -28,7 +28,6 @@ from diskgeom import (
     spec_to_json,
     taylor_coefficients,
 )
-from diskgeom._series import series_derivative, series_eval, series_exp
 from diskgeom.analytic import critical_points
 from diskgeom.quadrature import integrate
 
@@ -100,7 +99,8 @@ def test_derivative_matches_finite_difference():
 
 def test_derivative_of_any_order_matches_taylor_series():
     # Every variant differentiates to any order at any point of the disk,
-    # not only at 0; the oracle differentiates the Taylor series term-wise.
+    # not only at 0; the oracle differentiates the Taylor series term-wise,
+    # f^(o)(z) = sum_k k!/(k-o)! a_k z^(k-o).
     specs = [
         PowerSeries((0.5, 1.0, -0.3j, 0.2)),
         Moebius(0.1, 0.3 - 0.2j, np.exp(0.7j)),
@@ -110,7 +110,9 @@ def test_derivative_of_any_order_matches_taylor_series():
     for spec in specs:
         coeffs = taylor_coefficients(spec, 80)
         for order in range(1, 5):
-            expected = series_eval(series_derivative(coeffs, order), z)
+            expected = sum(
+                math.perm(k, order) * coeffs[k] * z ** (k - order) for k in range(order, 80)
+            )
             got = derivative(spec, z, order)
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -132,10 +134,28 @@ def test_taylor_coefficients_annulus_cover():
     coeffs = taylor_coefficients(f, 12)
     z = 0.1 + 0.05j
     direct = complex(evaluate(f, z))
-    series = complex(series_eval(coeffs, z))
+    series = sum(complex(a) * z**k for k, a in enumerate(coeffs))
     assert abs(direct - series) <= 1e-12
     assert abs(coeffs[0] - 1.0) <= EXACT
     assert abs(coeffs[1] - 1.0j) <= EXACT
+
+
+def test_annulus_cover_taylor_coefficients_match_mpmath():
+    # f = ((1 + z)/(1 - z))^(ic) = (1 + z)^(ic) (1 - z)^(-ic), and the
+    # coefficients are the Cauchy product of the two binomial series,
+    # C(ic, k) and (ic)_k / k!, at 30 digits.  The recurrence for exp(g)
+    # rounds once per term of each of the count sums.
+    count = 64
+    with mpmath.workdps(30):
+        for c in (0.01, 0.5, 1.0, 3.0):
+            a = mpmath.mpc(0, c)
+            plus = [mpmath.binomial(a, k) for k in range(count)]
+            minus = [mpmath.rf(a, k) / mpmath.factorial(k) for k in range(count)]
+            oracle = [sum(plus[j] * minus[n - j] for j in range(n + 1)) for n in range(count)]
+            got = taylor_coefficients(AnnulusCover(c), count)
+            top = max(1.0, max(float(abs(b)) for b in oracle))
+            worst = max(float(abs(mpmath.mpc(g) - b)) for g, b in zip(got, oracle))
+            assert worst <= count * np.finfo(float).eps * top
 
 
 def test_taylor_coefficients_moebius_geometric_tail():
@@ -258,21 +278,6 @@ def test_spec_from_json_rejects_malformed():
         spec_from_json(json.loads('{"kind": "polynomial", "coeffs": [[0, 0], [NaN, 0]]}'))
     with pytest.raises(DomainError):
         spec_from_json(json.loads('{"kind": "annulus_cover", "c": Infinity}'))
-
-
-def test_series_exp_against_exp():
-    # exp of the series z: coefficients 1/k!.
-    g = np.zeros(8, dtype=complex)
-    g[1] = 1.0
-    e = series_exp(g, 8)
-    expected = np.array([1.0 / math.factorial(k) for k in range(8)])
-    assert np.max(np.abs(e - expected)) <= SERIES_TOL
-
-
-def test_series_derivative_shifts_degree():
-    coeffs = np.array([5.0, 1.0, 2.0, 3.0])
-    d = series_derivative(coeffs)
-    assert np.allclose(d, [1.0, 4.0, 9.0])
 
 
 def test_integrate_known_value():
