@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, ResourceError, UnsupportedError
 
 # Points stay inside |z| < 1 - DISK_MARGIN, or |z| < 1 + DISK_MARGIN (to
 # the rounding of circle points) for a variant analytic on the closed disk.
@@ -259,7 +259,10 @@ def _pointwise(spec: FunctionSpec, z, order: int = 0):
     limit = 1.0 + DISK_MARGIN if spec.closed_disk else 1.0 - DISK_MARGIN
     if not (np.abs(z) < limit).all():
         raise DomainError(f"evaluation point must satisfy |z| < {limit!r}")
-    out = spec._derivative(z, order) if order else spec._value(z)
+    # Coefficients or values past the float range become inf or nan, which
+    # every consumer refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = spec._derivative(z, order) if order else spec._value(z)
     return out if out.shape else complex(out)
 
 
@@ -303,7 +306,10 @@ def sample_circle(spec: FunctionSpec, r: float, m: int) -> BoundarySample:
         raise DomainError("need at least one sample")
     angles = 2.0 * np.pi * np.arange(m) / m
     points = r * np.exp(1j * angles)
-    return BoundarySample(r=float(r), angles=angles, values=evaluate(spec, points), points=points)
+    values = evaluate(spec, points)
+    if not np.isfinite(values).all():
+        raise ResourceError("the image of the circle overflows the float range")
+    return BoundarySample(r=float(r), angles=angles, values=values, points=points)
 
 
 def scale_spec(spec: FunctionSpec, s: complex) -> FunctionSpec:

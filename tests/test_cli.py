@@ -127,12 +127,24 @@ def test_out_of_domain_number_exits_2_with_json_error(capsys, argv):
        "--area-method", method] for method in ("raster", "series", "auto")),
     *(["eval", "--spec", "poly[0,1e160,3e159]", "--kind", kind, "--r", "0.5"]
       for kind in ("cap", "diam", "rad")),
+    *(["eval", "--spec", "poly[0,1e308,1e308,1e308]", "--kind", kind, "--r", "0.9"]
+      for kind in ("rad", "diam", "ndiam", "area", "cap")),
 ])
 def test_overflowing_estimate_exits_2_with_json_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ResourceError"
+
+
+def test_overflowing_perimeter_exits_2_with_one_json_error(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--spec", "poly[0,1e308,1e308,1e308]", "--kind", "perim", "--r", "0.9",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "error" in json.loads(err)
 
 
 def test_eval_json_payload(capsys):
