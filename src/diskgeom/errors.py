@@ -30,7 +30,7 @@ class QuadratureError(DiskGeomError):
 
 
 class CriticalPointError(DiskGeomError):
-    """Derivative vanishes (to tolerance) where the formula needs it nonzero."""
+    """Derivative vanishes where the formula needs it nonzero."""
 
 
 class OptimizationWarning(UserWarning):

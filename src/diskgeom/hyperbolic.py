@@ -19,7 +19,6 @@ from .errors import CriticalPointError, DomainError
 from .functionals import _boundary_curve, area
 from .growth import GrowthCurve, phi_curve
 
-CRITICAL_DERIVATIVE = 1e-12
 # Radius standing in for the open unit disk when a region area is needed.
 REGION_RADIUS = 0.999
 
@@ -56,8 +55,8 @@ def density_via_cover(spec: FunctionSpec, z: complex) -> float:
     if not abs(z) < 1.0:
         raise DomainError("z must lie in the open unit disk")
     fp = abs(complex(derivative(spec, z)))
-    if fp < CRITICAL_DERIVATIVE:
-        raise CriticalPointError(f"|f'({z})| = {fp:.3e} is below {CRITICAL_DERIVATIVE}")
+    if fp == 0.0:
+        raise CriticalPointError(f"f'({z}) = 0")
     return density_disk(z) / fp
 
 

@@ -18,6 +18,7 @@ from diskgeom import (
     evaluate,
     hyp_distance_disk,
     hyperbolic_disk_growth,
+    scale_spec,
 )
 
 SEED = 20260815
@@ -92,6 +93,19 @@ def test_density_via_cover_moebius_matches_disk_density():
 def test_density_via_cover_critical_point():
     with pytest.raises(CriticalPointError):
         density_via_cover(Polynomial((0.0, 0.0, 1.0)), 0.0)
+
+
+def test_density_via_cover_scales_with_the_map():
+    # The density of s f is that of f over |s|, however small |f'| gets:
+    # only an exact zero of f' is a critical point.
+    base = Polynomial((0.0, 1.0, 0.3))
+    z = 0.2 + 0.1j
+    rho = density_via_cover(base, z)
+    for e in range(-100, 101, 5):
+        s = 10.0**e
+        expected = rho / s
+        assert abs(density_via_cover(scale_spec(base, s), z) - expected) <= np.spacing(expected)
+    assert density_via_cover(Polynomial((0.0, 1e-13)), 0.0) == pytest.approx(1e13, rel=1e-15)
 
 
 def test_density_lower_bound_equality_for_identity():
