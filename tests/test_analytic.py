@@ -51,6 +51,36 @@ def test_polynomial_eval_vectorized():
     assert np.max(np.abs(out - (z + 0.25 * z**2))) <= EXACT
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from((Polynomial, PowerSeries)),
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=41),
+    exponent=st.integers(-100, 100),
+    polar=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+                   min_size=1, max_size=4),
+)
+def test_polynomial_values_match_mpmath_within_horner_bound(kind, parts, exponent, polar):
+    # Each step y z + a of Horner's scheme rounds a complex product (by at
+    # most sqrt(5) u, u = eps / 2) and a sum (u), and the coefficients
+    # k!/(k-o)! a_k of f^(o) round at most 3 times (3 u), so the value of a
+    # degree-d polynomial is off by at most 4 (d + 1) eps sum |k!/(k-o)! a_k|
+    # |z|^(k-o), plus 4 (d + 1) subnormal spacings for the steps that underflow.
+    spec = kind(tuple(complex(re, im) * 10.0**exponent for re, im in parts))
+    d = len(spec.coeffs) - 1
+    z = np.array([r * cmath.exp(1j * t) for r, t in polar])
+    tiny = np.finfo(float).smallest_subnormal
+    with mpmath.workdps(40):
+        for order in range(4):
+            got = evaluate(spec, z) if order == 0 else derivative(spec, z, order)
+            coeffs = [math.perm(k, order) * mpmath.mpc(a) for k, a in enumerate(spec.coeffs)]
+            coeffs = coeffs[order:]
+            for w, g in zip(z, got):
+                exact = mpmath.polyval(coeffs[::-1], mpmath.mpc(w)) if coeffs else 0
+                size = sum(abs(a) * abs(mpmath.mpc(w)) ** k for k, a in enumerate(coeffs))
+                bound = 4 * (d + 1) * (np.finfo(float).eps * size + tiny)
+                assert abs(mpmath.mpc(g) - exact) <= bound
+
+
 def test_moebius_known_value():
     # f(z) = (z - 0.5) / (1 - 0.5 z) sends 0.8 to 0.5.
     f = Moebius(0.0, 0.5, 1.0)
