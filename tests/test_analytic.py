@@ -72,8 +72,7 @@ def test_polynomial_values_match_mpmath_within_horner_bound(kind, parts, exponen
     with mpmath.workdps(40):
         for order in range(4):
             got = evaluate(spec, z) if order == 0 else derivative(spec, z, order)
-            coeffs = [math.perm(k, order) * mpmath.mpc(a) for k, a in enumerate(spec.coeffs)]
-            coeffs = coeffs[order:]
+            coeffs = [math.perm(k, order) * mpmath.mpc(a) for k, a in enumerate(spec.coeffs)][order:]
             for w, g in zip(z, got):
                 exact = mpmath.polyval(coeffs[::-1], mpmath.mpc(w)) if coeffs else 0
                 size = sum(abs(a) * abs(mpmath.mpc(w)) ** k for k, a in enumerate(coeffs))
