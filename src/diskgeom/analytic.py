@@ -47,8 +47,9 @@ def _number(v, real: bool = False):
 class _Spec:
     """A variant is a frozen dataclass with fields typed tuple, complex or
     float, a JSON kind, a CLI shorthand (name, brackets) and the methods
-    _validate, _value(z), _derivative(z, order), _taylor(count) and
-    _critical_points(), the zeros of f' in the plane.
+    _validate, _value(z), _derivative(z, order), _taylor(count),
+    _critical_points(), the zeros of f' in the plane, and _centered(), the
+    spec of f - f(0).
     coefficient_backed marks exact Taylor coefficients in coeffs, and
     closed_disk a map analytic on the closed disk, unit circle included."""
 
@@ -106,6 +107,9 @@ class Polynomial(_Spec):
 
     def _taylor(self, count):
         return np.array((self.coeffs + (0j,) * count)[:count], dtype=complex)
+
+    def _centered(self):
+        return replace(self, coeffs=(0j,) + self.coeffs[1:])
 
     def _critical_points(self):
         a = np.asarray(self.coeffs[1:], dtype=complex)
@@ -177,6 +181,10 @@ class Moebius(_Spec):
             c[n] = fac * bbar ** (n - 1)
         return c
 
+    def _centered(self):
+        # f(0) = a - c b.
+        return replace(self, a=self.c * self.b)
+
     def _critical_points(self):
         # f' = c (1 - |b|^2) / (1 - conj(b) z)^2 has no zeros.
         return np.empty(0, dtype=complex)
@@ -223,6 +231,10 @@ class AnnulusCover(_Spec):
         for n in range(1, count):
             f[n] = np.dot(weighted[1 : n + 1], f[n - 1 :: -1][:n]) / n
         return f
+
+    def _centered(self):
+        # f(0) = 1, and exp(g) - 1 is no variant, so the cover stays as it is.
+        return self
 
     def _critical_points(self):
         # f' = 2ic f / (1 - z^2), and f = exp(g) has no zeros.

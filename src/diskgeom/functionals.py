@@ -21,9 +21,10 @@ positive, summed from exact horizontal sections of the polyline, and f is
 injective on r D exactly when f' has no zeros there (the spec lists them)
 and f(r T) is a simple curve (Darboux-Picard).
 
-SciPy is imported on first use, by the cKDTree function of the univalence
-test, its only use.  The polish runs its own Newton method, minimize,
-through the module binding, so a wrapper of that binding sees every polish.
+The package needs numpy alone: the crossing search of the univalence test
+finds its neighbour pairs on a uniform grid of cells, _near_pairs.  The
+polish runs its own Newton method, minimize, through the module binding, so
+a wrapper of that binding sees every polish.
 """
 
 from __future__ import annotations
@@ -48,12 +49,9 @@ from .errors import (
 )
 from .quadrature import integrate
 
-
-def cKDTree(*args, **kwargs):
-    """scipy.spatial.cKDTree, imported on first call; a wrapper of this binding sees every call."""
-    from scipy import spatial
-
-    return spatial.cKDTree(*args, **kwargs)
+# perfbench/tracer.py reads this attribute unconditionally when it installs
+# its wrappers; nothing here uses it.  ROADMAP item 1 deletes it with that read.
+cKDTree = None
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_RESOLUTION = 1024
@@ -723,26 +721,65 @@ def circle_image_length(spec: FunctionSpec, r: float) -> FunctionalValue:
 # ---- univalence ----
 
 
+def _near_pairs(x: np.ndarray, y: np.ndarray, d: float) -> tuple:
+    """The index pairs i < j of the points (x, y) that lie at most d > 0
+    apart by np.hypot, as two arrays (i, j) in no particular order.
+
+    A uniform grid of cells (Bentley, Stanat and Williams 1977) of side d,
+    widened by 2^-20 so that the rounding of the cell indices cannot put two
+    such points two cells apart.  Sorted by the key cx span + cy + 1, two
+    ranges of consecutive keys cover half of each point's neighbourhood: the
+    rest of its own cell and the cell above it, then the three cells of the
+    next column.  Each range is filtered before the next is built.
+    """
+    side = d * (1.0 + 2.0**-20)
+    cx = ((x - np.min(x)) / side).astype(np.int64)
+    cy = ((y - np.min(y)) / side).astype(np.int64)
+    # A polyline whose longest step is d spans at most N d, so the keys of
+    # its N points stay below (N + 3)^2 <= 2^50 at SAMPLE_CAP.
+    span = int(np.max(cy)) + 3
+    key = cx * span + cy + 1
+    order = np.argsort(key, kind="stable")
+    key, x, y = key[order], x[order], y[order]
+    pos = np.arange(key.size)
+    found = []
+    for lo, hi in (
+        (pos + 1, np.searchsorted(key, key + 2)),
+        (np.searchsorted(key, key + span - 1), np.searchsorted(key, key + span + 2)),
+    ):
+        count = hi - lo
+        s = np.repeat(pos, count)
+        t = np.arange(s.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        near = np.hypot(x[t] - x[s], y[t] - y[s]) <= d
+        found.append(order[np.stack([s[near], t[near]])])
+    pairs = np.concatenate(found, axis=1)
+    return np.min(pairs, axis=0), np.max(pairs, axis=0)
+
+
 def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     """Two points of r T at least min_sep apart with the same image, or None.
 
     Candidates are proper crossings of segments of the boundary polyline,
-    whose midpoints lie within the longest step of each other; Newton's
-    method on the two boundary angles then solves the two real equations
-    f(r e^(i t1)) = f(r e^(i t2)).  The diagonal t1 = t2 solves them too,
-    hence the separation floor.  The search runs on f scaled by a power of
-    two that brings |f| near 1 (or by 2^1000, for a subnormal image), which
-    changes no rounding and keeps the products of coordinates finite.
+    whose midpoints lie within the longest step of each other (_near_pairs);
+    Newton's method on the two boundary angles then solves the two real
+    equations f(r e^(i t1)) = f(r e^(i t2)).  The diagonal t1 = t2 solves
+    them too, hence the separation floor.  The search runs on f scaled by a
+    power of two that brings |f| near 1 (or by 2^1000, for a subnormal
+    image), which changes no rounding and keeps the products of coordinates
+    finite.  A curve constant to rounding (cells of zero size) gives None
+    with no search.  is_univalent_sampled searches f - f(0), and that is
+    constant to rounding only for annulus covers with c below about 1e-13;
+    those are injective on every disk they admit, r <= 1 - 1e-9, since
+    tanh(pi / 2c) > 1 - 1e-9 for c < 0.146.
     """
-    angles, w, _ = _boundary_curve(spec, r)
+    angles, w, (_, _, cell, _) = _boundary_curve(spec, r)
+    if cell == 0.0:
+        return None
     unit = 2.0 ** min(-float(np.frexp(np.max(np.abs(w)))[1]), 1000.0)
     w = w * unit
     seg = np.roll(w, -1) - w
     mid = w + 0.5 * seg
-    pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
-        float(np.max(np.abs(seg))), output_type="ndarray"
-    )
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = _near_pairs(mid.real, mid.imag, float(np.max(np.abs(seg))))
     apart = (np.abs(i - j) > 1) & (np.abs(i - j) < w.size - 1)
     i, j = i[apart], j[apart]
     c1, c2 = _cross(seg[i], w[j] - w[i]), _cross(seg[i], w[j] + seg[j] - w[i])
@@ -788,13 +825,10 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
     if inside.size:
         z = complex(inside[0])
         return UnivalenceResult(False, (z, z), "vanishing derivative")
-    if spec.coefficient_backed:
-        # Translation moves no crossing, and without a_0 the samples of a small
-        # image far from 0 keep their digits.
-        spec = replace(spec, coeffs=(0j,) + spec.coeffs[1:])
     # f is locally injective, so a genuine collision is not within 2 pi r / 4096
-    # of the diagonal.
-    pair = _self_crossing(spec, r, 2.0 * np.pi * r / 4096)
+    # of the diagonal.  Translation moves no crossing, and the samples of
+    # f - f(0), a small image far from 0 among them, keep their digits.
+    pair = _self_crossing(spec._centered(), r, 2.0 * np.pi * r / 4096)
     if pair is not None:
         return UnivalenceResult(False, pair, "image collision")
     return UnivalenceResult(True, None, "")

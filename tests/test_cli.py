@@ -382,23 +382,24 @@ def test_shared_parser_carries_nothing_between_calls(capsys, monkeypatch, series
             assert json.loads(out)["seed"] == 20260815
 
 
-# Runs in a fresh interpreter, since this session has SciPy loaded already:
+# Runs in a fresh interpreter, since this session may have SciPy loaded:
 # builds the parser, runs each argv given as JSON through main() and prints
-# which of the heavy SciPy modules are loaded after each step.
+# which SciPy modules are loaded after each step.
 STARTUP_PROBE = """
 import json, sys
 import diskgeom, diskgeom.cli
-HEAVY = ("scipy.optimize", "scipy.spatial", "scipy.integrate", "scipy.linalg")
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 diskgeom.cli.build_parser()
-steps = [[m for m in HEAVY if m in sys.modules]]
+steps = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
     diskgeom.cli.main(argv)
-    steps.append([m for m in HEAVY if m in sys.modules])
+    steps.append(scipy_modules())
 print(json.dumps(steps))
 """
 
 
-def test_scipy_is_imported_only_by_the_commands_that_need_it():
+def test_no_command_imports_scipy():
     argvs = [
         ["eval", "--spec", "poly[0,1,0.3]", "--kind", "rad"],
         ["eval", "--spec", "poly[0,1,0.3]", "--kind", "area", "--area-method", "raster"],
@@ -410,6 +411,10 @@ def test_scipy_is_imported_only_by_the_commands_that_need_it():
         ["fekete", "--spec", "poly[0,1]"],
         ["eval", "--spec", "poly[0,1,0.3]", "--kind", "perim"],
         ["counterexample", "--c", "0.5", "--points", "9"],
+        # These test univalence.
+        ["eval", "--spec", "poly[0,1,0.3]", "--kind", "area"],
+        ["eval", "--spec", "poly[0,1,0.3]", "--kind", "cap"],
+        ["check", "all", "--spec", "poly[0,1,0.2]"],
     ]
     path = [str(Path(diskgeom.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

@@ -339,10 +339,9 @@ def test_area_below_float_resolution_raises():
 @pytest.mark.parametrize("module, name, call", [
     (functionals, "minimize", lambda: diameter(KOEBE_LIKE, 0.6)),
     (functionals, "minimize", lambda: n_diameter(KOEBE_LIKE, 0.6, 4)),
-    (functionals, "cKDTree", lambda: is_univalent_sampled(KOEBE_LIKE, 0.9)),
     (quadrature, "quad", lambda: circle_image_length(KOEBE_LIKE, 0.6)),
-], ids=["diameter", "n_diameter", "is_univalent_sampled", "circle_image_length"])
-def test_scipy_calls_go_through_module_bindings(monkeypatch, module, name, call):
+], ids=["diameter", "n_diameter", "circle_image_length"])
+def test_polish_and_quadrature_calls_go_through_module_bindings(monkeypatch, module, name, call):
     # Call counters wrap these module attributes; a function-local import
     # would bypass them.
     expected = call()
@@ -627,7 +626,9 @@ def test_polish_on_the_identity_rotation_ridge(n):
 def test_benchmark_tracer_counts_through_module_bindings(monkeypatch):
     # The benchmark's tracer wraps functionals.minimize, functionals.cKDTree
     # and quadrature.quad, and reads nfev from what minimize returns; its
-    # traced runs fail when a binding goes or a result lacks nfev.
+    # traced runs fail when a binding goes or a result lacks nfev.  The
+    # crossing search no longer uses cKDTree, but the tracer still installs
+    # its wrapper over the placeholder, and the test it traces must run.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from tracer import Tracer
 
@@ -644,7 +645,7 @@ def test_benchmark_tracer_counts_through_module_bindings(monkeypatch):
     stats = tracer.stats()
     assert stats["functionals.diameter"]["nfev"] > 0
     assert stats["functionals.n_diameter"]["nfev"] > 0
-    assert stats["functionals.cKDTree"]["calls"] > 0
+    assert stats["functionals.is_univalent_sampled"]["calls"] > 0
     assert stats["quadrature.quad"]["integrand_evals"] > 0
 
 
@@ -763,22 +764,25 @@ def test_univalence_accepts_injective_maps():
         assert is_univalent_sampled(spec, 0.5)
 
 
+def counting_near_pairs(monkeypatch) -> list:
+    """Wrap functionals._near_pairs; each call appends (points, pairs) to
+    the list returned."""
+    found, near_pairs = [], functionals._near_pairs
+
+    def counting(x, y, d):
+        i, j = near_pairs(x, y, d)
+        found.append((x.size, i.size))
+        return i, j
+
+    monkeypatch.setattr(functionals, "_near_pairs", counting)
+    return found
+
+
 def test_univalence_searches_a_small_image_far_from_0_on_its_own_scale(monkeypatch):
     # The crossing search runs on f - f(0), whose samples keep their digits,
-    # so the boundary curve is refined and the tree finds a few pairs per
+    # so the boundary curve is refined and the search finds a few pairs per
     # point where an image constant to rounding handed it all of them.
-    found, tree = [], functionals.cKDTree
-
-    class Counting:
-        def __init__(self, data):
-            self.size, self.tree = len(data), tree(data)
-
-        def query_pairs(self, *args, **kwargs):
-            pairs = self.tree.query_pairs(*args, **kwargs)
-            found.append((self.size, len(pairs)))
-            return pairs
-
-    monkeypatch.setattr(functionals, "cKDTree", Counting)
+    found = counting_near_pairs(monkeypatch)
     for coeffs in ((1e5, 1e-10), (1.0, 1e-15), (1e6, 1e-8)):
         found.clear()
         assert is_univalent_sampled(Polynomial(coeffs), 0.5)
@@ -787,6 +791,96 @@ def test_univalence_searches_a_small_image_far_from_0_on_its_own_scale(monkeypat
     # resolution guard refuses this image.
     fv = functionals._area_by_method(Polynomial((1e6, 1e-8)), 0.5, "auto")
     assert abs(fv.value - np.pi * 1e-16 * 0.25) <= fv.abs_error
+
+
+def test_centered_spec_is_f_minus_f_at_0():
+    z = 0.7 * np.exp(2j * np.pi * np.arange(16) / 16)
+    for spec in (Polynomial((1e5, 1e-8, 3j)), Moebius(2.0 - 1j, 0.3 + 0.4j, 1j)):
+        centered = spec._centered()
+        assert type(centered) is type(spec)
+        assert evaluate(centered, 0.0) == 0.0
+        shifted = evaluate(spec, z) - evaluate(spec, 0.0)
+        assert np.max(np.abs(evaluate(centered, z) - shifted)) <= 1e-9
+    assert AnnulusCover(1.0)._centered() == AnnulusCover(1.0)
+
+
+def test_univalence_of_an_image_constant_to_rounding_searches_no_pair_set(monkeypatch):
+    # Both images are constant to rounding as they stand, and the crossing
+    # search used to take every pair of the 4,096 probe samples (754,589 and
+    # 3,113,094 pairs).  f - f(0) of the Moebius map keeps its digits; the
+    # annulus cover has no constant term and is injective on every disk it
+    # admits, so its search is skipped.
+    found = counting_near_pairs(monkeypatch)
+    assert is_univalent_sampled(Moebius(1e15, 0.5, 1.0), 0.5)
+    assert [pairs <= 2 * size for size, pairs in found] == [True]
+    found.clear()
+    assert is_univalent_sampled(AnnulusCover(1e-16), 0.5)
+    assert found == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=40),
+    rng=st.randoms(use_true_random=False),
+    shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    scale=st.sampled_from([2.0**-330, 2.0**-20, 1.0, 2.0**330]),
+)
+def test_near_pairs_equal_a_scan_of_all_pairs(steps, rng, shift, scale):
+    # Lattice steps taken forward and then back in another order make a
+    # closed polyline with zero-length steps and many pairs exactly d apart.
+    # The shift rounds the coordinates; the power-of-two scale does not.
+    back = [(-a, -b) for a, b in steps]
+    rng.shuffle(back)
+    walk = np.cumsum(np.array(steps + back, dtype=float), axis=0)
+    x, y = (walk[:, 0] + shift[0]) * scale, (walk[:, 1] + shift[1]) * scale
+    d = float(np.max(np.hypot(np.roll(x, -1) - x, np.roll(y, -1) - y)))
+    assume(d > 0.0)
+    i, j = np.triu_indices(x.size, 1)
+    near = np.hypot(x[j] - x[i], y[j] - y[i]) <= d
+    found_i, found_j = functionals._near_pairs(x, y, d)
+    assert np.all(found_i < found_j)
+    expected = list(zip(i[near].tolist(), j[near].tolist()))
+    assert sorted(zip(found_i.tolist(), found_j.tolist())) == expected
+
+
+def test_near_pairs_survive_the_rounding_of_cell_indices():
+    # The last two points are 0.1 apart by np.hypot, but (x - min x) / 0.1
+    # rounds to 1621.99... and 1623.0: cells of side exactly d would put
+    # them two columns apart.
+    x = np.array([22.4879411483643, 184.6879411483643, 184.7879411483643])
+    assert np.hypot(x[2] - x[1], 0.0) <= 0.1
+    i, j = functionals._near_pairs(x, np.zeros(3), 0.1)
+    assert list(zip(i.tolist(), j.tolist())) == [(1, 2)]
+
+
+def test_near_pairs_match_a_kd_tree_on_boundary_curves(monkeypatch):
+    # SciPy serves as an oracle only.  Each crossing search of f - f(0)
+    # stops after its pair search, whatever f' does on the disk.
+    spatial = pytest.importorskip("scipy.spatial")
+    calls, near_pairs = [], functionals._near_pairs
+
+    class Recorded(Exception):
+        pass
+
+    def recording(x, y, d):
+        calls.append((x, y, d, near_pairs(x, y, d)))
+        raise Recorded
+
+    monkeypatch.setattr(functionals, "_near_pairs", recording)
+    curves = [(ac10_polynomial(k), r) for k in (0, 8, 11) for r in (0.3, 0.6, 0.9)]
+    curves += [
+        (Polynomial((0.0, 1.0, 0.3)), 0.9), (Moebius(0.0, 0.5, 1.0), 0.9),
+        (AnnulusCover(1.0), 0.8), (AnnulusCover(3.0), 0.9), (SQUARE, 0.5),
+    ]
+    for spec, r in curves:
+        with pytest.raises(Recorded):
+            functionals._self_crossing(spec._centered(), r, 0.0)
+    assert len(calls) == len(curves)
+    for x, y, d, (i, j) in calls:
+        tree = spatial.cKDTree(np.column_stack([x, y])).query_pairs(d, output_type="ndarray")
+        assert np.array_equal(np.sort(i * x.size + j), np.sort(tree[:, 0] * x.size + tree[:, 1]))
+    # The annulus cover at c = 3 wraps: its crossing search is the crowded one.
+    assert calls[-2][3][0].size == 1787910
 
 
 def test_univalence_verdict_does_not_depend_on_the_scale_of_f():

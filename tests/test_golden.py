@@ -10,6 +10,8 @@ the diff; run as a script, the file puts ``src/`` on the path itself.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,6 +121,32 @@ def test_cli_output_matches_golden(name):
     code, out = run(CASES[name])
     assert code == exit_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+# Runs every case in a fresh interpreter in which SciPy cannot be imported,
+# and prints the names of the cases whose exit code or stdout differ.
+NO_SCIPY_PROBE = """
+import json, sys
+sys.modules["scipy"] = None
+import test_golden
+codes = test_golden.exit_codes()
+print(json.dumps([
+    name for name, argv in sorted(test_golden.CASES.items())
+    if test_golden.run(argv) != (codes[name], (test_golden.GOLDEN / f"{name}.out").read_text())
+]))
+"""
+
+
+def test_cli_output_matches_golden_without_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(Path(__file__).parent), str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", NO_SCIPY_PROBE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def write_golden() -> None:
