@@ -7,9 +7,11 @@ the zeros of f', parameter domain, JSON kind and CLI shorthand.  Field
 coercion to finite numbers, the JSON codec, the disk check and the scalar
 unwrap are shared, and SPEC_KINDS maps each JSON kind to its class for
 both JSON and the CLI.
-Everything downstream works through evaluate/derivative/sample_circle so
-the estimators never special-case the variant; the questions they ask
-are spec.coefficient_backed and spec.closed_disk.
+Everything downstream works through evaluate/derivative/jet/sample_circle
+so the estimators never special-case the variant; the questions they ask
+are spec.coefficient_backed and spec.closed_disk.  jet gives f, f', ...,
+f^(k) on one point set from one call, which evaluates f once; sample_circle
+scales a cached, read-only unit circle and carries the jet on request.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -49,12 +52,16 @@ class _Spec:
     float, a JSON kind, a CLI shorthand (name, brackets) and the methods
     _validate, _value(z), _derivative(z, order), _taylor(count),
     _critical_points(), the zeros of f' in the plane, and _centered(), the
-    spec of f - f(0).
+    spec of f - f(0).  _jet(z, order), the list f, f', ..., f^(order), is
+    the value and each _derivative unless a variant builds them together.
     coefficient_backed marks exact Taylor coefficients in coeffs, and
     closed_disk a map analytic on the closed disk, unit circle included."""
 
     coefficient_backed = False
     closed_disk = True
+
+    def _jet(self, z, order):
+        return [self._value(z)] + [self._derivative(z, k) for k in range(1, order + 1)]
 
     def __post_init__(self):
         for f in fields(self):
@@ -210,7 +217,7 @@ class AnnulusCover(_Spec):
         # log((1+z)/(1-z)) = 2 atanh(z) on the disk (principal branch).
         return np.exp(2j * self.c * np.arctanh(z))
 
-    def _derivative(self, z, order):
+    def _jet(self, z, order):
         # f = exp(g) with g = 2ic atanh(z), so f^(n) is the sum over k < n of
         # C(n-1, k) g^(k+1) f^(n-1-k), and g^(j) = ic (j-1)! ((1-z)^-j - (-1)^j (1+z)^-j).
         g = [1j * self.c * math.factorial(j - 1) * ((1.0 - z) ** -j - (-1) ** j * (1.0 + z) ** -j)
@@ -218,7 +225,10 @@ class AnnulusCover(_Spec):
         f = [self._value(z)]
         for n in range(1, order + 1):
             f.append(sum(math.comb(n - 1, k) * g[k] * f[n - 1 - k] for k in range(n)))
-        return f[order]
+        return f
+
+    def _derivative(self, z, order):
+        return self._jet(z, order)[order]
 
     def _taylor(self, count):
         # f = exp(g) with g = 2 i c atanh(z): g_k = 2ic/k for odd k.
@@ -249,12 +259,14 @@ SPEC_KINDS = {cls.kind: cls for cls in (Polynomial, PowerSeries, Moebius, Annulu
 @dataclass(frozen=True)
 class BoundarySample:
     """Image samples of a circle |z| = r under a spec: the sample points
-    r e^(i angles) and their images."""
+    r e^(i angles), their images and, when asked for, the derivatives
+    f', ..., f^(order) at the points."""
 
     r: float
     angles: np.ndarray
     values: np.ndarray
     points: np.ndarray
+    derivatives: tuple = ()
 
 
 def _variant(spec: FunctionSpec) -> FunctionSpec:
@@ -263,9 +275,10 @@ def _variant(spec: FunctionSpec) -> FunctionSpec:
     return spec
 
 
-def _pointwise(spec: FunctionSpec, z, order: int = 0):
-    """f (order 0) or f^(order) at points of the disk, as DISK_MARGIN
-    says; a scalar z gives a complex, an array of points an array."""
+def _pointwise(spec: FunctionSpec, z, method, *args):
+    """spec.method(z, *args) at points of the disk, as DISK_MARGIN says; a
+    scalar z gives a complex, an array of points an array, and a list of
+    them a list."""
     spec = _variant(spec)
     z = np.asarray(z, dtype=complex)
     limit = 1.0 + DISK_MARGIN if spec.closed_disk else 1.0 - DISK_MARGIN
@@ -274,25 +287,35 @@ def _pointwise(spec: FunctionSpec, z, order: int = 0):
     # Coefficients or values past the float range become inf or nan, which
     # every consumer refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = spec._derivative(z, order) if order else spec._value(z)
+        out = getattr(spec, method)(z, *args)
+    if isinstance(out, list):
+        return [w if w.shape else complex(w) for w in out]
     return out if out.shape else complex(out)
 
 
 def evaluate(spec: FunctionSpec, z):
     """Evaluate f at a point or ndarray of points of the (closed) disk."""
-    return _pointwise(spec, z)
+    return _pointwise(spec, z, "_value")
 
 
 def derivative(spec: FunctionSpec, z, order: int = 1):
     """Derivative of given order at points of the disk, as evaluate."""
     if order < 1:
         raise DomainError("derivative order must be >= 1")
-    return _pointwise(spec, z, order)
+    return _pointwise(spec, z, "_derivative", order)
 
 
 def second_derivative(spec: FunctionSpec, z):
     """f'' at arbitrary points (internal; used for discretization estimates)."""
-    return _pointwise(spec, z, 2)
+    return _pointwise(spec, z, "_derivative", 2)
+
+
+def jet(spec: FunctionSpec, z, order: int):
+    """The list f, f', ..., f^(order) at points of the disk, each entry
+    equal to what evaluate or derivative returns there, from one call."""
+    if order < 0:
+        raise DomainError("jet order must be >= 0")
+    return _pointwise(spec, z, "_jet", order)
 
 
 def taylor_coefficients(spec: FunctionSpec, count: int) -> np.ndarray:
@@ -308,20 +331,33 @@ def critical_points(spec: FunctionSpec) -> np.ndarray:
     return _variant(spec)._critical_points()
 
 
-def sample_circle(spec: FunctionSpec, r: float, m: int) -> BoundarySample:
+@lru_cache(maxsize=8)
+def _unit_circle(m: int) -> tuple:
+    """The angles 2 pi k / m and e^(i angles), k < m, read-only, since
+    every caller shares them."""
+    angles = 2.0 * np.pi * np.arange(m) / m
+    unit = np.exp(1j * angles)
+    angles.flags.writeable = unit.flags.writeable = False
+    return angles, unit
+
+
+def sample_circle(spec: FunctionSpec, r: float, m: int, order: int = 0) -> BoundarySample:
     """Image of m equally spaced points on |z| = r, angles 2 pi k / m;
-    r = 1 when the variant is closed_disk."""
+    r = 1 when the variant is closed_disk.  The derivatives f' to
+    f^(order) come from the same jet as the values."""
     top = 1.0 if _variant(spec).closed_disk else 1.0 - CIRCLE_MARGIN
     if not 0.0 < r <= top:
         raise DomainError(f"circle radius must satisfy 0 < r <= {top!r}")
     if m < 1:
         raise DomainError("need at least one sample")
-    angles = 2.0 * np.pi * np.arange(m) / m
-    points = r * np.exp(1j * angles)
-    values = evaluate(spec, points)
+    angles, unit = _unit_circle(m)
+    points = r * unit
+    values, *derivatives = jet(spec, points, order)
     if not np.isfinite(values).all():
         raise ResourceError("the image of the circle overflows the float range")
-    return BoundarySample(r=float(r), angles=angles, values=values, points=points)
+    return BoundarySample(
+        r=float(r), angles=angles, values=values, points=points, derivatives=tuple(derivatives)
+    )
 
 
 def scale_spec(spec: FunctionSpec, s: complex) -> FunctionSpec:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .analytic import (
     FunctionSpec,
-    derivative,
     evaluate,
+    jet,
     scale_spec,
     taylor_coefficients,
 )
@@ -135,22 +135,22 @@ def check_don(
     z: complex,
     tol: float = DEFAULT_EQUALITY_TOL,
     diam_estimate: Optional[float] = None,
+    diam_error: float = 0.0,
 ) -> InequalityReport:
     """Two-point bound |f(z) - f(0)| <= 2|z|/(1 + sqrt(1 - |z|^2)) for
     maps with Diam f(D) <= 2.
 
     The diameter precondition is checked on the unit circle unless a
-    precomputed estimate is supplied.  Equality holds only for disk
-    automorphism images at the single point z = 2b/(1 + |b|^2).
+    precomputed estimate is supplied with its error, within 3 times that
+    error.  Equality holds only for disk automorphism images at the single
+    point z = 2b/(1 + |b|^2).
     """
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError("z must lie in the open unit disk")
     if diam_estimate is None:
-        diam_estimate, diam_err = disk_functional_estimate(spec, "diam")
-    else:
-        diam_err = 0.0
-    if diam_estimate > 2.0 + 0.01 * 2.0 + 3.0 * diam_err:
+        diam_estimate, diam_error = disk_functional_estimate(spec, "diam")
+    if diam_estimate > 2.0 + 0.01 * 2.0 + 3.0 * diam_error:
         raise NormalizationError(
             f"Diam f(D) estimate {diam_estimate:.6g} exceeds 2; rescale the spec"
         )
@@ -167,6 +167,7 @@ def check_don_symmetric(
     w: complex,
     tol: float = DEFAULT_EQUALITY_TOL,
     diam_estimate: Optional[float] = None,
+    diam_error: float = 0.0,
 ) -> InequalityReport:
     """Symmetric two-point bound |f(z) - f(w)| <= Diam f(D) d/(1+sqrt(1-d^2))
     with d the pseudohyperbolic distance of z and w.
@@ -175,15 +176,13 @@ def check_don_symmetric(
     denominator is evaluated as well; their gap is reported in the context.
     The tolerance is at least three times the rhs's share of the estimated
     diameter's error, d/(1+sqrt(1-d^2)) times it; a supplied diam_estimate
-    counts as exact.
+    has the error diam_error.
     """
     z, w = complex(z), complex(w)
     if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("z and w must lie in the open unit disk")
     if diam_estimate is None:
-        diam_estimate, diam_err = disk_functional_estimate(spec, "diam")
-    else:
-        diam_err = 0.0
+        diam_estimate, diam_error = disk_functional_estimate(spec, "diam")
     lhs = abs(complex(evaluate(spec, z)) - complex(evaluate(spec, w)))
     denom = 1.0 - np.conj(w) * z
     delta = abs(z - w) / abs(denom)
@@ -198,24 +197,31 @@ def check_don_symmetric(
         "z": [z.real, z.imag], "w": [w.real, w.imag],
         "diam_estimate": diam_estimate, "rhs_identity_gap": abs(rhs - alt),
     }
-    return _make_report("Don", lhs, rhs, max(tol, 3.0 * delta / root * diam_err), context)
+    return _make_report("Don", lhs, rhs, max(tol, 3.0 * delta / root * diam_error), context)
 
 
 def check_poukka(
-    spec: FunctionSpec, n: int, tol: float = DEFAULT_EQUALITY_TOL
+    spec: FunctionSpec,
+    n: int,
+    tol: float = DEFAULT_EQUALITY_TOL,
+    diam_estimate: Optional[float] = None,
+    diam_error: float = 0.0,
 ) -> InequalityReport:
     """Coefficient bound |f^(n)(0)| / n! <= Diam f(D) / 2.
 
-    Equality characterizes monomial-plus-constant maps f(0) + c z^n.
+    Diam f(D) is estimated on the unit circle unless supplied with its
+    error, as check_don takes it.  Equality characterizes
+    monomial-plus-constant maps f(0) + c z^n.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     coeff = taylor_coefficients(spec, n + 1)[n]
-    diam_est, diam_err = disk_functional_estimate(spec, "diam")
+    if diam_estimate is None:
+        diam_estimate, diam_error = disk_functional_estimate(spec, "diam")
     lhs = abs(coeff)
-    rhs = 0.5 * diam_est
-    context = {"n": n, "coeff": [coeff.real, coeff.imag], "diam_error": diam_err}
-    return _make_report("Poukka", lhs, rhs, max(tol, 3.0 * diam_err), context)
+    rhs = 0.5 * diam_estimate
+    context = {"n": n, "coeff": [coeff.real, coeff.imag], "diam_error": diam_error}
+    return _make_report("Poukka", lhs, rhs, max(tol, 3.0 * diam_error), context)
 
 
 def check_schur(
@@ -232,8 +238,7 @@ def check_schur(
     sup, _ = disk_functional_estimate(spec, "rad")
     if sup > 1.0 + max(tol, 1e-9):
         raise NormalizationError(f"sup |(f(z) - f(0))/z| is about {sup:.6g}, above 1")
-    f0 = complex(evaluate(spec, 0.0))
-    a = complex(derivative(spec, 0.0))
+    f0, a = jet(spec, 0.0, 1)
     lhs, err, _ = _circle_max(spec, r, FINE_SAMPLES, f0, a)
     rhs = (1.0 - abs(a) ** 2) * r * r / (1.0 - abs(a) * r)
     context = {"r": r, "fprime0": [a.real, a.imag], "lhs_error": err}

@@ -25,6 +25,7 @@ from .bounds import (
     check_polya_chain,
     check_poukka,
     check_schur,
+    disk_functional_estimate,
     report_to_json,
 )
 from .counterexample import check_not_log_convex
@@ -156,10 +157,17 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
+def _diam_keywords(args) -> dict:
+    """Diam f(D) and its error as keywords of the checks that read them,
+    estimated once per command (Don and Poukka share it in `check all`)."""
+    value, err = args.disk_diameter()
+    return {"diam_estimate": value, "diam_error": err}
+
+
 def _check_don_symmetric(spec: FunctionSpec, args) -> list:
     if args.w is None:
         raise DiskGeomError("check don-symmetric needs --w")
-    return [check_don_symmetric(spec, args.z, args.w, tol=args.tol)]
+    return [check_don_symmetric(spec, args.z, args.w, tol=args.tol, **_diam_keywords(args))]
 
 
 def _check_isoperimetric(spec: FunctionSpec, args) -> list:
@@ -176,9 +184,11 @@ CHECKS = {
     "growth": lambda spec, args: [
         check_growth(spec, args.r, args.kind, tol=args.tol, n=args.n)
     ],
-    "don": lambda spec, args: [check_don(spec, args.z, tol=args.tol)],
+    "don": lambda spec, args: [check_don(spec, args.z, tol=args.tol, **_diam_keywords(args))],
     "don-symmetric": _check_don_symmetric,
-    "poukka": lambda spec, args: [check_poukka(spec, args.n, tol=args.tol)],
+    "poukka": lambda spec, args: [
+        check_poukka(spec, args.n, tol=args.tol, **_diam_keywords(args))
+    ],
     "schur": lambda spec, args: [check_schur(spec, args.r, tol=args.tol)],
     "isoperimetric": _check_isoperimetric,
     "polya": lambda spec, args: check_polya_chain(
@@ -199,6 +209,7 @@ def _cmd_check(args, out) -> int:
         raise DomainError("--tol must be finite and non-negative")
     spec = parse_spec(args.spec)
     h = spec_hash(spec)
+    args.disk_diameter = cache(lambda: disk_functional_estimate(spec, "diam"))
     names = [c for c in CHECKS if c not in NOT_IN_ALL] if args.name == "all" else [args.name]
     reports = []
     skipped = []

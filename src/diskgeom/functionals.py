@@ -38,9 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analytic import (
-    FunctionSpec, critical_points, derivative, evaluate, sample_circle, second_derivative,
-)
+from .analytic import FunctionSpec, critical_points, derivative, evaluate, jet, sample_circle
 from .errors import (
     DomainError,
     OptimizationWarning,
@@ -118,11 +116,11 @@ def _is_constant(w: np.ndarray) -> bool:
 # ---- radius ----
 
 
-def _derivative_maxima(spec: FunctionSpec, zs: np.ndarray, slope: complex = 0.0) -> tuple:
-    """The maxima of |f' - slope| and |f''| over the sample points zs."""
-    m1 = float(np.max(np.abs(derivative(spec, zs) - slope)))
-    m2 = float(np.max(np.abs(second_derivative(spec, zs))))
-    return m1, m2
+def _derivative_maxima(sample, slope: complex = 0.0) -> tuple:
+    """The maxima of |f' - slope| and |f''| over the points of a
+    sample_circle of order 2."""
+    f1, f2 = sample.derivatives
+    return float(np.max(np.abs(f1 - slope))), float(np.max(np.abs(f2)))
 
 
 def _curvature(r: float, maxima: tuple, value: float) -> float:
@@ -143,9 +141,8 @@ def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: com
     the error estimate is the second-order bound for a stationary maximum
     sampled at spacing 2 pi / m.  Returns (value, abs_error, f at the max).
     """
-    sample = sample_circle(spec, r, m)
-    zs = sample.points
-    g = np.abs(sample.values - shift - slope * zs)
+    sample = sample_circle(spec, r, m, order=2)
+    g = np.abs(sample.values - shift - slope * sample.points)
     k = int(np.argmax(g))
     value = float(g[k])
     witness = complex(sample.values[k])
@@ -160,7 +157,7 @@ def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: com
             cand = abs(fr - shift - slope * zr)
             if cand > value:
                 value, witness = cand, fr
-    curv = _curvature(r, _derivative_maxima(spec, zs, slope), value)
+    curv = _curvature(r, _derivative_maxima(sample, slope), value)
     err = 0.125 * curv * dtheta * dtheta + 1e-14 * (1.0 + value)
     return value, err, witness
 
@@ -213,14 +210,14 @@ def _diameter_run(spec: FunctionSpec, r: float, m: int):
     start angles of its candidate pairs and is sent their polished rows.
     It keeps no sample array while it waits, since a sweep holds the runs
     of all its radii until the polish."""
-    sample = sample_circle(spec, r, m)
+    sample = sample_circle(spec, r, m, order=2)
     w = sample.values
     if _is_constant(w):
         yield np.empty((0, 2))
         return FunctionalValue(
             kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
         )
-    maxima, dtheta = _derivative_maxima(spec, sample.points), 2.0 * np.pi / m
+    maxima, dtheta = _derivative_maxima(sample), 2.0 * np.pi / m
     value, witness, starts = _diameter_candidates(sample, maxima)
     del sample, w
     _, points, _ = yield starts
@@ -369,16 +366,14 @@ def _neg_log_sum(spec: FunctionSpec, r, theta: np.ndarray):
     With w' = i z f' and w'' = -z f' - z^2 f'', the gradient is
     Re(w_i' sum_j 1 / (w_i - w_j)), the Hessian Re(w_i' w_j' / (w_i - w_j)^2)
     off the diagonal and Re(w_i'' sum_j 1 / (w_i - w_j) - w_i'^2 sum_j
-    1 / (w_i - w_j)^2) on it.  All k n points go to one call each of
-    evaluate, derivative and second_derivative, and each row comes out as
-    it would alone.
+    1 / (w_i - w_j)^2) on it.  All k n points go to one jet call of order
+    2, and each row comes out as it would alone.
     """
     k, n = theta.shape
     z = np.reshape(r, (-1, 1)) * np.exp(1j * theta)
-    w = evaluate(spec, z)
-    f1 = derivative(spec, z)
+    w, f1, f2 = jet(spec, z, 2)
     dw = 1j * z * f1
-    d2w = -z * f1 - z * z * second_derivative(spec, z)
+    d2w = -z * f1 - z * z * f2
     diff = w[:, :, None] - w[:, None, :]
     gaps = _gaps(w)
     # S's derivatives do not change when f is scaled.  Scaling a row by a
@@ -578,14 +573,13 @@ def n_diameter(
 # ---- area from scanline sections of the boundary curve ----
 
 
-def _refine_circle(spec: FunctionSpec, r: float, values: np.ndarray, step: float):
+def _refine_circle(spec: FunctionSpec, r: float, angles: np.ndarray, values: np.ndarray, step: float):
     """Bisect the angle steps of samples of f on |z| = r until no step of
     the images, the last one closing the circle, is longer than step.
 
-    values holds f at the angles 2 pi k / m.  Returns the sorted angles and
-    the values, at most SAMPLE_CAP of them.
+    values holds f at the sorted angles in [0, 2 pi).  Returns the sorted
+    angles and the values, at most SAMPLE_CAP of them.
     """
-    angles = 2.0 * np.pi * np.arange(values.size) / values.size
     for _ in range(40):
         bad = np.nonzero(np.abs(np.roll(values, -1) - values) > step)[0]
         if bad.size == 0:
@@ -613,10 +607,10 @@ def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESO
     """
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    probe = sample_circle(spec, r, 4096).values
+    sample = sample_circle(spec, r, 4096)
+    probe = sample.values
     if _is_constant(probe):
-        angles = 2.0 * np.pi * np.arange(probe.size) / probe.size
-        return angles, probe, (float(probe[0].real), float(probe[0].imag), 0.0, 0.0)
+        return sample.angles, probe, (float(probe[0].real), float(probe[0].imag), 0.0, 0.0)
     lo_x, hi_x = float(np.min(probe.real)), float(np.max(probe.real))
     lo_y, hi_y = float(np.min(probe.imag)), float(np.max(probe.imag))
     gap = float(np.max(np.abs(np.roll(probe, -1) - probe)))
@@ -627,7 +621,7 @@ def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESO
     if ulp > 2.0 * min(cell_w, cell_h):
         raise ResourceError("the image is below the float resolution of its values at this grid")
     step = max(0.5 * min(cell_w, cell_h), 4.0 * ulp)
-    angles, values = _refine_circle(spec, r, probe, step)
+    angles, values = _refine_circle(spec, r, sample.angles, probe, step)
     return angles, values, (lo_x, lo_y, cell_w, cell_h)
 
 
@@ -792,9 +786,10 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(20):
             z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
-            gap = evaluate(spec, z1) * unit - evaluate(spec, z2) * unit
-            g1 = 1j * z1 * (derivative(spec, z1) * unit)
-            g2 = -1j * z2 * (derivative(spec, z2) * unit)
+            (w1, f1), (w2, f2) = jet(spec, z1, 1), jet(spec, z2, 1)
+            gap = w1 * unit - w2 * unit
+            g1 = 1j * z1 * (f1 * unit)
+            g2 = -1j * z2 * (f2 * unit)
             det = _cross(g1, g2)
             t1, t2 = t1 - _cross(gap, g2) / det, t2 - _cross(g1, gap) / det
         z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -28,7 +29,7 @@ from diskgeom import (
     spec_to_json,
     taylor_coefficients,
 )
-from diskgeom.analytic import critical_points
+from diskgeom.analytic import _unit_circle, critical_points, jet
 from diskgeom.quadrature import integrate
 
 EXACT = 1e-14
@@ -78,6 +79,41 @@ def test_polynomial_values_match_mpmath_within_horner_bound(kind, parts, exponen
                 size = sum(abs(a) * abs(mpmath.mpc(w)) ** k for k, a in enumerate(coeffs))
                 bound = 4 * (d + 1) * (np.finfo(float).eps * size + tiny)
                 assert abs(mpmath.mpc(g) - exact) <= bound
+
+
+def _jet_spec(kind, parts, exponent):
+    """A spec of the variant kind from coefficients parts scaled by 10^exponent."""
+    scaled = tuple(complex(re, im) * 10.0**exponent for re, im in parts)
+    if kind is Moebius:
+        return Moebius(scaled[0], 0.5 * complex(*parts[-1]), cmath.exp(1j * parts[0][0]))
+    if kind is AnnulusCover:
+        return AnnulusCover((abs(parts[0][0]) + 0.5) * 10.0**exponent)
+    return kind(scaled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from((Polynomial, PowerSeries, Moebius, AnnulusCover)),
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=12),
+    exponent=st.integers(-100, 100),
+    polar=st.lists(st.tuples(st.floats(0.0, 1.0 - 1e-9), st.floats(0.0, 2.0 * math.pi)),
+                   min_size=1, max_size=4),
+    order=st.integers(0, 3),
+)
+def test_jet_entries_equal_evaluate_and_derivative_bit_for_bit(kind, parts, exponent, polar, order):
+    # Overflowing values included: the jet runs under the errstate of
+    # evaluate, so it warns no more than evaluate and derivative do.
+    spec = _jet_spec(kind, parts, exponent)
+    z = np.array([r * cmath.exp(1j * t) for r, t in polar])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for points in (z, complex(z[0])):
+            entries = jet(spec, points, order)
+            assert len(entries) == order + 1
+            for k, entry in enumerate(entries):
+                expected = derivative(spec, points, k) if k else evaluate(spec, points)
+                assert type(entry) is type(expected)
+                assert np.asarray(entry).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_moebius_known_value():
@@ -247,6 +283,27 @@ def test_sample_circle_shapes_and_values():
     # The sample points are the ones evaluated, bit for bit.
     assert np.array_equal(sample.points, 0.5 * np.exp(1j * sample.angles))
     assert np.array_equal(sample.values, evaluate(p, sample.points))
+
+
+def test_sample_circle_points_come_from_a_read_only_unit_circle():
+    spec = AnnulusCover(0.7)
+    for m in (1, 7, 64, 4096):
+        angles = 2.0 * np.pi * np.arange(m) / m
+        for r in (1e-300, 0.3, 1.0 - 1e-9):
+            sample = sample_circle(spec, r, m, order=2)
+            assert sample.angles.tobytes() == angles.tobytes()
+            assert sample.points.tobytes() == (r * np.exp(1j * angles)).tobytes()
+            assert sample.values.tobytes() == evaluate(spec, sample.points).tobytes()
+            for k, entry in enumerate(sample.derivatives, start=1):
+                assert entry.tobytes() == derivative(spec, sample.points, k).tobytes()
+    cached_angles, unit = _unit_circle(64)
+    for cached in (cached_angles, unit, sample_circle(spec, 0.5, 64).angles):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    for m in range(1, 200):
+        _unit_circle(m)
+    info = _unit_circle.cache_info()
+    assert info.currsize <= info.maxsize < 200
 
 
 def test_scale_spec_divides_image():

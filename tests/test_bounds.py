@@ -153,6 +153,20 @@ def test_don_accepts_precomputed_diameter():
     assert rep.equality
 
 
+def test_supplied_diameter_keeps_its_error():
+    # Don's precondition allows 3 times the error of a supplied estimate, as
+    # it does for its own; Poukka folds it into its tolerance the same way.
+    over = 2.0 * 1.01 + 1e-3
+    with pytest.raises(NormalizationError):
+        check_don(AUTOMORPHISM, 0.5, diam_estimate=over)
+    assert check_don(AUTOMORPHISM, 0.5, diam_estimate=over, diam_error=1e-3).passed
+    cube = Polynomial((0.0, 0.0, 0.0, 1.0))
+    value, err = disk_functional_estimate(cube, "diam")
+    supplied = check_poukka(cube, 3, diam_estimate=value, diam_error=err)
+    assert supplied == check_poukka(cube, 3)
+    assert supplied.context["diam_error"] == err > 0.0
+
+
 def test_don_rejects_oversized_image():
     with pytest.raises(NormalizationError):
         check_don(Polynomial((0.0, 3.0)), 0.5)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import diskgeom
-from diskgeom import cli
+from diskgeom import bounds, cli
 from diskgeom import (
     AnnulusCover,
     Moebius,
@@ -258,6 +258,23 @@ def test_check_all_moebius(capsys):
     assert {"Don", "Poukka", "Isoperimetric", "Polya", "AreaDn", "DensityLower"} <= names
     # The Schur precondition fails for this map, so it is skipped, not failed.
     assert any("skipped" in p and p["name"] == "schur" for p in payloads)
+
+
+def test_check_all_estimates_the_disk_diameter_once(capsys, monkeypatch):
+    # Don and Poukka read one 8,192-sample estimate of Diam f(D).
+    kinds, original = [], bounds.disk_functional_estimate
+
+    def counting(spec, kind, n=4):
+        kinds.append(kind)
+        return original(spec, kind, n=n)
+
+    monkeypatch.setattr(bounds, "disk_functional_estimate", counting)
+    monkeypatch.setattr(cli, "disk_functional_estimate", counting)
+    code, out, _ = run_cli(capsys, "check", "all", "--spec", "moebius(0,0.5,1)")
+    assert code == 0
+    assert kinds.count("diam") == 1
+    reports = {p["name"]: p for p in map(json.loads, out.splitlines()) if "skipped" not in p}
+    assert reports["Don"]["context"]["diam_estimate"] == 2.0 * reports["Poukka"]["rhs"]
 
 
 def test_check_density_honours_tol(capsys):

@@ -38,7 +38,7 @@ from diskgeom import (
     taylor_coefficients,
 )
 import diskgeom
-from diskgeom import functionals, quadrature
+from diskgeom import analytic, functionals, quadrature
 from diskgeom.functionals import _boundary_curve
 
 SEED = 20260815
@@ -127,6 +127,35 @@ def test_n_diameter_disk_matches_roots_of_unity():
         assert fv.n == n
         mags = np.abs(np.array(fv.witness))
         assert np.max(np.abs(mags - r)) <= 1e-6
+
+
+def test_n_diameter_of_every_sample_has_the_rounding_bar():
+    # With n = m every sample is a slot, so the grid neighbours of each slot
+    # are slots, their log sums are -inf, and no parabola adds to the bar.
+    fv = n_diameter(IDENTITY, 0.5, 3, m=3)
+    assert abs(fv.value - 0.5 * disk_n_diameter(3)) <= 1e-15
+    assert fv.abs_error == 1e-13 * (1.0 + fv.value)
+
+
+def test_n_diameter_bar_counts_a_better_grid_neighbour(monkeypatch):
+    # The full-grid exchange ends at a discrete maximum, where no grid
+    # neighbour of a slot is better.  Should it stop short of one, here
+    # with a slot in the dent of z + 0.45 z^2 at z = -1, where both
+    # neighbours are better, the bar counts the larger gain.
+    spec, m = Polynomial((0.0, 1.0, 0.45)), 1200
+    stop = np.array([m // 2, m // 6, 5 * m // 6])
+    original = functionals._exchange
+
+    def stopping(w, starts):
+        return np.array([stop]) if w.size == m else original(w, starts)
+
+    monkeypatch.setattr(functionals, "_exchange", stopping)
+    fv = n_diameter(spec, 1.0, 3, m=m)
+    w = sample_circle(spec, 1.0, m).values
+    sums = [np.sum(np.log(np.abs(w[stop[0] + k] - w[stop[1:]]))) for k in (-1, 0, 1)]
+    gains = sums[0] - sums[1], sums[2] - sums[1]
+    assert min(gains) > 0.0
+    assert fv.abs_error >= fv.value * max(gains) / 3.0
 
 
 def test_n_diameter_n2_equals_diameter():
@@ -357,22 +386,45 @@ def test_polish_and_quadrature_calls_go_through_module_bindings(monkeypatch, mod
 
 
 def test_diameter_evaluates_second_derivative_on_its_samples_once(monkeypatch):
-    # The candidate limit and the bar share one curvature bound; the
-    # polish's own calls evaluate f'' at the 2 points of each of its k <=
-    # POLISHED pairs still descending, and a pair that stops never returns.
+    # The candidate limit and the bar share one curvature bound, read from
+    # the order-2 jet that sample_circle takes of its m samples; the
+    # polish's own jets hold the 2 points of each of its k <= POLISHED
+    # pairs still descending, and a pair that stops never returns.
     m, sizes = 1024, []
-    original = functionals.second_derivative
+    original = analytic.jet
 
-    def counting(spec, z):
-        sizes.append(np.size(z))
-        return original(spec, z)
+    def counting(spec, z, order):
+        if order >= 2:
+            sizes.append(np.size(z))
+        return original(spec, z, order)
 
-    monkeypatch.setattr(functionals, "second_derivative", counting)
+    # sample_circle calls the jet inside analytic, the polish through its
+    # functionals binding.
+    monkeypatch.setattr(analytic, "jet", counting)
+    monkeypatch.setattr(functionals, "jet", counting)
     diameter(KOEBE_LIKE, 0.6, m=m)
     assert sizes.count(m) == 1
     polish = [size for size in sizes if size != m]
     assert polish and set(polish) <= {2 * k for k in range(1, functionals.POLISHED + 1)}
     assert polish == sorted(polish, reverse=True)
+
+
+@pytest.mark.parametrize("estimator", [radius, diameter])
+def test_annulus_cover_evaluates_f_on_its_samples_once(monkeypatch, estimator):
+    # The values, f' and f'' of the m samples come from one jet, whose
+    # recurrence starts from f; f at the polished or refined points is
+    # evaluated on fewer than m points.
+    m, sizes = 1024, []
+    original = AnnulusCover._value
+
+    def counting(self, z):
+        sizes.append(np.size(z))
+        return original(self, z)
+
+    monkeypatch.setattr(AnnulusCover, "_value", counting)
+    estimator(AnnulusCover(1.0), 0.6, m=m)
+    assert sizes.count(m) == 1
+    assert max(size for size in sizes if size != m) < m
 
 
 def test_circle_image_length_counts_multiplicity():

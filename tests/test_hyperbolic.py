@@ -143,6 +143,14 @@ def test_hyperbolic_disk_growth_reparameterizes_area():
     assert np.max(np.abs(np.array(curve.phi) - expected)) <= 1e-12
 
 
+def test_hyperbolic_disk_growth_default_grid():
+    # Without a grid, R = artanh(r) at 17 radii r geometric from 0.05 to 0.95.
+    r = np.geomspace(0.05, 0.95, 17)
+    curve = hyperbolic_disk_growth(Polynomial((0.0, 1.0, 0.2)))
+    assert curve.r_grid == tuple(np.arctanh(r))
+    assert np.max(np.abs(np.array(curve.phi) - (1.0 + 2.0 * 0.04 * r**2))) <= 1e-12
+
+
 def test_hyperbolic_disk_growth_rejects_nonpositive_radii():
     with pytest.raises(DomainError):
         hyperbolic_disk_growth(IDENTITY, (0.0, 0.5, 1.0))
