@@ -3,11 +3,13 @@
 Each case runs ``diskgeom.cli.main`` in-process and compares its stdout,
 byte for byte, and its exit code with the files under ``tests/golden``.
 The files are written once and then only read; to record an intended
-change of output, run ``python tests/test_golden.py --write`` and review
-the diff; run as a script, the file puts ``src/`` on the path itself.
+change of output, run ``python tests/test_golden.py --write``, which
+rewrites only the files whose content changes and prints a unified diff of
+each; run as a script, the file puts ``src/`` on the path itself.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -149,13 +151,24 @@ def test_cli_output_matches_golden_without_scipy():
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def write_if_changed(path: Path, text: str) -> None:
+    """Write text to path and print a unified diff, when it changes the file."""
+    old = path.read_text() if path.exists() else ""
+    if text != old:
+        name = path.name
+        sys.stdout.writelines(difflib.unified_diff(
+            old.splitlines(keepends=True), text.splitlines(keepends=True), f"a/{name}", f"b/{name}",
+        ))
+        path.write_text(text)
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for name in sorted(CASES):
         codes[name], out = run(CASES[name])
-        (GOLDEN / f"{name}.out").write_text(out)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+        write_if_changed(GOLDEN / f"{name}.out", out)
+    write_if_changed(GOLDEN / "exit_codes.json", json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
