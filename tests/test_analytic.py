@@ -223,6 +223,53 @@ def test_annulus_cover_taylor_coefficients_match_mpmath():
             assert worst <= count * np.finfo(float).eps * top
 
 
+# 150 angles around the circle, 25 near z = 1 and 25 near z = -1.
+_NEAR = np.geomspace(1e-9, 1e-1, 25)
+ANNULUS_ANGLES = np.concatenate([2.0 * np.pi * np.arange(150) / 150, _NEAR, np.pi + _NEAR])
+# Rounding errors allowed per unit of the conditioning below.
+ANNULUS_ULPS = 4.0
+
+
+def _annulus_oracle_check(c, z, order):
+    """Compare evaluate and the jet of AnnulusCover(c) to order, at the array
+    z and at each of its points as a scalar, with mpmath's exp(2ic atanh z)
+    and its derivatives (mpmath.diffs) at 50 digits.  A point's rounding is
+    charged eps (1 + c |log(p/q)| + n) per unit of the jet's magnitude: f is
+    exp(ic log(p/q)) with p = 1 + z, q = 1 - z, and its derivatives are sums
+    of products of f and g^(j) = ic (j-1)! (q^-j - (-1)^j p^-j), so the
+    same recurrence on |f|, |g^(j)| bounds the size of their terms."""
+    spec = AnnulusCover(c)
+    entries = lambda points: [evaluate(spec, points)] + jet(spec, points, order)[1:]  # noqa: E731
+    rows = entries(z)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        func = lambda u: mpmath.exp(2j * mpmath.mpf(c) * mpmath.atanh(u))  # noqa: E731
+        for k, point in enumerate(z):
+            scalar = entries(complex(point))
+            zm = mpmath.mpc(point)
+            exact = list(mpmath.diffs(func, zm, order))
+            log_ratio = abs(mpmath.log((1 + zm) / (1 - zm)))
+            inv = (abs(1.0 / (1.0 - point)), abs(1.0 / (1.0 + point)))
+            g = [c * math.factorial(j) * (inv[0] ** (j + 1) + inv[1] ** (j + 1)) for j in range(order)]
+            size = [float(abs(exact[0]))]
+            for n in range(1, order + 1):
+                size.append(sum(math.comb(n - 1, i) * g[i] * size[n - 1 - i] for i in range(n)))
+            for n in range(order + 1):
+                tol = ANNULUS_ULPS * eps * (1.0 + c * float(log_ratio) + n) * size[n]
+                for got in rows[n][k], scalar[n]:
+                    assert abs(mpmath.mpc(got) - exact[n]) <= tol, (c, point, n)
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("r", [0.3, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+def test_annulus_cover_matches_mpmath_on_the_disk_and_near_its_poles(c, r):
+    # The value at every angle; the jet to order 3 at every fifth, since
+    # mpmath.diffs works at several times the precision.
+    z = r * np.exp(1j * ANNULUS_ANGLES)
+    _annulus_oracle_check(c, z, 0)
+    _annulus_oracle_check(c, z[::5], 3)
+
+
 def test_taylor_coefficients_moebius_geometric_tail():
     # (z - b)/(1 - b z) for real b: a_n = (1 - b^2) b^(n-1) for n >= 1.
     b = 0.5
