@@ -22,6 +22,8 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Union
 
 import numpy as np
@@ -202,6 +204,10 @@ class AnnulusCover(_Spec):
     """f(z) = exp(i c log((1+z)/(1-z))), principal branch, c > 0.
 
     Maps the disk onto the annulus exp(-pi c / 2) < |w| < exp(pi c / 2).
+    p = 1 + z and q = 1 - z have positive real parts on the disk, so
+    log(p/q) = log|p/q| + i (arg p - arg q) with both parts computed in
+    real arithmetic, each to a few rounding errors relative, and
+    f = e^(-c (arg p - arg q)) (cos + i sin)(c log|p/q|).
     """
 
     c: float
@@ -214,17 +220,32 @@ class AnnulusCover(_Spec):
             raise DomainError("annulus cover parameter c must be positive")
 
     def _value(self, z):
-        # log((1+z)/(1-z)) = 2 atanh(z) on the disk (principal branch).
-        return np.exp(2j * self.c * np.arctanh(z))
+        x, y = z.real, z.imag
+        # |p/q|^(±2) = 1 + 4|x| / |1 - |x| + iy|^2 with the sign of x, whose
+        # log1p keeps its digits near z = 0; the args of p and q have opposite
+        # signs, so their difference adds two terms of one sign.
+        ax = np.abs(x)
+        near = 1.0 - ax
+        log_ratio = np.copysign(0.5 * np.log1p(4.0 * ax / (near * near + y * y)), x)
+        angle = np.arctan2(y, 1.0 + x) + np.arctan2(y, 1.0 - x)
+        modulus = np.exp(-self.c * angle)
+        phase = self.c * log_ratio
+        out = np.empty(z.shape, dtype=complex)
+        out.real = modulus * np.cos(phase)
+        out.imag = modulus * np.sin(phase)
+        return out
 
     def _jet(self, z, order):
         # f = exp(g) with g = 2ic atanh(z), so f^(n) is the sum over k < n of
-        # C(n-1, k) g^(k+1) f^(n-1-k), and g^(j) = ic (j-1)! ((1-z)^-j - (-1)^j (1+z)^-j).
-        g = [1j * self.c * math.factorial(j - 1) * ((1.0 - z) ** -j - (-1) ** j * (1.0 + z) ** -j)
-             for j in range(1, order + 1)]
+        # C(n-1, k) g^(k+1) f^(n-1-k), and g^(j) = ic (j-1)! (a^j - b^j) with
+        # a = 1/(1-z) and b = -1/(1+z), whose powers come by multiplication.
         f = [self._value(z)]
-        for n in range(1, order + 1):
-            f.append(sum(math.comb(n - 1, k) * g[k] * f[n - 1 - k] for k in range(n)))
+        if order:
+            a, b = 1.0 / (1.0 - z), -1.0 / (1.0 + z)
+            powers = zip(accumulate(repeat(a, order), mul), accumulate(repeat(b, order), mul))
+            g = [1j * self.c * math.factorial(j) * (aj - bj) for j, (aj, bj) in enumerate(powers)]
+            for n in range(1, order + 1):
+                f.append(sum(math.comb(n - 1, k) * g[k] * f[n - 1 - k] for k in range(n)))
         return f
 
     def _derivative(self, z, order):
