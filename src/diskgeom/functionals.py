@@ -761,7 +761,8 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     power of two that brings |f| near 1 (or by 2^1000, for a subnormal
     image), which changes no rounding and keeps the products of coordinates
     finite.  A curve constant to rounding (cells of zero size) gives None
-    with no search.  is_univalent_sampled searches f - f(0), and that is
+    with no search, and a curve with no proper crossing None with no Newton
+    step.  is_univalent_sampled searches f - f(0), and that is
     constant to rounding only for annulus covers with c below about 1e-13;
     those are injective on every disk they admit, r <= 1 - 1e-9, since
     tanh(pi / 2c) > 1 - 1e-9 for c < 0.146.
@@ -779,6 +780,8 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     c1, c2 = _cross(seg[i], w[j] - w[i]), _cross(seg[i], w[j] + seg[j] - w[i])
     c3, c4 = _cross(seg[j], w[i] - w[j]), _cross(seg[j], w[i] + seg[i] - w[j])
     proper = (c1 * c2 < 0.0) & (c3 * c4 < 0.0)
+    if not proper.any():
+        return None
     i, j, c1, c2, c3, c4 = (a[proper] for a in (i, j, c1, c2, c3, c4))
     widths = np.append(angles[1:], 2.0 * np.pi) - angles
     t1 = angles[i] + c3 / (c3 - c4) * widths[i]

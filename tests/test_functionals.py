@@ -935,6 +935,23 @@ def test_near_pairs_match_a_kd_tree_on_boundary_curves(monkeypatch):
     assert calls[-2][3][0].size == 1787910
 
 
+def test_crossing_search_takes_no_newton_step_without_a_proper_crossing(monkeypatch):
+    # The Newton loop starts only from proper crossings of the polyline's
+    # segments; a simple curve has none, and its search makes no jet call.
+    calls, original = [], functionals.jet
+
+    def counting(spec, z, order):
+        calls.append(np.size(z))
+        return original(spec, z, order)
+
+    monkeypatch.setattr(functionals, "jet", counting)
+    for spec, r in ((ac10_polynomial(0), 0.3), (Polynomial((0.0, 1.0, 0.3)), 0.9)):
+        assert functionals._self_crossing(spec._centered(), r, 0.0) is None
+    assert calls == []
+    assert functionals._self_crossing(AnnulusCover(3.0), 0.9, 0.1) is not None
+    assert calls
+
+
 def test_univalence_verdict_does_not_depend_on_the_scale_of_f():
     # The Taylor polynomial of a cover of the annulus wraps past the cover's
     # threshold, with no zero of f' on the disk; z + 0.3 z^2 + 0.4 z^3 is
