@@ -12,9 +12,7 @@ regimes (univalent or wrapped) is the single integral
 with the arccos argument clamped to <= 1 (the integrand vanishes where
 cosh(t/c) exceeds cosh(s), which is exactly the univalent truncation).
 The integral is evaluated with the cosh ratio in the log domain, so
-radii within 1e-130 of 1 (small c) stay finite.  The coefficient series
-of the univalent regime is kept as an independent cross-oracle at
-moderate radii.
+radii within 1e-130 of 1 (small c) stay finite.
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import AnnulusCover, taylor_coefficients
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .quadrature import DEFAULT_QUAD_TOL, integrate
 
 DEFAULT_X_MIN = 0.125
@@ -38,8 +35,6 @@ VIOLATION_FACTOR = 10.0
 # Quadrature tolerances of the limit profile's areas and of its target.
 PROFILE_QUAD_TOL = 1e-10
 TARGET_QUAD_TOL = 1e-12
-# Most Taylor coefficients the series cross-oracle may sum.
-SERIES_MAX_TERMS = 16384
 
 
 @dataclass(frozen=True)
@@ -99,31 +94,6 @@ def area_annulus_cover(c: float, r: float) -> float:
     if not (0.0 < r < 1.0):
         raise DomainError("r must lie in (0, 1)")
     return _area_from_s(c, 2.0 * math.atanh(r), DEFAULT_QUAD_TOL)
-
-
-def area_series_annulus(c: float, r: float) -> float:
-    """Univalent-regime area pi sum n |a_n|^2 r^(2n) from the coefficient
-    series; the independent cross-oracle for moderate radii.
-
-    Raises QuadratureError when the tail has not settled within
-    SERIES_MAX_TERMS (radii too close to 1 for the series to be practical).
-    """
-    if not (0.0 < r < univalence_threshold(c)):
-        raise DomainError("series area needs the univalent regime")
-    count = 256
-    while True:
-        coeffs = np.asarray(taylor_coefficients(AnnulusCover(c), count), dtype=complex)
-        n = np.arange(count)
-        terms = n * np.abs(coeffs) ** 2 * float(r) ** (2 * n)
-        total = float(np.pi * np.sum(terms))
-        tail = float(np.pi * np.sum(terms[count // 2:]))
-        if tail <= 1e-12 * max(total, 1e-300):
-            return total
-        if count >= SERIES_MAX_TERMS:
-            raise QuadratureError(
-                f"series area did not settle within {SERIES_MAX_TERMS} terms at r={r}"
-            )
-        count *= 2
 
 
 def _log_shrink_rate(c: float) -> float:
