@@ -221,9 +221,10 @@ class AnnulusCover(_Spec):
 
     def _value(self, z):
         x, y = z.real, z.imag
-        # |p/q|^(±2) = 1 + 4|x| / |1 - |x| + iy|^2 with the sign of x, whose
-        # log1p keeps its digits near z = 0; the args of p and q have opposite
-        # signs, so their difference adds two terms of one sign.
+        # |p|^2 - |q|^2 = 4x, so log|p/q| is ±log1p(4|x| / |1 - |x| + iy|^2) / 2
+        # with the sign of x, and log1p keeps the digits that log|p| - log|q|
+        # loses near z = 0.  arg p and arg q have opposite signs, so their
+        # difference adds two terms of one sign.
         ax = np.abs(x)
         near = 1.0 - ax
         log_ratio = np.copysign(0.5 * np.log1p(4.0 * ax / (near * near + y * y)), x)

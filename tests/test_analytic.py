@@ -239,18 +239,23 @@ def _annulus_oracle_check(c, z, order):
     of products of f and g^(j) = ic (j-1)! (q^-j - (-1)^j p^-j), so the
     same recurrence on |f|, |g^(j)| bounds the size of their terms."""
     spec = AnnulusCover(c)
-    entries = lambda points: [evaluate(spec, points)] + jet(spec, points, order)[1:]  # noqa: E731
+
+    def entries(points):
+        return [evaluate(spec, points)] + jet(spec, points, order)[1:]
+
+    def func(u):
+        return mpmath.exp(2j * mpmath.mpf(c) * mpmath.atanh(u))
+
     rows = entries(z)
     eps = np.finfo(float).eps
     with mpmath.workdps(50):
-        func = lambda u: mpmath.exp(2j * mpmath.mpf(c) * mpmath.atanh(u))  # noqa: E731
         for k, point in enumerate(z):
             scalar = entries(complex(point))
             zm = mpmath.mpc(point)
             exact = list(mpmath.diffs(func, zm, order))
             log_ratio = abs(mpmath.log((1 + zm) / (1 - zm)))
-            inv = (abs(1.0 / (1.0 - point)), abs(1.0 / (1.0 + point)))
-            g = [c * math.factorial(j) * (inv[0] ** (j + 1) + inv[1] ** (j + 1)) for j in range(order)]
+            a, b = abs(1.0 / (1.0 - point)), abs(1.0 / (1.0 + point))
+            g = [c * math.factorial(j) * (a ** (j + 1) + b ** (j + 1)) for j in range(order)]
             size = [float(abs(exact[0]))]
             for n in range(1, order + 1):
                 size.append(sum(math.comb(n - 1, i) * g[i] * size[n - 1 - i] for i in range(n)))
