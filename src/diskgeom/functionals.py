@@ -715,26 +715,27 @@ def circle_image_length(spec: FunctionSpec, r: float) -> FunctionalValue:
 # ---- univalence ----
 
 
-def _near_pairs(x: np.ndarray, y: np.ndarray, d: float) -> tuple:
-    """The index pairs i < j of the points (x, y) that lie at most d > 0
-    apart by np.hypot, as two arrays (i, j) in no particular order.
+def _near_pairs(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> tuple:
+    """The index pairs i < j of the points (x, y) that lie at most
+    (d_i + d_j) / 2 apart by np.hypot, max d > 0, as two arrays (i, j) in no
+    particular order.
 
-    A uniform grid of cells (Bentley, Stanat and Williams 1977) of side d,
+    A uniform grid of cells (Bentley, Stanat and Williams 1977) of side max d,
     widened by 2^-20 so that the rounding of the cell indices cannot put two
     such points two cells apart.  Sorted by the key cx span + cy + 1, two
     ranges of consecutive keys cover half of each point's neighbourhood: the
     rest of its own cell and the cell above it, then the three cells of the
     next column.  Each range is filtered before the next is built.
     """
-    side = d * (1.0 + 2.0**-20)
+    side = float(np.max(d)) * (1.0 + 2.0**-20)
     cx = ((x - np.min(x)) / side).astype(np.int64)
     cy = ((y - np.min(y)) / side).astype(np.int64)
-    # A polyline whose longest step is d spans at most N d, so the keys of
-    # its N points stay below (N + 3)^2 <= 2^50 at SAMPLE_CAP.
+    # A polyline whose longest step is max d spans at most N max d, so the
+    # keys of its N points stay below (N + 3)^2 <= 2^50 at SAMPLE_CAP.
     span = int(np.max(cy)) + 3
     key = cx * span + cy + 1
     order = np.argsort(key, kind="stable")
-    key, x, y = key[order], x[order], y[order]
+    key, x, y, d = key[order], x[order], y[order], d[order]
     pos = np.arange(key.size)
     found = []
     for lo, hi in (
@@ -744,7 +745,7 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, d: float) -> tuple:
         count = hi - lo
         s = np.repeat(pos, count)
         t = np.arange(s.size) + np.repeat(lo - np.cumsum(count) + count, count)
-        near = np.hypot(x[t] - x[s], y[t] - y[s]) <= d
+        near = np.hypot(x[t] - x[s], y[t] - y[s]) <= 0.5 * (d[s] + d[t])
         found.append(order[np.stack([s[near], t[near]])])
     pairs = np.concatenate(found, axis=1)
     return np.min(pairs, axis=0), np.max(pairs, axis=0)
@@ -754,18 +755,18 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     """Two points of r T at least min_sep apart with the same image, or None.
 
     Candidates are proper crossings of segments of the boundary polyline,
-    whose midpoints lie within the longest step of each other (_near_pairs);
-    Newton's method on the two boundary angles then solves the two real
-    equations f(r e^(i t1)) = f(r e^(i t2)).  The diagonal t1 = t2 solves
-    them too, hence the separation floor.  The search runs on f scaled by a
-    power of two that brings |f| near 1 (or by 2^1000, for a subnormal
-    image), which changes no rounding and keeps the products of coordinates
-    finite.  A curve constant to rounding (cells of zero size) gives None
-    with no search, and a curve with no proper crossing None with no Newton
-    step.  is_univalent_sampled searches f - f(0), and that is
-    constant to rounding only for annulus covers with c below about 1e-13;
-    those are injective on every disk they admit, r <= 1 - 1e-9, since
-    tanh(pi / 2c) > 1 - 1e-9 for c < 0.146.
+    whose midpoints lie within half their two steps of each other
+    (_near_pairs); Newton's method on the two boundary angles, dropping
+    steps that are not finite, solves f(r e^(i t1)) = f(r e^(i t2)).  The
+    diagonal t1 = t2 solves it too, hence the separation floor.  The search
+    runs on f scaled by a power of two that brings |f| near 1 (or by
+    2^1000, for a subnormal image), which changes no rounding and keeps the
+    products of coordinates finite.  A curve constant to rounding (cells of
+    zero size) gives None with no search, and a curve with no proper
+    crossing None with no Newton step.  is_univalent_sampled searches
+    f - f(0), and that is constant to rounding only for annulus covers with
+    c below about 1e-13; those are injective on every disk they admit,
+    r <= 1 - 1e-9, since tanh(pi / 2c) > 1 - 1e-9 for c < 0.146.
     """
     angles, w, (_, _, cell, _) = _boundary_curve(spec, r)
     if cell == 0.0:
@@ -774,7 +775,7 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     w = w * unit
     seg = np.roll(w, -1) - w
     mid = w + 0.5 * seg
-    i, j = _near_pairs(mid.real, mid.imag, float(np.max(np.abs(seg))))
+    i, j = _near_pairs(mid.real, mid.imag, np.abs(seg))
     apart = (np.abs(i - j) > 1) & (np.abs(i - j) < w.size - 1)
     i, j = i[apart], j[apart]
     c1, c2 = _cross(seg[i], w[j] - w[i]), _cross(seg[i], w[j] + seg[j] - w[i])
@@ -795,6 +796,7 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
             g2 = -1j * z2 * (f2 * unit)
             det = _cross(g1, g2)
             t1, t2 = t1 - _cross(gap, g2) / det, t2 - _cross(g1, gap) / det
+            t1, t2 = np.compress(np.isfinite(t1 + t2), [t1, t2], axis=1)
         z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
         scale = 2.0 * float(np.max(np.abs(w - np.mean(w)))) + 1e-300
         ok = (np.abs(evaluate(spec, z1) * unit - evaluate(spec, z2) * unit) < 1e-9 * scale) & (

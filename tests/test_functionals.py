@@ -879,16 +879,17 @@ def test_univalence_of_an_image_constant_to_rounding_searches_no_pair_set(monkey
 )
 def test_near_pairs_equal_a_scan_of_all_pairs(steps, rng, shift, scale):
     # Lattice steps taken forward and then back in another order make a
-    # closed polyline with zero-length steps and many pairs exactly d apart.
-    # The shift rounds the coordinates; the power-of-two scale does not.
+    # closed polyline with zero-length steps and many pairs exactly their
+    # reach, half the sum of their two steps, apart.  The shift rounds the
+    # coordinates; the power-of-two scale does not.
     back = [(-a, -b) for a, b in steps]
     rng.shuffle(back)
     walk = np.cumsum(np.array(steps + back, dtype=float), axis=0)
     x, y = (walk[:, 0] + shift[0]) * scale, (walk[:, 1] + shift[1]) * scale
-    d = float(np.max(np.hypot(np.roll(x, -1) - x, np.roll(y, -1) - y)))
-    assume(d > 0.0)
+    d = np.hypot(np.roll(x, -1) - x, np.roll(y, -1) - y)
+    assume(d.max() > 0.0)
     i, j = np.triu_indices(x.size, 1)
-    near = np.hypot(x[j] - x[i], y[j] - y[i]) <= d
+    near = np.hypot(x[j] - x[i], y[j] - y[i]) <= 0.5 * (d[i] + d[j])
     found_i, found_j = functionals._near_pairs(x, y, d)
     assert np.all(found_i < found_j)
     expected = list(zip(i[near].tolist(), j[near].tolist()))
@@ -901,7 +902,7 @@ def test_near_pairs_survive_the_rounding_of_cell_indices():
     # them two columns apart.
     x = np.array([22.4879411483643, 184.6879411483643, 184.7879411483643])
     assert np.hypot(x[2] - x[1], 0.0) <= 0.1
-    i, j = functionals._near_pairs(x, np.zeros(3), 0.1)
+    i, j = functionals._near_pairs(x, np.zeros(3), np.full(3, 0.1))
     assert list(zip(i.tolist(), j.tolist())) == [(1, 2)]
 
 
@@ -929,10 +930,13 @@ def test_near_pairs_match_a_kd_tree_on_boundary_curves(monkeypatch):
             functionals._self_crossing(spec._centered(), r, 0.0)
     assert len(calls) == len(curves)
     for x, y, d, (i, j) in calls:
-        tree = spatial.cKDTree(np.column_stack([x, y])).query_pairs(d, output_type="ndarray")
-        assert np.array_equal(np.sort(i * x.size + j), np.sort(tree[:, 0] * x.size + tree[:, 1]))
-    # The annulus cover at c = 3 wraps: its crossing search is the crowded one.
-    assert calls[-2][3][0].size == 1787910
+        tree = spatial.cKDTree(np.column_stack([x, y]))
+        a, b = tree.query_pairs(d.max(), output_type="ndarray").T
+        near = np.hypot(x[b] - x[a], y[b] - y[a]) <= 0.5 * (d[a] + d[b])
+        assert np.array_equal(np.sort(i * x.size + j), np.sort(a[near] * x.size + b[near]))
+    # The annulus cover at c = 3 wraps: its crossing search is the crowded
+    # one.  Within the longest step of each other lie 1,787,910 pairs.
+    assert calls[-2][3][0].size == 17804
 
 
 def test_crossing_search_takes_no_newton_step_without_a_proper_crossing(monkeypatch):
@@ -950,6 +954,15 @@ def test_crossing_search_takes_no_newton_step_without_a_proper_crossing(monkeypa
     assert calls == []
     assert functionals._self_crossing(AnnulusCover(3.0), 0.9, 0.1) is not None
     assert calls
+
+
+def test_crossing_search_drops_newton_steps_that_are_not_finite():
+    # z^2 covers its image twice, and at some candidates the Newton system
+    # is singular; their NaN angles used to reach jet, which raised
+    # DomainError for the whole search.
+    z1, z2 = functionals._self_crossing(SQUARE, 0.5, 0.1)
+    assert abs(z1 - z2) > 0.1
+    assert abs(z1 * z1 - z2 * z2) <= 1e-12
 
 
 def test_univalence_verdict_does_not_depend_on_the_scale_of_f():
