@@ -7,11 +7,11 @@ the zeros of f', parameter domain, JSON kind and CLI shorthand.  Field
 coercion to finite numbers, the JSON codec, the disk check and the scalar
 unwrap are shared, and SPEC_KINDS maps each JSON kind to its class for
 both JSON and the CLI.
-Everything downstream works through evaluate/derivative/jet/sample_circle
-so the estimators never special-case the variant; the questions they ask
-are spec.coefficient_backed and spec.closed_disk.  jet gives f, f', ...,
-f^(k) on one point set from one call, which evaluates f once; sample_circle
-scales a cached, read-only unit circle and carries the jet on request.
+Everything downstream works through evaluate/derivative/jet/sample_circle so
+the estimators never special-case the variant: they ask only spec.closed_disk
+and read f - f(0) as spec._centered().  jet gives f, f', ..., f^(k) at points
+from one call, evaluating f once; sample_circle scales a cached, read-only
+unit circle and carries the jet on request.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ a wrapper of that binding sees every polish.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cache, partial, reduce
 from itertools import combinations
@@ -39,12 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analytic import FunctionSpec, critical_points, derivative, evaluate, jet, sample_circle
-from .errors import (
-    DomainError,
-    OptimizationWarning,
-    ResourceError,
-    UnsupportedError,
-)
+from .errors import DomainError, OptimizationWarning, ResourceError
 from .quadrature import integrate
 
 # perfbench/tracer.py reads this attribute unconditionally when it installs
@@ -63,6 +59,8 @@ POLISHED = 3
 POLISH_ENTRIES = 2**16
 # Most boundary samples that one refinement of f(r T) may evaluate.
 SAMPLE_CAP = 2**24
+# Most circle points of the contour sum of area_univalent_series.
+CONTOUR_CAP = 2**17
 # Absolute and relative quadrature tolerance of the curve length of f(r T).
 LENGTH_QUAD_TOL = 1e-10
 
@@ -672,23 +670,32 @@ def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> 
     return FunctionalValue(kind="area", value=value, abs_error=err)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
-    """Area of f(r D) as pi sum n |a_n|^2 r^(2n); valid when f is injective.
-
-    Univalence is the caller's responsibility; with multiplicity this sum
-    counts covered area, which strictly exceeds the set area.
+    """Area of f(r D) when f is injective on r D, by Green's theorem: pi
+    times the mean of Re(conj(w) z f') over m points of |z| = r, w the
+    samples of f - f(0) (spec._centered()).  The trapezoid sum of a periodic
+    analytic integrand converges geometrically (Trefethen and Weideman,
+    SIAM Review 56, 2014), so m doubles from 64, each doubling adding its
+    midpoints from one order-1 jet, until two sums agree within the
+    rounding of their terms, the error estimate: 2^-42 of their mean size,
+    as a Moebius map with |b| = 0.999 loses 600 float spacings to it.
+    ResourceError when a sum is not finite or needs over CONTOUR_CAP points.
     """
-    if not spec.coefficient_backed:
-        raise UnsupportedError("series area needs a coefficient-backed spec")
-    if not 0.0 < r < 1.0:
-        raise DomainError("r must lie in (0, 1)")
-    coeffs = np.asarray(spec.coeffs, dtype=complex)
-    n = np.arange(coeffs.shape[0])
-    with np.errstate(over="ignore"):
-        terms = n * np.abs(coeffs) ** 2 * (float(r) ** (2 * n))
-    value = float(np.pi * np.sum(terms))
-    err = 1e-15 * value * max(coeffs.shape[0], 2)
-    return FunctionalValue(kind="area", value=value, abs_error=err)
+    centered, m, total, size, last = spec._centered(), 64, 0.0, 0.0, None
+    sample = sample_circle(centered, r, m, order=1)
+    z, w, (f1,) = sample.points, sample.values, sample.derivatives
+    while True:
+        terms = np.conj(w) * z * f1
+        total, size = total + float(np.sum(terms.real)), size + float(np.sum(np.abs(terms)))
+        value, rounding = np.pi * total / m, 2.0**-42 * np.pi * size / m
+        if last is not None and abs(value - last) <= rounding:
+            return FunctionalValue(kind="area", value=value, abs_error=rounding)
+        if not np.isfinite(value + rounding) or 2 * m > CONTOUR_CAP:
+            raise ResourceError(f"the contour sum of the area is not finite or past {m} points")
+        z = r * np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m)
+        w, f1 = jet(centered, z, 1)
+        m, last = 2 * m, value
 
 
 # ---- perimeter ----
@@ -835,14 +842,16 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
 
 
 def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> str:
-    """The area method to use on r D: "auto" picks the exact coefficient
-    series when the spec is coefficient-backed and injective on r D, and
-    "raster", the scanline sections of area, otherwise; "series" and
-    "raster" pass through."""
+    """The area method to use on r D: "auto" picks "series", the contour
+    sum of area_univalent_series, when f is injective on r D and the sum
+    converges there, and "raster", the scanline sections of area,
+    otherwise; "series" and "raster" pass through."""
     if method != "auto":
         return method
-    if spec.coefficient_backed and is_univalent_sampled(spec, r):
-        return "series"
+    with suppress(ResourceError):
+        if is_univalent_sampled(spec, r):
+            area_univalent_series(spec, r)
+            return "series"
     return "raster"
 
 
@@ -850,7 +859,7 @@ def _area_by_method(
     spec: FunctionSpec, r: float, method: str, resolution: int = DEFAULT_RESOLUTION
 ) -> FunctionalValue:
     """Area of f(r D) by the method resolve_area_method picks: the
-    coefficient series or the scanline sections of area."""
+    contour sum or the scanline sections of area."""
     if resolve_area_method(spec, r, method) == "series":
         return area_univalent_series(spec, r)
     return area(spec, r, resolution=resolution)

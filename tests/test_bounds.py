@@ -286,6 +286,16 @@ def test_polya_chain_koebe_like():
     assert polya.context["area_method"] == "series"
 
 
+def test_polya_chain_names_the_area_method_it_read():
+    # A Moebius map is injective, so "auto" reads the contour sum, which
+    # puts the equality case's lhs at pi (0.4)^2 to rounding.
+    polya, _ = check_polya_chain(AUTOMORPHISM, 0.5, n=4, m=1024, seed=SEED)
+    assert polya.context["area_method"] == "series"
+    assert abs(polya.lhs - np.pi * 0.16) <= polya.context["area_error"] <= 1e-12
+    polya, _ = check_polya_chain(Polynomial((0.0, 0.0, 1.0)), 0.5, n=4, m=1024, seed=SEED)
+    assert polya.context["area_method"] == "raster"
+
+
 def test_diameter_estimate_consistency():
     # The open-disk estimate dominates every fixed-radius diameter.
     est, err = disk_functional_estimate(KOEBE_LIKE, "diam")

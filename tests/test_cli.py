@@ -167,6 +167,32 @@ def test_eval_json_payload(capsys):
     assert abs(payload["value"] - np.pi * 0.7**4) <= 3.0 * payload["abs_error"]
 
 
+@pytest.mark.parametrize("spec, r, expected", [
+    # The contour sum samples f - f(0), so f(0) = 1e20 costs no digits,
+    # where the raster reads the image as a point.
+    ("poly[1e20,1,0.3]", "0.9", np.pi * (0.81 + 2.0 * 0.09 * 0.9**4)),
+    # It exited 2 while only coefficient-backed specs had a series area.
+    ("moebius(0,0.5,1)", "0.5", np.pi * 0.4**2),
+])
+def test_series_area_is_exact_on_every_variant(capsys, spec, r, expected):
+    code, out, _ = run_cli(
+        capsys, "eval", "--spec", spec, "--kind", "area", "--r", r, "--area-method", "series",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["value"] - expected) <= payload["abs_error"] <= 1e-12 * expected
+
+
+def test_auto_area_past_the_contour_budget_prints_the_raster(capsys):
+    # The contour sum of annulus(0.1) at 0.9999 needs more than 2^17 points.
+    argv = ["eval", "--spec", "annulus(0.1)", "--kind", "area", "--r", "0.9999"]
+    auto = run_cli(capsys, *argv)
+    assert auto == run_cli(capsys, *argv, "--area-method", "raster")
+    assert auto[0] == 0
+    payload = json.loads(auto[1])
+    assert (payload["value"], payload["abs_error"]) == (0.5875144070359383, 0.0028380439718259072)
+
+
 def test_eval_csv_row(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "--spec", "poly[0,2]", "--kind", "rad", "--r", "0.5",

@@ -6,6 +6,7 @@ scaled root-of-unity value n^(1/(n-1)) r.
 """
 
 import cmath
+import math
 import warnings
 from pathlib import Path
 
@@ -349,6 +350,87 @@ def test_area_series_matches_raster_when_univalent():
         fv_s = area_univalent_series(spec, 0.5)
         fv_r = area(spec, 0.5)
         assert abs(fv_s.value - fv_r.value) <= fv_r.abs_error
+
+
+def series_area(coeffs, r: float) -> float:
+    """pi sum k |a_k|^2 r^(2k), the area of f(r D) for a polynomial f
+    injective on r D: the coefficient oracle of the contour sum."""
+    return math.pi * math.fsum(k * abs(a) ** 2 * r ** (2 * k) for k, a in enumerate(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.builds(complex, _unit, _unit), min_size=1, max_size=6),
+    st.builds(complex, _unit, _unit).filter(lambda a: abs(a) >= 0.1),
+    st.floats(0.0, 0.999), st.floats(0.01, 1.0), st.floats(-100.0, 100.0),
+    st.builds(complex, st.floats(-1e20, 1e20), st.floats(-1e20, 1e20)),
+)
+def test_contour_area_equals_the_series_on_univalent_polynomials(tail, a1, fill, r, log_s, a0):
+    # AC12's construction: sum_{k>=2} k |a_k| < |a_1| makes f injective on
+    # the closed disk, where the contour sum is the series area to within
+    # its bar, whatever f(0) and the scale of f.
+    weight = np.arange(2, len(tail) + 2)
+    tail = np.array(tail) * (fill * abs(a1) / max(float(np.sum(weight * np.abs(tail))), 1e-300))
+    s = 10.0**log_s
+    coeffs = (a0 * s, a1 * s) + tuple(tail * s)
+    fv = area_univalent_series(Polynomial(coeffs), r)
+    assert abs(fv.value - series_area(coeffs, r)) <= fv.abs_error
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.9j, 0.99 * cmath.exp(2j), 0.99])
+@pytest.mark.parametrize("r", [0.3, 0.9, 0.999, 1.0])
+def test_contour_area_of_a_moebius_map_is_its_disk(b, r):
+    # f(r D) is the disk of radius r (1 - |b|^2) / (1 - |b|^2 r^2); mpmath
+    # takes |b|^2 exact from the parts of the float b.
+    spec = Moebius(2.0 - 1.0j, b, cmath.exp(0.7j))
+    fv = area_univalent_series(spec, r)
+    with mpmath.workdps(40):
+        b2 = mpmath.mpf(spec.b.real) ** 2 + mpmath.mpf(spec.b.imag) ** 2
+        expected = float(mpmath.pi * (r * (1 - b2) / (1 - b2 * r * r)) ** 2)
+    assert abs(fv.value - expected) <= fv.abs_error <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("c, share", [(0.1, 0.99), (0.5, 0.5), (1.0, 0.99), (3.0, 0.99)])
+def test_contour_area_of_an_annulus_cover_below_its_threshold(c, share):
+    # Below tanh(pi / 2c) the cover is injective; mpmath integrates
+    # Green's integrand, |f|^2 Re(2ic z / (1 - z^2)), on four quarter turns.
+    r = share * math.tanh(math.pi / (2.0 * c))
+    fv = area_univalent_series(AnnulusCover(c), r)
+    with mpmath.workdps(20):
+        def green(t):
+            z = r * mpmath.expj(t)
+            return abs(mpmath.exp(2j * c * mpmath.atanh(z))) ** 2 * mpmath.re(2j * c * z / (1 - z * z))
+        expected = float(mpmath.quad(green, mpmath.linspace(0, 2 * mpmath.pi, 5)) / 2)
+    assert abs(fv.value - expected) <= fv.abs_error <= 1e-12 * expected
+
+
+def test_contour_area_stops_at_its_budget():
+    # annulus(0.1) is injective on every disk it admits; its contour sum
+    # converges in 65,536 points at r = 0.999 and would need about 2^22 at
+    # 0.9999, past CONTOUR_CAP, so "auto" takes the raster there.
+    assert area_univalent_series(AnnulusCover(0.1), 0.999).abs_error <= 1e-12
+    with pytest.raises(ResourceError, match="131072 points"):
+        area_univalent_series(AnnulusCover(0.1), 0.9999)
+    assert functionals.resolve_area_method(AnnulusCover(0.1), 0.9999, "auto") == "raster"
+
+
+def test_contour_area_that_overflows_stops_at_once(monkeypatch):
+    # The first 64 terms overflow; the sum raises before it evaluates a
+    # midpoint, where doubling to CONTOUR_CAP took seconds.
+    calls = []
+    monkeypatch.setattr(functionals, "jet", lambda *args: calls.append(args))
+    with pytest.raises(ResourceError):
+        area_univalent_series(Polynomial((0.0, 1e200, 1e200)), 0.4)
+    assert calls == []
+
+
+def test_auto_area_reads_the_contour_of_every_univalent_variant():
+    for spec, r in ((KOEBE_LIKE, 0.6), (Moebius(0.5, 0.5j, 1.0), 0.9), (AnnulusCover(1.0), 0.8)):
+        assert functionals.resolve_area_method(spec, r, "auto") == "series"
+        assert functionals._area_by_method(spec, r, "auto") == area_univalent_series(spec, r)
+    # Not injective: z^2, and the cover past its threshold.
+    for spec, r in ((SQUARE, 0.5), (AnnulusCover(1.0), 0.95)):
+        assert functionals.resolve_area_method(spec, r, "auto") == "raster"
 
 
 def test_area_resource_cap(monkeypatch):

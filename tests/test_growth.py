@@ -83,6 +83,14 @@ def test_area_curve_auto_routes_to_series_when_univalent():
     assert np.max(np.abs(np.array(curve.phi) - expected)) <= 1e-12
 
 
+def test_area_curve_of_a_moebius_map_routes_to_the_contour_sum():
+    # f(r D) is a disk of radius 0.75 r / (1 - 0.25 r^2).
+    curve = phi_curve(Moebius(0.0, 0.5, 1.0), "area", GRID7)
+    assert "area_method=series" in curve.flags
+    expected = (0.75 / (1.0 - 0.25 * np.array(curve.r_grid) ** 2)) ** 2
+    assert np.max(np.abs(np.array(curve.phi) - expected)) <= 1e-12
+
+
 def test_cap_curve_carries_upper_estimate_flag():
     curve = phi_curve(KOEBE_LIKE, "cap", GRID7, n=4, m=512, seed=SEED)
     assert "cap_upper_estimate" in curve.flags
