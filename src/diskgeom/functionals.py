@@ -694,8 +694,7 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
         if not np.isfinite(value + rounding) or 2 * m > CONTOUR_CAP:
             raise ResourceError(f"the contour sum of the area is not finite or past {m} points")
         z = r * np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m)
-        w, f1 = jet(centered, z, 1)
-        m, last = 2 * m, value
+        (w, f1), m, last = jet(centered, z, 1), 2 * m, value
 
 
 # ---- perimeter ----
@@ -764,16 +763,17 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     Candidates are proper crossings of segments of the boundary polyline,
     whose midpoints lie within half their two steps of each other
     (_near_pairs); Newton's method on the two boundary angles, dropping
-    steps that are not finite, solves f(r e^(i t1)) = f(r e^(i t2)).  The
-    diagonal t1 = t2 solves it too, hence the separation floor.  The search
-    runs on f scaled by a power of two that brings |f| near 1 (or by
-    2^1000, for a subnormal image), which changes no rounding and keeps the
-    products of coordinates finite.  A curve constant to rounding (cells of
-    zero size) gives None with no search, and a curve with no proper
-    crossing None with no Newton step.  is_univalent_sampled searches
-    f - f(0), and that is constant to rounding only for annulus covers with
-    c below about 1e-13; those are injective on every disk they admit,
-    r <= 1 - 1e-9, since tanh(pi / 2c) > 1 - 1e-9 for c < 0.146.
+    steps that are not finite, solves f(r e^(i t1)) = f(r e^(i t2)) for
+    4096 candidates at a time, in order, until one counts.  The diagonal
+    t1 = t2 solves it too, hence the separation floor.  The search runs on f
+    scaled by a power of two that brings |f| near 1 (or by 2^1000, for a
+    subnormal image), which changes no rounding and keeps the products of
+    coordinates finite.  A curve constant to rounding (cells of zero size)
+    gives None with no search, and a curve with no proper crossing None with
+    no Newton step.  is_univalent_sampled searches f - f(0), and that is
+    constant to rounding only for annulus covers with c below about 1e-13;
+    those are injective on every disk they admit, r <= 1 - 1e-9, since
+    tanh(pi / 2c) > 1 - 1e-9 for c < 0.146.
     """
     angles, w, (_, _, cell, _) = _boundary_curve(spec, r)
     if cell == 0.0:
@@ -788,31 +788,30 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     c1, c2 = _cross(seg[i], w[j] - w[i]), _cross(seg[i], w[j] + seg[j] - w[i])
     c3, c4 = _cross(seg[j], w[i] - w[j]), _cross(seg[j], w[i] + seg[i] - w[j])
     proper = (c1 * c2 < 0.0) & (c3 * c4 < 0.0)
-    if not proper.any():
-        return None
     i, j, c1, c2, c3, c4 = (a[proper] for a in (i, j, c1, c2, c3, c4))
     widths = np.append(angles[1:], 2.0 * np.pi) - angles
-    t1 = angles[i] + c3 / (c3 - c4) * widths[i]
-    t2 = angles[j] + c1 / (c1 - c2) * widths[j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(20):
+    start1 = angles[i] + c3 / (c3 - c4) * widths[i]
+    start2 = angles[j] + c1 / (c1 - c2) * widths[j]
+    scale = 2.0 * float(np.max(np.abs(w - np.mean(w)))) + 1e-300
+    for lo in range(0, start1.size, 4096):
+        t1, t2 = start1[lo : lo + 4096], start2[lo : lo + 4096]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(20):
+                z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
+                (w1, f1), (w2, f2) = jet(spec, z1, 1), jet(spec, z2, 1)
+                gap = w1 * unit - w2 * unit
+                g1 = 1j * z1 * (f1 * unit)
+                g2 = -1j * z2 * (f2 * unit)
+                det = _cross(g1, g2)
+                t1, t2 = t1 - _cross(gap, g2) / det, t2 - _cross(g1, gap) / det
+                t1, t2 = np.compress(np.isfinite(t1 + t2), [t1, t2], axis=1)
             z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
-            (w1, f1), (w2, f2) = jet(spec, z1, 1), jet(spec, z2, 1)
-            gap = w1 * unit - w2 * unit
-            g1 = 1j * z1 * (f1 * unit)
-            g2 = -1j * z2 * (f2 * unit)
-            det = _cross(g1, g2)
-            t1, t2 = t1 - _cross(gap, g2) / det, t2 - _cross(g1, gap) / det
-            t1, t2 = np.compress(np.isfinite(t1 + t2), [t1, t2], axis=1)
-        z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
-        scale = 2.0 * float(np.max(np.abs(w - np.mean(w)))) + 1e-300
-        ok = (np.abs(evaluate(spec, z1) * unit - evaluate(spec, z2) * unit) < 1e-9 * scale) & (
-            np.abs(z1 - z2) > min_sep
-        )
-    if not np.any(ok):
-        return None
-    k = int(np.flatnonzero(ok)[0])
-    return complex(z1[k]), complex(z2[k])
+            miss = np.abs(evaluate(spec, z1) * unit - evaluate(spec, z2) * unit)
+            ok = (miss < 1e-9 * scale) & (np.abs(z1 - z2) > min_sep)
+        if np.any(ok):
+            k = int(np.flatnonzero(ok)[0])
+            return complex(z1[k]), complex(z2[k])
+    return None
 
 
 def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:

@@ -1038,6 +1038,22 @@ def test_crossing_search_takes_no_newton_step_without_a_proper_crossing(monkeypa
     assert calls
 
 
+def test_crossing_search_solves_its_candidates_in_batches(monkeypatch):
+    # The annulus cover at c = 3 wraps many times near r = 1, and its
+    # polyline has 61,676 proper crossings.  Newton's method takes them
+    # 4096 at a time, in order, and the first batch confirms a collision.
+    sizes, original = [], functionals.jet
+    monkeypatch.setattr(
+        functionals, "jet", lambda spec, z, order: sizes.append(np.size(z)) or original(spec, z, order)
+    )
+    spec = AnnulusCover(3.0)
+    z1, z2 = functionals._self_crossing(spec, 1.0 - 1e-9, 0.1)
+    # One batch: 20 rounds of two jets each; a step that is not finite
+    # drops its candidate on the way.
+    assert len(sizes) == 40 and sizes[0] == 4096 and max(sizes) == 4096
+    assert abs(complex(evaluate(spec, z1)) - complex(evaluate(spec, z2))) <= 1e-9
+
+
 def test_crossing_search_drops_newton_steps_that_are_not_finite():
     # z^2 covers its image twice, and at some candidates the Newton system
     # is singular; their NaN angles used to reach jet, which raised
