@@ -21,7 +21,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Union
@@ -174,10 +175,17 @@ class Moebius(_Spec):
     def _value(self, z):
         return self.c * (z - self.b) / (1.0 - np.conj(self.b) * z) + self.a
 
+    @cached_property
+    def _gap(self):
+        # 1 - |b|^2, rounded once from the exact squares of the parts of b:
+        # 1 - abs(b)**2 is off by about eps / (1 - |b|^2) relative, an error
+        # that every derivative shares.
+        return float(1 - Fraction(self.b.real) ** 2 - Fraction(self.b.imag) ** 2)
+
     def _derivative(self, z, order):
         # f^(k) = k! conj(b)^(k-1) c (1 - |b|^2) / (1 - conj(b) z)^(k+1)
         bbar = np.conj(self.b)
-        scale = math.factorial(order) * bbar ** (order - 1) * self.c * (1.0 - abs(self.b) ** 2)
+        scale = math.factorial(order) * bbar ** (order - 1) * self.c * self._gap
         return scale / (1.0 - bbar * z) ** (order + 1)
 
     def _taylor(self, count):
@@ -185,7 +193,7 @@ class Moebius(_Spec):
         c = np.zeros(count, dtype=complex)
         c[0] = self.c * (-self.b) + self.a
         bbar = np.conj(self.b)
-        fac = self.c * (1.0 - abs(self.b) ** 2)
+        fac = self.c * self._gap
         for n in range(1, count):
             c[n] = fac * bbar ** (n - 1)
         return c

@@ -129,6 +129,19 @@ def test_moebius_derivative_at_zero():
     assert abs(complex(derivative(f, 0.0)) - 0.75) <= EXACT
 
 
+@pytest.mark.parametrize("b", [0.999999, 0.9999999 * cmath.exp(0.71j), 0.6 - 0.7999999j])
+def test_moebius_derivative_keeps_its_digits_near_the_circle(b):
+    # f'(z) = c (1 - |b|^2) / (1 - conj(b) z)^2; 1 - abs(b)**2 lost about
+    # eps / (1 - |b|^2) relative, an error that every sample of f' shared.
+    f = Moebius(0.0, b, cmath.exp(0.7j))
+    z = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
+    with mpmath.workdps(40):
+        bb, c = mpmath.mpc(f.b.real, f.b.imag), mpmath.mpc(f.c.real, f.c.imag)
+        gap = 1 - mpmath.mpf(f.b.real) ** 2 - mpmath.mpf(f.b.imag) ** 2
+        expected = [complex(c * gap / (1 - mpmath.conj(bb) * mpmath.mpc(x.real, x.imag)) ** 2) for x in z]
+    assert np.max(np.abs(derivative(f, z) / expected - 1.0)) <= 1e-14
+
+
 def test_annulus_cover_eval_and_derivative():
     f = AnnulusCover(0.3)
     # f(0) = 1 and f'(0) = 2 i c.
