@@ -31,7 +31,6 @@ from .functionals import (
     disk_n_diameter,
     functional_kind,
     n_diameter,
-    resolve_area_method,
 )
 
 DEFAULT_EQUALITY_TOL = 1e-6
@@ -269,8 +268,7 @@ def check_polya_chain(
     Returns the Polya report (against the capacity upper bound) and the
     n-diameter report, with estimator errors folded into each tolerance.
     """
-    area_method = resolve_area_method(spec, r, area_method)
-    a = _area_by_method(spec, r, area_method, resolution)
+    area_method, a = _area_by_method(spec, r, area_method, resolution)
     dn = n_diameter(spec, r, n, m=m, seed=seed)
     norm = disk_n_diameter(n)
     cap_upper = dn.value / norm + dn.abs_error / norm

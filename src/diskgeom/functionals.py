@@ -825,7 +825,9 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
                 g2 = -1j * z2 * (f2 * unit)
                 det = _cross(g1, g2)
                 t1, t2 = t1 - _cross(gap, g2) / det, t2 - _cross(g1, gap) / det
-                t1, t2 = np.compress(np.isfinite(t1 + t2), [t1, t2], axis=1)
+                finite = np.isfinite(t1 + t2)
+                t1 = t1[finite]
+                t2 = t2[finite]
             z1, z2 = r * np.exp(1j * t1), r * np.exp(1j * t2)
             miss = np.abs(evaluate(spec, z1) * unit - evaluate(spec, z2) * unit)
             ok = (miss < 1e-9 * scale) & (np.abs(z1 - z2) > min_sep)
@@ -861,28 +863,31 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
     return UnivalenceResult(True, None, "")
 
 
-def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> str:
-    """The area method to use on r D: "auto" picks "series", the contour
-    sum of area_univalent_series, when f is injective on r D and the sum
-    converges there, and "raster", the scanline sections of area,
-    otherwise; "series" and "raster" pass through."""
+def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> tuple:
+    """The area method to use on r D, and the area that "auto" summed to
+    pick it or None: "auto" picks "series", the contour sum of
+    area_univalent_series, when f is injective on r D and the sum converges
+    there, and "raster", the scanline sections of area, otherwise; "series"
+    and "raster" pass through."""
     if method != "auto":
-        return method
+        return method, None
     with suppress(ResourceError):
         if is_univalent_sampled(spec, r):
-            area_univalent_series(spec, r)
-            return "series"
-    return "raster"
+            return "series", area_univalent_series(spec, r)
+    return "raster", None
 
 
 def _area_by_method(
     spec: FunctionSpec, r: float, method: str, resolution: int = DEFAULT_RESOLUTION
-) -> FunctionalValue:
-    """Area of f(r D) by the method resolve_area_method picks: the
-    contour sum or the scanline sections of area."""
-    if resolve_area_method(spec, r, method) == "series":
-        return area_univalent_series(spec, r)
-    return area(spec, r, resolution=resolution)
+) -> tuple:
+    """The method resolve_area_method picks and the area of f(r D) by it,
+    the contour sum or the scanline sections of area, summed once."""
+    method, value = resolve_area_method(spec, r, method)
+    if value is not None:
+        return method, value
+    if method == "series":
+        return method, area_univalent_series(spec, r)
+    return method, area(spec, r, resolution=resolution)
 
 
 # ---- capacity bracket ----
@@ -893,7 +898,7 @@ def _capacity_brackets(
 ) -> list:
     """capacity_bracket at each radius, the d_n tuples of all radii polished
     as the rows of one descent; the estimator of KINDS["cap"]."""
-    areas = [_area_by_method(spec, r, area_method, resolution) for r in radii]
+    areas = [_area_by_method(spec, r, area_method, resolution)[1] for r in radii]
     dns = _n_diameters(spec, radii, n, m=m, seed=seed)
     norm = disk_n_diameter(n)
     brackets = []
@@ -1002,7 +1007,7 @@ KINDS = {
     ),
     "area": FunctionalKind(
         lambda spec, radii, n, resolution, area_method, **_: [
-            _area_by_method(spec, r, area_method, resolution) for r in radii
+            _area_by_method(spec, r, area_method, resolution)[1] for r in radii
         ],
         lambda r, n: np.pi * r * r, "pi r^2", "AreaGrowth", uses_area=True, squared=True,
     ),

@@ -122,7 +122,7 @@ def phi_curve(
 
     flags: tuple = ()
     if fk.uses_area and area_method == "auto":
-        area_method = resolve_area_method(spec, float(grid[-1]), area_method)
+        area_method = resolve_area_method(spec, float(grid[-1]), area_method)[0]
         flags = flags + (f"area_method={area_method}",)
     if fk.upper_endpoint:
         flags = flags + ("cap_upper_estimate",)

@@ -28,6 +28,7 @@ from diskgeom import (
     area_annulus_cover,
     area_univalent_series,
     capacity_bracket,
+    check_polya_chain,
     circle_image_length,
     diameter,
     disk_n_diameter,
@@ -455,7 +456,7 @@ def test_contour_area_stops_at_its_budget():
     assert area_univalent_series(AnnulusCover(0.1), 0.999).abs_error <= 1e-10
     with pytest.raises(ResourceError, match="131072 points"):
         area_univalent_series(AnnulusCover(0.1), 0.9999)
-    assert functionals.resolve_area_method(AnnulusCover(0.1), 0.9999, "auto") == "raster"
+    assert functionals.resolve_area_method(AnnulusCover(0.1), 0.9999, "auto") == ("raster", None)
 
 
 def test_contour_area_that_overflows_stops_at_once(monkeypatch):
@@ -470,11 +471,25 @@ def test_contour_area_that_overflows_stops_at_once(monkeypatch):
 
 def test_auto_area_reads_the_contour_of_every_univalent_variant():
     for spec, r in ((KOEBE_LIKE, 0.6), (Moebius(0.5, 0.5j, 1.0), 0.9), (AnnulusCover(1.0), 0.8)):
-        assert functionals.resolve_area_method(spec, r, "auto") == "series"
-        assert functionals._area_by_method(spec, r, "auto") == area_univalent_series(spec, r)
+        expected = ("series", area_univalent_series(spec, r))
+        assert functionals.resolve_area_method(spec, r, "auto") == expected
+        assert functionals._area_by_method(spec, r, "auto") == expected
     # Not injective: z^2, and the cover past its threshold.
     for spec, r in ((SQUARE, 0.5), (AnnulusCover(1.0), 0.95)):
-        assert functionals.resolve_area_method(spec, r, "auto") == "raster"
+        assert functionals.resolve_area_method(spec, r, "auto") == ("raster", None)
+        assert functionals._area_by_method(spec, r, "auto") == ("raster", area(spec, r))
+
+
+def test_auto_area_sums_the_contour_once(monkeypatch):
+    calls = []
+    contour = functionals.area_univalent_series
+    monkeypatch.setattr(
+        functionals, "area_univalent_series", lambda *args: calls.append(args) or contour(*args)
+    )
+    assert functionals._area_by_method(AnnulusCover(0.1), 0.999, "auto")[0] == "series"
+    [polya, _] = check_polya_chain(KOEBE_LIKE, 0.6)
+    assert polya.context["area_method"] == "series"
+    assert calls == [(AnnulusCover(0.1), 0.999), (KOEBE_LIKE, 0.6)]
 
 
 def test_area_resource_cap(monkeypatch):
@@ -967,7 +982,8 @@ def test_univalence_searches_a_small_image_far_from_0_on_its_own_scale(monkeypat
         assert [pairs <= 2 * size for size, pairs in found] == [True]
     # So "auto" reads the exact series area, where the raster's float
     # resolution guard refuses this image.
-    fv = functionals._area_by_method(Polynomial((1e6, 1e-8)), 0.5, "auto")
+    method, fv = functionals._area_by_method(Polynomial((1e6, 1e-8)), 0.5, "auto")
+    assert method == "series"
     assert abs(fv.value - np.pi * 1e-16 * 0.25) <= fv.abs_error
 
 
