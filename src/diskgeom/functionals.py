@@ -179,20 +179,27 @@ def _cross(a: complex, b: complex) -> float:
 
 def _diameter_candidates(sample, maxima: tuple) -> tuple:
     """The best sample pair's distance and points, and the start angles of
-    the POLISHED farthest candidate pairs, as diameter describes them."""
+    the POLISHED farthest candidate pairs, as diameter describes them.
+
+    The pairs i < j within the limit of the subgrid's largest distance come
+    from flat indices of its distance matrix, and their 8 neighbours on the
+    torus from a copy of the matrix wrapped by one cell on each side."""
     w, m = sample.values, sample.values.size
     stride = max(1, m // COARSE_SAMPLES)
     wc = w[::stride]
     dc = np.abs(wc[:, None] - wc[None, :])
-    dtheta = 2.0 * np.pi / m
-    limit = dc.max() - _curvature(sample.r, maxima, dc.max()) * (stride * dtheta) ** 2
-    ci, cj = np.nonzero(dc >= limit)
-    peak = ci < cj
+    dtheta, top = 2.0 * np.pi / m, dc.max()
+    limit = top - _curvature(sample.r, maxima, top) * (stride * dtheta) ** 2
+    ci, cj = np.divmod(np.flatnonzero(dc >= limit), wc.size)
+    upper = ci < cj
+    ci, cj = ci[upper], cj[upper]
+    wrapped, d = np.pad(dc, 1, mode="wrap"), dc[ci, cj]
+    peak = np.ones(ci.size, dtype=bool)
     for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
-        peak &= dc[ci, cj] >= dc[(ci + di) % wc.size, (cj + dj) % wc.size]
-    ci, cj = ci[peak], cj[peak]
+        peak &= d >= wrapped[ci + 1 + di, cj + 1 + dj]
+    ci, cj, d = ci[peak], cj[peak], d[peak]
     value, witness, starts = 0.0, None, []
-    for k in np.argsort(-dc[ci, cj], kind="stable")[:POLISHED]:
+    for k in np.argsort(-d, kind="stable")[:POLISHED]:
         rows, cols = ((c * stride + np.arange(-stride, stride + 1)) % m for c in (ci[k], cj[k]))
         diff = w[rows][:, None] - w[cols][None, :]
         a, b = np.unravel_index(np.argmax(np.hypot(diff.real, diff.imag)), diff.shape)
@@ -576,17 +583,43 @@ def _refine_circle(spec: FunctionSpec, r: float, angles: np.ndarray, values: np.
     the images, the last one closing the circle, is longer than step.
 
     values holds f at the sorted angles in [0, 2 pi).  Returns the sorted
-    angles and the values, at most SAMPLE_CAP of them.
+    angles and the values, at most SAMPLE_CAP of them.  Each pass evaluates,
+    in one call, the midpoints of the steps still longer than step, carried
+    with their end angles and values, and checks only the two halves of
+    each; the midpoints join the curve once, by one stable sort of all
+    angles.  That is the curve that inserting each pass's midpoints would
+    build, since every midpoint lies strictly inside its step: fl(a + b)/2
+    is within 2^-51 of (a + b)/2 on [0, 2 pi], so both halves of a step
+    longer than 2^-50 are at least (b - a)/2 - 2^-51 long, and start steps
+    longer than 2^-10 (2 pi / 4096 is 1.5e-3) stay longer than 2^-50
+    through 40 bisections.
     """
+    ends, nexts = np.append(angles[1:], 2.0 * np.pi), np.roll(values, -1)
+    long = np.abs(nexts - values) > step
+    lo, hi, f_lo, f_hi = angles[long], ends[long], values[long], nexts[long]
+    parts, images, size = [angles], [values], values.size
     for _ in range(40):
-        bad = np.nonzero(np.abs(np.roll(values, -1) - values) > step)[0]
-        if bad.size == 0:
-            return angles, values
-        if values.size + bad.size > SAMPLE_CAP:
+        if lo.size == 0:
+            # Each list is freed once merged, so the peak is the merged values,
+            # the order and the sorted angles: 48 bytes a point.
+            angles = np.concatenate(parts)
+            del parts
+            order = np.argsort(angles, kind="stable")
+            angles = angles[order]
+            values = np.concatenate(images)
+            del images
+            return angles, values[order]
+        size += lo.size
+        if size > SAMPLE_CAP:
             raise ResourceError("boundary refinement exceeded the sample budget")
-        mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
-        angles = np.insert(angles, bad + 1, mid)
-        values = np.insert(values, bad + 1, evaluate(spec, r * np.exp(1j * mid)))
+        mid = 0.5 * (lo + hi)
+        f_mid = evaluate(spec, r * np.exp(1j * mid))
+        parts.append(mid)
+        images.append(f_mid)
+        # The halves (lo, mid) and (mid, hi) of each step, in curve order.
+        keep = np.stack((np.abs(f_mid - f_lo) > step, np.abs(f_hi - f_mid) > step), axis=1)
+        lo, hi = np.stack((lo, mid), axis=1)[keep], np.stack((mid, hi), axis=1)[keep]
+        f_lo, f_hi = np.stack((f_lo, f_mid), axis=1)[keep], np.stack((f_mid, f_hi), axis=1)[keep]
     raise ResourceError("boundary refinement did not converge in 40 passes")
 
 
@@ -632,15 +665,18 @@ def _sections(values: np.ndarray, y0: float, h: float, lines: int) -> np.ndarray
     line and then by x, a running sum of the crossing directions is the
     winding number between neighbouring crossings; the sum is back at 0
     after each line, because a closed curve's crossings of a line cancel.
+    Only the steps that cross a line enter the list.
     """
     t = (values.imag - y0) / h
     t1 = np.roll(t, -1)
-    dt, dx = t1 - t, np.roll(values.real, -1) - values.real
     first = np.clip(np.ceil(np.minimum(t, t1)), 0, lines).astype(np.int64)
     count = np.clip(np.ceil(np.maximum(t, t1)), 0, lines).astype(np.int64) - first
-    step = np.repeat(np.arange(t.size), count)
+    cross = np.flatnonzero(count)
+    t, first, count, x0 = t[cross], first[cross], count[cross], values.real[cross]
+    dt, dx = t1[cross] - t, values.real[(cross + 1) % values.size] - x0
+    step = np.repeat(np.arange(cross.size), count)
     k = first[step] + np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
-    x = values.real[step] + (k - t[step]) / dt[step] * dx[step]
+    x = x0[step] + (k - t[step]) / dt[step] * dx[step]
     order = np.lexsort((x, k))
     k, x = k[order], x[order]
     # A counterclockwise curve goes up right of its interior.

@@ -8,6 +8,7 @@ scaled root-of-unity value n^(1/(n-1)) r.
 import cmath
 import contextlib
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -241,6 +242,44 @@ def test_diameter_reaches_farthest_sample_pair(spec):
             assert fv.value >= float(np.max(np.abs(w[:, None] - w[None, :]))) * (1.0 - 4e-16)
             w1, w2 = fv.witness
             assert abs(w1 - w2) == fv.value
+
+
+def diameter_candidates_by_all_cells(sample, maxima):
+    # The reference candidates: the neighbours of every cell at the limit
+    # read with wrapped indices, and i < j tested last.
+    w, m = sample.values, sample.values.size
+    stride = max(1, m // functionals.COARSE_SAMPLES)
+    wc = w[::stride]
+    dc = np.abs(wc[:, None] - wc[None, :])
+    dtheta = 2.0 * np.pi / m
+    limit = dc.max() - functionals._curvature(sample.r, maxima, dc.max()) * (stride * dtheta) ** 2
+    ci, cj = np.nonzero(dc >= limit)
+    peak = ci < cj
+    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1)):
+        peak &= dc[ci, cj] >= dc[(ci + di) % wc.size, (cj + dj) % wc.size]
+    ci, cj = ci[peak], cj[peak]
+    value, witness, starts = 0.0, None, []
+    for k in np.argsort(-dc[ci, cj], kind="stable")[: functionals.POLISHED]:
+        rows, cols = ((c * stride + np.arange(-stride, stride + 1)) % m for c in (ci[k], cj[k]))
+        diff = w[rows][:, None] - w[cols][None, :]
+        a, b = np.unravel_index(np.argmax(np.hypot(diff.real, diff.imag)), diff.shape)
+        i, j = rows[a], cols[b]
+        if abs(complex(w[i] - w[j])) > value:
+            value, witness = float(abs(complex(w[i] - w[j]))), (complex(w[i]), complex(w[j]))
+        starts.append(sample.angles[[i, j]])
+    return value, witness, np.array(starts)
+
+
+@pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY, SQUARE))
+@pytest.mark.parametrize("m", [100, 300, 4096])
+def test_diameter_candidates_equal_the_reference(spec, m):
+    for r in (0.2, 0.6, 0.95):
+        sample = sample_circle(spec, r, m, order=2)
+        maxima = functionals._derivative_maxima(sample)
+        value, witness, starts = functionals._diameter_candidates(sample, maxima)
+        expected = diameter_candidates_by_all_cells(sample, maxima)
+        assert (value, witness) == expected[:2]
+        assert np.array_equal(starts, expected[2])
 
 
 def test_area_raster_identity_quarter_disk():
@@ -504,6 +543,174 @@ def test_area_below_float_resolution_raises():
     for spec in (Polynomial((1e6, 1e-8)), Polynomial((3e5j, 1e-8))):
         with pytest.raises(ResourceError, match="float resolution"):
             area(spec, 0.5)
+
+
+def refine_by_insertion(spec, r, angles, values, step):
+    # The reference bisection: each pass finds the long steps of the whole
+    # curve and inserts their midpoints into it.
+    for _ in range(40):
+        bad = np.nonzero(np.abs(np.roll(values, -1) - values) > step)[0]
+        if bad.size == 0:
+            return angles, values
+        if values.size + bad.size > functionals.SAMPLE_CAP:
+            raise ResourceError("boundary refinement exceeded the sample budget")
+        mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
+        angles = np.insert(angles, bad + 1, mid)
+        values = np.insert(values, bad + 1, functionals.evaluate(spec, r * np.exp(1j * mid)))
+    raise ResourceError("boundary refinement did not converge in 40 passes")
+
+
+def sections_of_all_steps(values, y0, h, lines):
+    # The reference sections: every step enters the crossing list.
+    t = (values.imag - y0) / h
+    t1 = np.roll(t, -1)
+    dt, dx = t1 - t, np.roll(values.real, -1) - values.real
+    first = np.clip(np.ceil(np.minimum(t, t1)), 0, lines).astype(np.int64)
+    count = np.clip(np.ceil(np.maximum(t, t1)), 0, lines).astype(np.int64) - first
+    step = np.repeat(np.arange(t.size), count)
+    k = first[step] + np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
+    x = values.real[step] + (k - t[step]) / dt[step] * dx[step]
+    order = np.lexsort((x, k))
+    k, x = k[order], x[order]
+    inside = -np.cumsum(np.sign(dt[step][order])) > 0.5
+    return np.bincount(k[:-1], weights=np.diff(x) * inside[:-1], minlength=lines)
+
+
+REFINED_CURVES = [
+    (SQUARE, 0.5, 1024),
+    (SQUARE, 0.7, 1024),
+    (Moebius(0.0, 0.5, 1.0), 0.9, 1024),
+    (Moebius(0.3j, 0.9999, 1j), 0.9999, 1024),
+    (Polynomial((2.0,)), 0.5, 1024),
+    *[(Polynomial((0.0, 1.0, 0.3)), 0.9, n) for n in (256, 1024, 32768)],
+    *[(AnnulusCover(1.0), 0.9, n) for n in (256, 32768)],
+    *[(AnnulusCover(c), r, 1024) for c in (0.1, 1.0, 3.0, 10.0) for r in (0.5, 0.9, 0.999, 1.0 - 1e-9)],
+]
+
+
+@pytest.mark.parametrize("spec, r, resolution", REFINED_CURVES)
+def test_boundary_curve_equals_the_inserting_bisection(monkeypatch, spec, r, resolution):
+    angles, values, box = _boundary_curve(spec, r, resolution)
+    monkeypatch.setattr(functionals, "_refine_circle", refine_by_insertion)
+    expected = _boundary_curve(spec, r, resolution)
+    assert np.array_equal(angles, expected[0])
+    assert np.array_equal(values, expected[1])
+    assert box == expected[2]
+    assert np.all(np.diff(angles) > 0.0)
+    _, y0, _, h = box
+    if h > 0.0:
+        sections = functionals._sections(values, y0 + 0.5 * h, h, resolution)
+        assert np.array_equal(sections, sections_of_all_steps(values, y0 + 0.5 * h, h, resolution))
+
+
+@pytest.mark.parametrize("cap, evaluated", [(6117, 0), (6118, 1), (10084, 2), (17771, 2), (17772, 3)])
+def test_refinement_meets_its_budget_at_the_pass_insertion_does(monkeypatch, cap, evaluated):
+    # annulus(3) at 0.9 refines 4096 points to 6118, 10,084 and 17,772 in
+    # three passes; a budget one point short stops before the pass's call.
+    monkeypatch.setattr(functionals, "SAMPLE_CAP", cap)
+    runs = []
+    for refine in (functionals._refine_circle, refine_by_insertion):
+        points = []
+        monkeypatch.setattr(functionals, "_refine_circle", refine)
+        monkeypatch.setattr(functionals, "evaluate", lambda spec, z: points.append(z) or evaluate(spec, z))
+        try:
+            outcome = _boundary_curve(AnnulusCover(3.0), 0.9)[1].size
+        except ResourceError as error:
+            outcome = str(error)
+        runs.append((points, outcome))
+    (points, outcome), (expected_points, expected) = runs
+    assert outcome == expected == (17772 if cap == 17772 else "boundary refinement exceeded the sample budget")
+    assert len(points) == len(expected_points) == evaluated
+    assert all(np.array_equal(a, b) for a, b in zip(points, expected_points))
+
+
+@pytest.mark.parametrize("level, converges", [(38.5, True), (39.5, False)])
+def test_refinement_gives_up_at_the_pass_insertion_does(monkeypatch, level, converges):
+    # Ramps of width 1e-9 at the angles 1 and 4 need 39 or 40 halvings of
+    # the 64 start steps; the bisection gives up after 40 passes, even when
+    # the 40th would have been the last.
+    def ramps(spec, z):
+        t = np.angle(z) % (2.0 * np.pi)
+        return (np.clip((t - 1.0) / 1e-9, 0.0, 1.0) - np.clip((t - 4.0) / 1e-9, 0.0, 1.0)).astype(complex)
+
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    step = 2.0 * np.pi / 64 / 1e-9 * 2.0**-level
+    runs = []
+    for refine in (functionals._refine_circle, refine_by_insertion):
+        points = []
+        monkeypatch.setattr(functionals, "evaluate", lambda spec, z: points.append(z) or ramps(spec, z))
+        try:
+            outcome = refine(None, 1.0, angles, ramps(None, np.exp(1j * angles)), step)
+        except ResourceError as error:
+            outcome = str(error)
+        runs.append((points, outcome))
+    (points, outcome), (expected_points, expected) = runs
+    assert len(points) == len(expected_points) == (39 if converges else 40)
+    assert all(np.array_equal(a, b) for a, b in zip(points, expected_points))
+    if converges:
+        assert np.array_equal(outcome[0], expected[0]) and np.array_equal(outcome[1], expected[1])
+    else:
+        assert outcome == expected == "boundary refinement did not converge in 40 passes"
+
+
+def test_refinement_midpoints_stay_strictly_inside_their_steps():
+    # _refine_circle sorts its midpoints into the curve by angle, which puts
+    # each between the ends it bisects while all angles are distinct: the
+    # start steps must exceed 2^-10, and 40 bisections of such a step, along
+    # any path, keep every midpoint strictly inside.
+    angles = sample_circle(IDENTITY, 0.5, 4096).angles
+    assert np.min(np.diff(np.append(angles, 2.0 * np.pi))) > 2.0**-10
+    rng = np.random.default_rng(SEED)
+    for lo in (0.0, 1.0, 4.0, 2.0 * np.pi - 2.0**-10):
+        hi = np.full(4096, np.nextafter(lo + 2.0**-10, np.inf))
+        lo = np.full(4096, lo)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            assert np.all((lo < mid) & (mid < hi))
+            right = rng.random(lo.size) < 0.5
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+
+
+@st.composite
+def scanline_polylines(draw):
+    # Vertices on the lines y = 0.25 + 0.5 k (exactly, since h is a power of
+    # two), repeated heights (horizontal steps) and free heights, some
+    # outside the 12 lines.
+    points = []
+    for _ in range(draw(st.integers(2, 30))):
+        kind = draw(st.sampled_from(["line", "flat", "free"]))
+        if kind == "line" or not points:
+            y = 0.25 + 0.5 * draw(st.integers(-2, 13))
+        elif kind == "flat":
+            y = points[-1].imag
+        else:
+            y = draw(st.floats(-1.0, 7.0))
+        points.append(complex(draw(st.floats(-4.0, 4.0)), y))
+    return np.array(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scanline_polylines())
+def test_sections_equal_the_sections_of_all_steps(values):
+    for curve in (values, values[::-1].copy()):
+        assert np.array_equal(
+            functionals._sections(curve, 0.25, 0.5, 12), sections_of_all_steps(curve, 0.25, 0.5, 12)
+        )
+
+
+def test_boundary_curve_peak_memory_is_56_bytes_a_point():
+    # The midpoints join the curve once: their angles are merged and freed
+    # before the values are gathered.
+    spec, r = AnnulusCover(10.0), 1.0 - 1e-9
+    _boundary_curve(spec, r)
+    tracemalloc.start()
+    try:
+        _, values, _ = _boundary_curve(spec, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == 111584
+    assert peak <= 56 * values.size
 
 
 @pytest.mark.parametrize("module, name, call", [
