@@ -9,9 +9,9 @@ unwrap are shared, and SPEC_KINDS maps each JSON kind to its class for
 both JSON and the CLI.
 Everything downstream works through evaluate/derivative/jet/sample_circle so
 the estimators never special-case the variant: they ask only spec.closed_disk
-and read f - f(0) as spec._centered().  jet gives f, f', ..., f^(k) at points
-from one call, evaluating f once; sample_circle scales a cached, read-only
-unit circle and carries the jet on request.
+and sample f - f(0), spec._centring, adding f(0) back only to witnesses.
+jet gives f, f', ..., f^(k) at points from one call, evaluating f once;
+sample_circle scales a cached, read-only unit circle and carries the jet.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ class _Spec:
 
     def _jet(self, z, order):
         return [self._value(z)] + [self._derivative(z, k) for k in range(1, order + 1)]
+
+    @cached_property
+    def _centring(self):
+        """_centered(), its value at 0 and the offset onto f's image, built once
+        per spec: 0 and f(0), or 1 and 0 for the annulus cover, which stays."""
+        centered = self._centered()
+        origin = complex(evaluate(centered, 0.0))
+        return centered, origin, complex(evaluate(self, 0.0)) - origin
 
     def __post_init__(self):
         for f in fields(self):
@@ -173,7 +181,8 @@ class Moebius(_Spec):
             raise DomainError("moebius parameter c must be unimodular")
 
     def _value(self, z):
-        return self.c * (z - self.b) / (1.0 - np.conj(self.b) * z) + self.a
+        # (z - b) / (1 - conj(b) z) + b = (1 - |b|^2) z / (1 - conj(b) z): no cancellation.
+        return self.c * self._gap * z / (1.0 - np.conj(self.b) * z) + (self.a - self.c * self.b)
 
     @cached_property
     def _gap(self):

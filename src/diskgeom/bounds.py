@@ -19,8 +19,8 @@ import numpy as np
 
 from .analytic import (
     FunctionSpec,
+    derivative,
     evaluate,
-    jet,
     scale_spec,
     taylor_coefficients,
 )
@@ -153,7 +153,8 @@ def check_don(
         raise NormalizationError(
             f"Diam f(D) estimate {diam_estimate:.6g} exceeds 2; rescale the spec"
         )
-    lhs = abs(complex(evaluate(spec, z)) - complex(evaluate(spec, 0.0)))
+    centered, origin, _ = spec._centring
+    lhs = abs(complex(evaluate(centered, z)) - origin)
     az = abs(z)
     rhs = 2.0 * az / (1.0 + math.sqrt(1.0 - az * az))
     context = {"z": [z.real, z.imag], "diam_estimate": diam_estimate}
@@ -237,8 +238,8 @@ def check_schur(
     sup, _ = disk_functional_estimate(spec, "rad")
     if sup > 1.0 + max(tol, 1e-9):
         raise NormalizationError(f"sup |(f(z) - f(0))/z| is about {sup:.6g}, above 1")
-    f0, a = jet(spec, 0.0, 1)
-    lhs, err, _ = _circle_max(spec, r, FINE_SAMPLES, f0, a)
+    a = complex(derivative(spec, 0.0))
+    lhs, err, _ = _circle_max(spec, r, FINE_SAMPLES, a)
     rhs = (1.0 - abs(a) ** 2) * r * r / (1.0 - abs(a) * r)
     context = {"r": r, "fprime0": [a.real, a.imag], "lhs_error": err}
     return _make_report("Schur", lhs, rhs, max(tol, 3.0 * err), context)

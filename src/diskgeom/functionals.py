@@ -12,7 +12,8 @@ a grid of radii the basins are searched radius by radius and the tuples of
 every radius polished as the rows of one ascent, each row on its own
 circle (_polish_radii); one radius is the grid of one.  KINDS holds, for
 each functional kind, its estimator over a radius grid and its normalizer;
-growth curves, growth checks and the CLI all read them from there.
+growth curves, growth checks and the CLI all read them from there.  All
+sample f - f(0) (spec._centring); every bar has one rounding floor, _rounding.
 
 Set area and univalence share one mechanism, the refined boundary curve
 f(r T) and the argument principle: the winding number of f(r T) around w
@@ -21,10 +22,8 @@ positive, summed from exact horizontal sections of the polyline, and f is
 injective on r D exactly when f' has no zeros there (the spec lists them)
 and f(r T) is a simple curve (Darboux-Picard).
 
-The package needs numpy alone: the crossing search of the univalence test
-finds its neighbour pairs on a uniform grid of cells, _near_pairs.  The
-polish runs its own Newton method, minimize, through the module binding, so
-a wrapper of that binding sees every polish.
+The polish runs its own Newton method, minimize, through the module
+binding, so a wrapper of that binding sees every polish.
 """
 
 from __future__ import annotations
@@ -105,10 +104,15 @@ def disk_n_diameter(n: int) -> float:
     return float(n) ** (1.0 / (n - 1))
 
 
-def _is_constant(w: np.ndarray) -> bool:
-    """Whether the samples w of f agree to rounding, relative to their size:
-    the image is then a single point."""
-    return float(np.max(np.abs(w - w[0]))) <= 1e-14 * float(np.max(np.abs(w)))
+def _rounding(w: np.ndarray) -> float:
+    """The rounding floor of every bar, 2^-42 max|w| of the samples w: the
+    n-diameter's logs of c z at |c| = 1e+-100 cost it up to 290 eps."""
+    return 2.0**-42 * float(np.max(np.abs(w)))
+
+
+def _is_constant(w: np.ndarray, floor: float) -> bool:
+    """Whether the samples w agree to their rounding floor: a point image."""
+    return float(np.max(np.abs(w - w[0]))) <= floor
 
 
 # ---- radius ----
@@ -132,18 +136,19 @@ def _curvature(r: float, maxima: tuple, value: float) -> float:
         raise ResourceError("the curvature bound overflows the float range") from exc
 
 
-def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: complex = 0.0):
-    """Max of |f(z) - shift - slope z| on |z| = r from m samples.
+def _circle_max(spec: FunctionSpec, r: float, m: int, slope: complex = 0.0):
+    """Max of |f(z) - f(0) - slope z| on |z| = r from m samples of f - f(0).
 
     The grid max is refined by a parabolic step around the best sample;
     the error estimate is the second-order bound for a stationary maximum
     sampled at spacing 2 pi / m.  Returns (value, abs_error, f at the max).
     """
+    spec, origin, offset = spec._centring
     sample = sample_circle(spec, r, m, order=2)
-    g = np.abs(sample.values - shift - slope * sample.points)
+    g = np.abs(sample.values - origin - slope * sample.points)
     k = int(np.argmax(g))
     value = float(g[k])
-    witness = complex(sample.values[k])
+    witness = complex(sample.values[k]) + offset
     dtheta = 2.0 * np.pi / m
     gm, gp = g[(k - 1) % m], g[(k + 1) % m]
     denom = gm - 2.0 * g[k] + gp
@@ -152,11 +157,11 @@ def _circle_max(spec: FunctionSpec, r: float, m: int, shift: complex, slope: com
         if abs(step) <= dtheta:
             zr = r * np.exp(1j * (sample.angles[k] + step))
             fr = complex(evaluate(spec, zr))
-            cand = abs(fr - shift - slope * zr)
+            cand = abs(fr - origin - slope * zr)
             if cand > value:
-                value, witness = cand, fr
+                value, witness = cand, fr + offset
     curv = _curvature(r, _derivative_maxima(sample, slope), value)
-    err = 0.125 * curv * dtheta * dtheta + 1e-14 * (1.0 + value)
+    err = 0.125 * curv * dtheta * dtheta + _rounding(sample.values)
     return value, err, witness
 
 
@@ -166,7 +171,7 @@ def radius(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Functional
     The sup equals the max over |z| = r by the maximum principle, which
     _circle_max estimates with its second-order error bound.
     """
-    value, err, witness = _circle_max(spec, r, m, evaluate(spec, 0.0))
+    value, err, witness = _circle_max(spec, r, m)
     return FunctionalValue(kind="rad", value=value, abs_error=err, witness=(witness,))
 
 
@@ -210,17 +215,17 @@ def _diameter_candidates(sample, maxima: tuple) -> tuple:
     return value, witness, np.array(starts)
 
 
-def _diameter_run(spec: FunctionSpec, r: float, m: int):
+def _diameter_run(spec: FunctionSpec, r: float, offset: complex, m: int):
     """diameter at one radius, as a run of _polish_radii: it yields the
     start angles of its candidate pairs and is sent their polished rows.
     It keeps no sample array while it waits, since a sweep holds the runs
     of all its radii until the polish."""
     sample = sample_circle(spec, r, m, order=2)
-    w = sample.values
-    if _is_constant(w):
+    w, floor = sample.values, _rounding(sample.values)
+    if _is_constant(w, floor):
         yield np.empty((0, 2))
         return FunctionalValue(
-            kind="diam", value=0.0, abs_error=0.0, witness=(complex(w[0]),), flags=("degenerate",)
+            kind="diam", value=0.0, abs_error=0.0, witness=(w[0] + offset,), flags=("degenerate",)
         )
     maxima, dtheta = _derivative_maxima(sample), 2.0 * np.pi / m
     value, witness, starts = _diameter_candidates(sample, maxima)
@@ -228,18 +233,19 @@ def _diameter_run(spec: FunctionSpec, r: float, m: int):
     _, points, _ = yield starts
     best = None
     for p, q in points:
-        if best is None or abs(p - q) > best[0] + 1e-13 * (1.0 + best[0]):
+        if best is None or abs(p - q) > best[0] + floor:
             best = (float(abs(p - q)), (complex(p), complex(q)))
     if best[0] > value:
         value, witness = best
-    err = 0.5 * _curvature(r, maxima, value) * dtheta * dtheta + 1e-13 * (1.0 + value)
+    err = 0.5 * _curvature(r, maxima, value) * dtheta * dtheta + floor
+    witness = tuple(p + offset for p in witness)
     return FunctionalValue(kind="diam", value=value, abs_error=err, witness=witness)
 
 
 def _diameters(spec: FunctionSpec, radii, m: int = DEFAULT_SAMPLES) -> list:
     """diameter at each radius, the candidate pairs of all radii polished
     as the rows of one descent."""
-    return _polish_radii(spec, radii, partial(_diameter_run, spec, m=m))
+    return _polish_radii(spec, radii, partial(_diameter_run, m=m))
 
 
 def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> FunctionalValue:
@@ -250,10 +256,9 @@ def diameter(spec: FunctionSpec, r: float, m: int = DEFAULT_SAMPLES) -> Function
     the torus of angle pairs and lies within curv dtc^2 of the largest,
     where dtc is the subgrid step: the diametral pair has a subgrid pair
     within dtc / 2 of each end.  The POLISHED farthest start from the
-    farthest sample pair within a subgrid step of them and go, as the rows
-    of one call, to the tuple polish of n_diameter at n = 2, which maximizes
-    log|p - q| over the two boundary angles; a later row wins only by more
-    than rounding.  The one-radius case of _diameters, which a diam growth
+    farthest sample pair within a subgrid step of them and go to the tuple
+    polish of n_diameter at n = 2; a later row wins only by more than the
+    rounding floor.  The one-radius case of _diameters, which a diam growth
     curve calls on its whole grid.
     """
     return _diameters(spec, [r], m)[0]
@@ -431,16 +436,17 @@ def _polish_tuples(spec: FunctionSpec, r, angles0: np.ndarray):
 
 
 def _polish_radii(spec: FunctionSpec, radii, run) -> list:
-    """The FunctionalValue of run(r) at each of the radii, all of their
-    tuple polishes in one _polish_tuples call.
+    """run(g, r, offset) at each of the radii, g and offset from
+    spec._centring, all of their tuple polishes in one _polish_tuples call.
 
-    run(r) is a generator: it searches the basins at r and yields the
+    run is a generator: it searches the basins at r and yields the
     (k, n) start angles of its polish, k >= 0 (0 for a constant map).  All
     yielded rows go to one _polish_tuples call, with a radius per row; each
     run is sent its own rows of the result and returns its value.  Rows do
     not mix, so each radius ends where it would alone.
     """
-    runs = [run(r) for r in radii]
+    spec, _, offset = spec._centring
+    runs = [run(spec, r, offset) for r in radii]
     starts = [next(gen) for gen in runs]
     counts = [len(rows) for rows in starts]
     polished = _polish_tuples(spec, np.repeat(radii, counts), np.concatenate(starts))
@@ -453,16 +459,16 @@ def _polish_radii(spec: FunctionSpec, radii, run) -> list:
     return values
 
 
-def _n_diameter_run(spec: FunctionSpec, r: float, n: int, m: int, seed: int):
+def _n_diameter_run(spec: FunctionSpec, r: float, offset: complex, n: int, m: int, seed: int):
     """n_diameter at one radius for n > 2, as a run of _polish_radii: it
     yields the start angles of its distinct tuples and is sent their
     polished rows."""
     sample = sample_circle(spec, r, m)
-    w = sample.values
-    if _is_constant(w):
+    w, floor = sample.values, _rounding(sample.values)
+    if _is_constant(w, floor):
         yield np.empty((0, n))
         return FunctionalValue(
-            kind="ndiam", value=0.0, abs_error=0.0, witness=(complex(w[0]),) * n, n=n,
+            kind="ndiam", value=0.0, abs_error=0.0, witness=(w[0] + offset,) * n, n=n,
             flags=("degenerate",),
         )
     stride = max(1, m // max(COARSE_SAMPLES, n))
@@ -511,7 +517,7 @@ def _n_diameter_run(spec: FunctionSpec, r: float, n: int, m: int, seed: int):
             gain += (dp - dm) ** 2 / (8.0 * -(dp + dm))
         else:
             gain += max(dp, dm, 0.0)
-    err = value * gain / pair_count + 1e-13 * (1.0 + value)
+    err = value * gain / pair_count + floor
 
     # Two restarts reach the same tuple when each angle of one lies within a
     # subgrid step of an angle of the other, around the circle.
@@ -522,14 +528,14 @@ def _n_diameter_run(spec: FunctionSpec, r: float, n: int, m: int, seed: int):
     ]
     spread = max(same, default=0.0) / pair_count * value
     flags = ()
-    if spread > max(3.0 * err, 1e-9 * (1.0 + value)):
+    if spread > max(3.0 * err, 1e-9 * value):
         warnings.warn(
             f"n_diameter polished restarts disagree by {spread:.3e} "
             f"(error estimate {err:.3e})",
             OptimizationWarning,
         )
         flags = ("restart_disagreement",)
-    witness = tuple(complex(v) for v in witness_pts)
+    witness = tuple(complex(v) + offset for v in witness_pts)
     return FunctionalValue(
         kind="ndiam", value=value, abs_error=err, witness=witness, n=n, flags=flags
     )
@@ -544,33 +550,26 @@ def _n_diameters(spec: FunctionSpec, radii, n: int, m: int = DEFAULT_SAMPLES, se
         raise DomainError(f"n = {n} exceeds the {m} circle samples")
     if n == 2:
         return [replace(fv, kind="ndiam", n=2) for fv in _diameters(spec, radii, m)]
-    return _polish_radii(spec, radii, partial(_n_diameter_run, spec, n=n, m=m, seed=seed))
+    return _polish_radii(spec, radii, partial(_n_diameter_run, n=n, m=m, seed=seed))
 
 
 def n_diameter(
-    spec: FunctionSpec,
-    r: float,
-    n: int,
-    m: int = DEFAULT_SAMPLES,
-    seed: int = 0,
+    spec: FunctionSpec, r: float, n: int, m: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> FunctionalValue:
     """n-point diameter of f(r D): sup over n-tuples of the normalized
     pairwise-distance product, estimated over boundary samples.
 
-    Coordinate-exchange ascent in the log domain from DEFAULT_RESTARTS
-    deterministic starts, run as the rows of one _exchange call (calls of at
-    most COARSE_SAMPLES // n rows for large n), finds the basins on a subgrid
-    of the m samples, at least max(COARSE_SAMPLES, n) of them where m
-    allows; the POLISHED best distinct tuples go to the continuous polish as
-    the rows of one call, which makes the value independent of the grid.
-    The error estimate is the parabolic gain at the exchange of the
-    winner's nearest samples on the full grid.  Restarts that polish to
-    distinct tuples are distinct local maxima; restarts that reach the same
-    tuple with different values flag restart_disagreement.
-    Extremal tuples lie on the outer boundary, so sampling f(r T) loses only
-    the angular discretization.  For n = 2 this is the diameter.
-    DomainError when n < 2 or n > m.  The one-radius case of _n_diameters,
-    which an ndiam growth curve calls on its whole grid.
+    Coordinate-exchange ascent in the log domain (_exchange) from
+    DEFAULT_RESTARTS deterministic starts finds the basins on a subgrid of
+    the m samples, at least max(COARSE_SAMPLES, n) of them where m allows;
+    the POLISHED best distinct tuples go to the continuous polish, which
+    makes the value independent of the grid.  The error estimate is the
+    parabolic gain at the exchange of the winner's nearest samples on the
+    full grid.  Restarts that reach the same tuple with different values
+    flag restart_disagreement.  Extremal tuples lie on the outer boundary,
+    so sampling f(r T) loses only the angular discretization.  For n = 2
+    this is the diameter.  DomainError when n < 2 or n > m.  The one-radius
+    case of _n_diameters, which an ndiam growth curve calls on its grid.
     """
     return _n_diameters(spec, [r], n, m, seed)[0]
 
@@ -597,19 +596,11 @@ def _refine_circle(spec: FunctionSpec, r: float, angles: np.ndarray, values: np.
     ends, nexts = np.append(angles[1:], 2.0 * np.pi), np.roll(values, -1)
     long = np.abs(nexts - values) > step
     lo, hi, f_lo, f_hi = angles[long], ends[long], values[long], nexts[long]
-    parts, images, size = [angles], [values], values.size
-    for _ in range(40):
-        if lo.size == 0:
-            # Each list is freed once merged, so the peak is the merged values,
-            # the order and the sorted angles: 48 bytes a point.
-            angles = np.concatenate(parts)
-            del parts
-            order = np.argsort(angles, kind="stable")
-            angles = angles[order]
-            values = np.concatenate(images)
-            del images
-            return angles, values[order]
-        size += lo.size
+    parts, images, size, passes = [angles], [values], values.size, 0
+    while lo.size:
+        if passes == 40:
+            raise ResourceError("boundary refinement did not converge in 40 passes")
+        passes, size = passes + 1, size + lo.size
         if size > SAMPLE_CAP:
             raise ResourceError("boundary refinement exceeded the sample budget")
         mid = 0.5 * (lo + hi)
@@ -620,32 +611,39 @@ def _refine_circle(spec: FunctionSpec, r: float, angles: np.ndarray, values: np.
         keep = np.stack((np.abs(f_mid - f_lo) > step, np.abs(f_hi - f_mid) > step), axis=1)
         lo, hi = np.stack((lo, mid), axis=1)[keep], np.stack((mid, hi), axis=1)[keep]
         f_lo, f_hi = np.stack((f_lo, f_mid), axis=1)[keep], np.stack((f_mid, f_hi), axis=1)[keep]
-    raise ResourceError("boundary refinement did not converge in 40 passes")
+    # Each list is freed once merged, so the peak is the merged values, the
+    # order and the sorted angles: 48 bytes a point.
+    angles = np.concatenate(parts)
+    del parts
+    order = np.argsort(angles, kind="stable")
+    angles = angles[order]
+    values = np.concatenate(images)
+    del images
+    return angles, values[order]
 
 
 def _boundary_curve(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION):
-    """The closed polyline f(r T), refined until no step is longer than half
-    a grid cell or 4 float spacings of the largest |f|, whichever is more.
+    """The closed polyline f(r T), f the spec its callers centre, refined
+    until no step is longer than half a cell of the grid of resolution^2
+    cells over its padded box, or 4 float spacings of the largest |f|.
 
-    The grid has resolution^2 cells over the padded bounding box of the
-    curve.  A small image far from 0 has cells below the spacing of its
-    values, and its steps may then span a few cells; ResourceError when the
-    spacing exceeds two cells, where rounding alone would move the curve
-    by more than a cell.  Returns (angles, values, (x0, y0, cell_w, cell_h)).
-    A constant map (samples equal to rounding, as _is_constant decides)
-    gets cells of zero size, and the curve is then not refined.
-    DomainError when resolution < 1.
+    Centred samples surround 0, so only an annulus cover (its own centred
+    spec) of c near 1e-12 at resolution 2^16 has cells below the spacing of
+    its values; ResourceError when that exceeds two cells, where rounding
+    alone would move the curve by more than a cell.  Returns (angles,
+    values, (x0, y0, cell_w, cell_h)), cells of zero size and no refinement
+    for a constant map (_is_constant).  DomainError when resolution < 1.
     """
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
     sample = sample_circle(spec, r, 4096)
     probe = sample.values
-    if _is_constant(probe):
+    if _is_constant(probe, _rounding(probe)):
         return sample.angles, probe, (float(probe[0].real), float(probe[0].imag), 0.0, 0.0)
     lo_x, hi_x = float(np.min(probe.real)), float(np.max(probe.real))
     lo_y, hi_y = float(np.min(probe.imag)), float(np.max(probe.imag))
     gap = float(np.max(np.abs(np.roll(probe, -1) - probe)))
-    pad = 2.0 * gap + 1e-12 + 0.002 * max(hi_x - lo_x, hi_y - lo_y)
+    pad = 2.0 * gap + 0.002 * max(hi_x - lo_x, hi_y - lo_y)
     lo_x, hi_x, lo_y, hi_y = lo_x - pad, hi_x + pad, lo_y - pad, hi_y + pad
     cell_w, cell_h = (hi_x - lo_x) / resolution, (hi_y - lo_y) / resolution
     ulp = float(np.spacing(np.max(np.abs(probe))))
@@ -685,7 +683,7 @@ def _sections(values: np.ndarray, y0: float, h: float, lines: int) -> np.ndarray
 
 
 def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> FunctionalValue:
-    """Set area of f(r D) (no multiplicity) from scanline sections of f(r T).
+    """Set area of f(r D) (no multiplicity) from sections of f(r T) - f(0).
 
     By the argument principle the winding number of f(r T) around w counts
     the preimages of w in r D, so f(r D) is where it is positive.  The value
@@ -698,7 +696,7 @@ def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> 
     The boundary curve may use at most SAMPLE_CAP samples; ResourceError
     when it needs more.
     """
-    _, values, (_, y0, _, h) = _boundary_curve(spec, r, resolution)
+    _, values, (_, y0, _, h) = _boundary_curve(spec._centered(), r, resolution)
     if h == 0.0:
         return FunctionalValue(kind="area", value=0.0, abs_error=0.0, flags=("degenerate",))
     value = h * float(np.sum(_sections(values, y0 + 0.5 * h, h, resolution)))
@@ -817,21 +815,19 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> tuple:
 def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     """Two points of r T at least min_sep apart with the same image, or None.
 
-    Candidates are proper crossings of segments of the boundary polyline,
-    whose midpoints lie within half their two steps of each other
+    Candidates are proper crossings of segments of the boundary polyline of
+    f - f(0), whose midpoints lie within half their two steps of each other
     (_near_pairs); Newton's method on the two boundary angles, dropping
     steps that are not finite, solves f(r e^(i t1)) = f(r e^(i t2)) for
-    4096 candidates at a time, in order, until one counts.  The diagonal
-    t1 = t2 solves it too, hence the separation floor.  The search runs on f
-    scaled by a power of two that brings |f| near 1 (or by 2^1000, for a
-    subnormal image), which changes no rounding and keeps the products of
-    coordinates finite.  A curve constant to rounding (cells of zero size)
-    gives None with no search, and a curve with no proper crossing None with
-    no Newton step.  is_univalent_sampled searches f - f(0), and that is
-    constant to rounding only for annulus covers with c below about 1e-13;
-    those are injective on every disk they admit, r <= 1 - 1e-9, since
-    tanh(pi / 2c) > 1 - 1e-9 for c < 0.146.
+    4096 candidates at a time, in order, until one counts, on f - f(0)
+    scaled by a power of two that brings it near 1 (2^1000 at most), which
+    keeps the products of coordinates finite.  The diagonal t1 = t2 solves
+    it too, hence the separation floor.  A curve with no proper crossing
+    gives None with no Newton step, and one constant to rounding (cells of
+    zero size) with no search: only an annulus cover, its own centred spec,
+    of c below about 1e-13, injective on every disk it admits.
     """
+    spec = spec._centered()
     angles, w, (_, _, cell, _) = _boundary_curve(spec, r)
     if cell == 0.0:
         return None
@@ -849,7 +845,7 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     widths = np.append(angles[1:], 2.0 * np.pi) - angles
     start1 = angles[i] + c3 / (c3 - c4) * widths[i]
     start2 = angles[j] + c1 / (c1 - c2) * widths[j]
-    scale = 2.0 * float(np.max(np.abs(w - np.mean(w)))) + 1e-300
+    scale = 2.0 * float(np.max(np.abs(w - np.mean(w))))
     for lo in range(0, start1.size, 4096):
         t1, t2 = start1[lo : lo + 4096], start2[lo : lo + 4096]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -880,10 +876,9 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
     when f' has no zeros there and f(r T) is a simple curve.  The zeros of
     f' come exact from the spec, critical_points, and one within |z| <=
     r (1 + 1e-12) counts as on the disk.  Self-crossings of f(r T) are
-    searched on the boundary polyline that area uses at its default
-    resolution (steps of half a cell, or 4 float spacings of |f| where that
-    is more) and confirmed by Newton's method.  A false verdict carries a
-    critical point (z, z) or a colliding pair (z1, z2).
+    searched on area's boundary polyline of f - f(0) and confirmed by
+    Newton's method.  A false verdict carries a critical point (z, z) or a
+    colliding pair (z1, z2).
     """
     zeros = critical_points(spec)
     inside = zeros[np.abs(zeros) <= r * (1.0 + 1e-12)]
@@ -891,9 +886,8 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
         z = complex(inside[0])
         return UnivalenceResult(False, (z, z), "vanishing derivative")
     # f is locally injective, so a genuine collision is not within 2 pi r / 4096
-    # of the diagonal.  Translation moves no crossing, and the samples of
-    # f - f(0), a small image far from 0 among them, keep their digits.
-    pair = _self_crossing(spec._centered(), r, 2.0 * np.pi * r / 4096)
+    # of the diagonal.
+    pair = _self_crossing(spec, r, 2.0 * np.pi * r / 4096)
     if pair is not None:
         return UnivalenceResult(False, pair, "image collision")
     return UnivalenceResult(True, None, "")
@@ -956,13 +950,8 @@ def _capacity_brackets(
 
 
 def capacity_bracket(
-    spec: FunctionSpec,
-    r: float,
-    n: int = 8,
-    m: int = DEFAULT_SAMPLES,
-    resolution: int = DEFAULT_RESOLUTION,
-    seed: int = 0,
-    area_method: str = "raster",
+    spec: FunctionSpec, r: float, n: int = 8, m: int = DEFAULT_SAMPLES,
+    resolution: int = DEFAULT_RESOLUTION, seed: int = 0, area_method: str = "raster",
 ) -> FunctionalValue:
     """Two-sided bracket for the logarithmic capacity of f(r D).
 

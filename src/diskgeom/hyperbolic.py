@@ -84,14 +84,15 @@ def check_density_lower_bound(
 
 def dist_to_boundary(spec: FunctionSpec, w: complex, resolution: int = 512):
     """Distance from w to the boundary polyline f(r T) at r = REGION_RADIUS,
-    refined as area refines it at this resolution.
+    refined as area refines it at this resolution, both on f - f(0).
 
     Returns (distance, cell_diagonal); the diagonal of a cell of area's
     box is the resolution granularity and the natural tolerance for
     comparisons.
     """
-    w = complex(w)
-    _, values, (_, _, cell_w, cell_h) = _boundary_curve(spec, REGION_RADIUS, resolution)
+    centered, _, offset = spec._centring
+    w = complex(w) - offset
+    _, values, (_, _, cell_w, cell_h) = _boundary_curve(centered, REGION_RADIUS, resolution)
     step = np.roll(values, -1) - values
     length2 = np.abs(step) ** 2
     along = np.real((w - values) * np.conj(step)) / np.where(length2 > 0.0, length2, 1.0)

@@ -190,7 +190,7 @@ def test_auto_area_past_the_contour_budget_prints_the_raster(capsys):
     assert auto == run_cli(capsys, *argv, "--area-method", "raster")
     assert auto[0] == 0
     payload = json.loads(auto[1])
-    assert (payload["value"], payload["abs_error"]) == (0.5875144070359383, 0.0028380439718259072)
+    assert (payload["value"], payload["abs_error"]) == (0.5875144070359085, 0.0028380439718240285)
 
 
 def test_eval_csv_row(capsys):

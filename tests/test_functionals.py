@@ -49,9 +49,9 @@ SEED = 20260815
 IDENTITY = Polynomial((0.0, 1.0))
 SQUARE = Polynomial((0.0, 0.0, 1.0))
 KOEBE_LIKE = Polynomial((0.0, 1.0, 0.2))
-# Small images far from 0: half a cell of area's box is below the float
-# spacing of their values, so the boundary curve stops refining at 4
-# spacings and its steps span more than one row or column of cells.
+# Small images far from 0: f itself is rounded to float spacings of f(0)
+# that span many cells of area's box; the estimators sample f - f(0), which
+# keeps the digits.
 FAR_SMALL = (
     Polynomial((1e5, 1e-8)),
     Polynomial((1e5, 1e-8, 5e-9)),
@@ -135,10 +135,11 @@ def test_n_diameter_disk_matches_roots_of_unity():
 
 def test_n_diameter_of_every_sample_has_the_rounding_bar():
     # With n = m every sample is a slot, so the grid neighbours of each slot
-    # are slots, their log sums are -inf, and no parabola adds to the bar.
+    # are slots, their log sums are -inf, and no parabola adds to the bar:
+    # it is the rounding floor, 2^-42 of the largest sample.
     fv = n_diameter(IDENTITY, 0.5, 3, m=3)
     assert abs(fv.value - 0.5 * disk_n_diameter(3)) <= 1e-15
-    assert fv.abs_error == 1e-13 * (1.0 + fv.value)
+    assert fv.abs_error == 2.0**-42 * float(np.max(np.abs(sample_circle(IDENTITY, 0.5, 3).values)))
 
 
 def test_n_diameter_bar_counts_a_better_grid_neighbour(monkeypatch):
@@ -233,15 +234,17 @@ def test_exchange_rows_at_a_fixed_point_stay_while_others_move():
 # The identity's samples form a regular m-gon, whose antipodal pairs tie.
 @pytest.mark.parametrize("spec", SAMPLED_MAPS + (IDENTITY,))
 def test_diameter_reaches_farthest_sample_pair(spec):
-    # The subgrid search must not lose the farthest pair of the m samples,
-    # up to the rounding in which tied antipodal pairs differ.
+    # The subgrid search must not lose the farthest pair of the m samples
+    # of f - f(0), up to the rounding in which tied antipodal pairs differ.
+    # The witnesses are those samples moved by f(0), to rounding.
+    f0 = complex(evaluate(spec, 0.0))
     for m in (3, 64, 256, 1024):
         for r in (0.3, 0.7, 0.95):
-            w = sample_circle(spec, r, m).values
+            w = sample_circle(spec._centered(), r, m).values
             fv = diameter(spec, r, m=m)
             assert fv.value >= float(np.max(np.abs(w[:, None] - w[None, :]))) * (1.0 - 4e-16)
             w1, w2 = fv.witness
-            assert abs(w1 - w2) == fv.value
+            assert abs(abs(w1 - w2) - fv.value) <= 4e-16 * (abs(w1) + abs(w2) + abs(f0))
 
 
 def diameter_candidates_by_all_cells(sample, maxima):
@@ -365,16 +368,101 @@ _polynomial = st.lists(st.builds(complex, _unit, _unit), min_size=2, max_size=6)
 def test_boundary_estimators_invariant_under_rigid_motions(coeffs, r, pre, post, shift, log_s):
     # s (post f(pre z) + shift), with |pre| = |post| = 1, moves the image
     # rigidly and scales it by s: its radius about f(0), diameter and
-    # n-diameters are s times those of f.
+    # n-diameters are s times those of f.  The bars of s f scale with it,
+    # the area's with s^2: no absolute floor sets them.
     s = 10.0**log_s
     coeffs = np.array(coeffs)
     moved = post * coeffs * pre ** np.arange(coeffs.size)
     moved[0] += shift
-    f, g = Polynomial(tuple(coeffs)), Polynomial(tuple(s * moved))
+    f, g, h = (Polynomial(tuple(c)) for c in (coeffs, s * moved, s * coeffs))
     for estimate in (radius, diameter, lambda spec, r: n_diameter(spec, r, 3),
                      lambda spec, r: n_diameter(spec, r, 4)):
-        a, b = estimate(f, r), estimate(g, r)
+        a, b, c = estimate(f, r), estimate(g, r), estimate(h, r)
         assert abs(s * a.value - b.value) <= s * a.abs_error + b.abs_error
+        assert 0.5 * s * a.abs_error <= c.abs_error <= 2.0 * s * a.abs_error
+    a, c = area(f, r, resolution=256), area(h, r, resolution=256)
+    assert 0.5 * s * s * a.abs_error <= c.abs_error <= 2.0 * s * s * a.abs_error
+
+
+def translated(spec, t):
+    """f + t as a spec of the same variant."""
+    if isinstance(spec, Moebius):
+        return Moebius(spec.a + t, spec.b, spec.c)
+    return Polynomial((spec.coeffs[0] + t,) + spec.coeffs[1:])
+
+
+_moebius = st.builds(
+    Moebius, st.builds(complex, _unit, _unit),
+    st.builds(lambda a, u: a * u, st.floats(0.0, 0.9), _turn), _turn,
+)
+# t of size up to 1e20 times the image's.
+_translation = st.builds(
+    lambda x, y, e: complex(x, y) * 10.0**e, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.floats(-2.0, 20.0),
+)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.one_of(_polynomial.map(lambda c: Polynomial(tuple(c))), _moebius), st.floats(0.1, 0.95),
+       _translation)
+def test_estimates_are_bit_identical_under_a_translation_of_f(spec, r, t):
+    # Every estimator samples f - f(0), which f + t shares with f: values,
+    # bars and flags do not move, and the witnesses, image points, move by
+    # t to rounding.
+    t *= max(map(abs, spec.coeffs[1:])) if isinstance(spec, Polynomial) else 1.0
+    moved = translated(spec, t)
+    for estimate in (
+        radius, diameter, lambda spec, r: n_diameter(spec, r, 3),
+        lambda spec, r: area(spec, r, resolution=256),
+        lambda spec, r: capacity_bracket(spec, r, resolution=256),
+    ):
+        a, b = estimate(spec, r), estimate(moved, r)
+        assert (a.value, a.abs_error, a.interval) == (b.value, b.abs_error, b.interval)
+        assert a.flags == b.flags
+        for p, q in zip(a.witness or (), b.witness or (), strict=True):
+            assert abs(q - p - t) <= 4.0 * np.finfo(float).eps * (abs(p) + abs(q))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.floats(-100.0, 100.0), _turn, st.floats(0.05, 1.0), _translation)
+def test_linear_maps_meet_their_closed_forms_within_the_bar(log_c, turn, r, t):
+    # c z + t maps r D onto a disk of radius |c| r.  The n-diameter of its
+    # regular n-gon on the grid of n | m samples has no parabola, so the
+    # rounding floor is its whole bar, and it must cover the rounding of
+    # log distances near 1e+-100.
+    c = 10.0**log_c * turn
+    spec, size = Polynomial((t * abs(c), c)), abs(c) * r
+    cases = [(radius(spec, r), size), (diameter(spec, r), 2.0 * size)]
+    cases += [(n_diameter(spec, r, n), size * disk_n_diameter(n)) for n in (3, 4, 8)]
+    cases += [(estimate(spec, r), np.pi * size**2) for estimate in (area, area_univalent_series)]
+    for fv, exact in cases:
+        assert abs(fv.value - exact) <= fv.abs_error
+    lo, hi = capacity_bracket(spec, r, resolution=256).interval
+    assert lo <= size <= hi
+
+
+def test_a_small_image_far_from_0_keeps_its_digits():
+    # Sampled on f itself, these read radius 1.0033 +- 1.1e-6 for 1.143, a
+    # degenerate diameter and raster area of 0 +- 0, a ResourceError, a
+    # Moebius image called a point, a bar 100 times the diameter, and a
+    # diameter 13,000 off against a bar of 5.3.
+    near, far = Polynomial((0.0, 1.0, 0.3)), Polynomial((1e20, 1.0, 0.3))
+    for estimate in (radius, diameter, area):
+        a, b = estimate(near, 0.9), estimate(far, 0.9)
+        assert (a.value, a.abs_error, a.flags) == (b.value, b.abs_error, ())
+    assert radius(far, 0.9).value == 1.143
+    assert abs(diameter(far, 0.9).value - 2.00664) <= 1e-5
+    assert area(Polynomial((1e14, 1.0, 0.3)), 0.9).value == area(near, 0.9).value
+    fv = diameter(Moebius(1e15, 0.5, 1.0), 0.9)
+    assert abs(fv.value - moebius_diameter(0.5, 0.9)) <= fv.abs_error and not fv.flags
+    assert abs(fv.value - 1.69279) <= 1e-5
+    fv = diameter(Polynomial((0.0, 1e-15)), 0.5)
+    assert abs(fv.value - 1e-15) <= fv.abs_error <= 1e-5 * fv.value
+    tiny, unit = area(Polynomial((0.0, 1e-13)), 0.5), area(IDENTITY, 0.5)
+    assert tiny.abs_error / tiny.value == pytest.approx(unit.abs_error / unit.value, rel=1e-9)
+    offset, plain = Polynomial((1e20 * (1 + 1j), 1e6, 5e5)), Polynomial((0.0, 1e6, 5e5))
+    for estimate in (diameter, lambda spec, r: n_diameter(spec, r, 4)):
+        assert estimate(offset, 1.0).value == estimate(plain, 1.0).value
 
 
 def test_area_series_koebe_like():
@@ -538,20 +626,22 @@ def test_area_resource_cap(monkeypatch):
 
 
 def test_area_below_float_resolution_raises():
-    # The spacing of values near 1e6 is about 12 cells of this image, so
-    # rounding alone would move the boundary curve by several cells.
-    for spec in (Polynomial((1e6, 1e-8)), Polynomial((3e5j, 1e-8))):
-        with pytest.raises(ResourceError, match="float resolution"):
-            area(spec, 0.5)
+    # The annulus cover's centred spec is the cover itself, an image of size
+    # 1e-12 near 1: at this grid the spacing of its values is about 7 cells,
+    # so rounding alone would move the boundary curve by several cells.
+    with pytest.raises(ResourceError, match="float resolution"):
+        area(AnnulusCover(1e-12), 0.5, resolution=2**16)
 
 
 def refine_by_insertion(spec, r, angles, values, step):
     # The reference bisection: each pass finds the long steps of the whole
-    # curve and inserts their midpoints into it.
-    for _ in range(40):
+    # curve and inserts their midpoints into it, 40 passes at most.
+    for passes in range(41):
         bad = np.nonzero(np.abs(np.roll(values, -1) - values) > step)[0]
         if bad.size == 0:
             return angles, values
+        if passes == 40:
+            break
         if values.size + bad.size > functionals.SAMPLE_CAP:
             raise ResourceError("boundary refinement exceeded the sample budget")
         mid = 0.5 * (angles[bad] + np.append(angles[1:], 2.0 * np.pi)[bad])
@@ -624,11 +714,11 @@ def test_refinement_meets_its_budget_at_the_pass_insertion_does(monkeypatch, cap
     assert all(np.array_equal(a, b) for a, b in zip(points, expected_points))
 
 
-@pytest.mark.parametrize("level, converges", [(38.5, True), (39.5, False)])
+@pytest.mark.parametrize("level, converges", [(38.5, True), (39.5, True), (40.5, False)])
 def test_refinement_gives_up_at_the_pass_insertion_does(monkeypatch, level, converges):
-    # Ramps of width 1e-9 at the angles 1 and 4 need 39 or 40 halvings of
-    # the 64 start steps; the bisection gives up after 40 passes, even when
-    # the 40th would have been the last.
+    # Ramps of width 1e-9 at the angles 1 and 4 need 39, 40 or 41 halvings
+    # of the 64 start steps; the bisection accepts the curve that its 40th
+    # pass completes and gives up on one that needs a 41st.
     def ramps(spec, z):
         t = np.angle(z) % (2.0 * np.pi)
         return (np.clip((t - 1.0) / 1e-9, 0.0, 1.0) - np.clip((t - 4.0) / 1e-9, 0.0, 1.0)).astype(complex)
@@ -645,7 +735,7 @@ def test_refinement_gives_up_at_the_pass_insertion_does(monkeypatch, level, conv
             outcome = str(error)
         runs.append((points, outcome))
     (points, outcome), (expected_points, expected) = runs
-    assert len(points) == len(expected_points) == (39 if converges else 40)
+    assert len(points) == len(expected_points) == min(int(level + 0.5), 40)
     assert all(np.array_equal(a, b) for a, b in zip(points, expected_points))
     if converges:
         assert np.array_equal(outcome[0], expected[0]) and np.array_equal(outcome[1], expected[1])
@@ -1187,8 +1277,7 @@ def test_univalence_searches_a_small_image_far_from_0_on_its_own_scale(monkeypat
         found.clear()
         assert is_univalent_sampled(Polynomial(coeffs), 0.5)
         assert [pairs <= 2 * size for size, pairs in found] == [True]
-    # So "auto" reads the exact series area, where the raster's float
-    # resolution guard refuses this image.
+    # So "auto" reads the exact series area.
     method, fv = functionals._area_by_method(Polynomial((1e6, 1e-8)), 0.5, "auto")
     assert method == "series"
     assert abs(fv.value - np.pi * 1e-16 * 0.25) <= fv.abs_error

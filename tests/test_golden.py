@@ -5,7 +5,9 @@ byte for byte, and its exit code with the files under ``tests/golden``.
 The files are written once and then only read; to record an intended
 change of output, run ``python tests/test_golden.py --write``, which
 rewrites only the files whose content changes and prints a unified diff of
-each; run as a script, the file puts ``src/`` on the path itself.
+each, followed by each changed field: a moved value or phi against its old
+abs_error, and any other field, a bar among them, old -> new.  Run as a
+script, the file puts ``src/`` on the path itself.
 """
 
 import contextlib
@@ -151,14 +153,83 @@ def test_cli_output_matches_golden_without_scipy():
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def fields(text: str) -> dict:
+    """The fields of an output by place: the leaves of each JSON line under
+    a dotted path that starts with the line number, each CSV row's cells
+    under the line number and column name, and the key=value items of each
+    comment line."""
+    found, header = {}, None
+
+    def leaves(path, v):
+        items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else None
+        if items is None:
+            found[path] = v
+        for key, item in items or ():
+            leaves(f"{path}.{key}", item)
+
+    for i, line in enumerate(text.splitlines()):
+        if line.startswith("{"):
+            leaves(str(i), json.loads(line))
+        elif line.startswith("#"):
+            for item in line.lstrip("# ").split(":", 1)[-1].split(","):
+                key, _, v = item.strip().partition("=")
+                found[f"{i}.{key}"] = v
+        elif header is None:
+            header = line.split(",")
+        else:
+            found.update((f"{i}.{key}", v) for key, v in zip(header, line.split(",")))
+    return found
+
+
+def changes(old: str, new: str) -> list:
+    """One line for each field that differs between two outputs: a changed
+    value or phi with |new - old| / its old abs_error, any other field old
+    -> new."""
+    a, b = fields(old), fields(new)
+    lines = []
+    for key in list(a) + [k for k in b if k not in a]:
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        parts = key.split(".")
+        name = [p for p in parts if not p.isdigit()][-1]
+        note = ""
+        bar = a.get(".".join("abs_error" if p == name else p for p in parts))
+        with contextlib.suppress(TypeError, ValueError, ZeroDivisionError):
+            if name in ("value", "phi"):
+                note = f" (|change| / old abs_error {abs(float(y) - float(x)) / float(bar):.2g})"
+        lines.append(f"  {key}: {x} -> {y}{note}")
+    return lines
+
+
+def test_changes_lists_moved_values_against_their_old_bars():
+    old = (
+        '{"abs_error": 0.5, "value": 2.0, "witness": [[1.0, 0.0]]}\n'
+        "# verdict monotone: ok=True,tol=0.25\nr,phi,abs_error\n0.5,1.0,0.25\n"
+    )
+    new = (
+        '{"abs_error": 0.25, "value": 2.125, "witness": [[1.0, 0.5]]}\n'
+        "# verdict monotone: ok=True,tol=0.5\nr,phi,abs_error\n0.5,1.5,0.25\n"
+    )
+    assert changes(old, new) == [
+        "  0.abs_error: 0.5 -> 0.25",
+        "  0.value: 2.0 -> 2.125 (|change| / old abs_error 0.25)",
+        "  0.witness.0.1: 0.0 -> 0.5",
+        "  1.tol: 0.25 -> 0.5",
+        "  3.phi: 1.0 -> 1.5 (|change| / old abs_error 2)",
+    ]
+
+
 def write_if_changed(path: Path, text: str) -> None:
-    """Write text to path and print a unified diff, when it changes the file."""
+    """Write text to path and print a unified diff, when it changes the
+    file, and then a line for each changed field."""
     old = path.read_text() if path.exists() else ""
     if text != old:
         name = path.name
         sys.stdout.writelines(difflib.unified_diff(
             old.splitlines(keepends=True), text.splitlines(keepends=True), f"a/{name}", f"b/{name}",
         ))
+        print(f"{name}: changed fields", *changes(old, text), sep="\n")
         path.write_text(text)
 
 
