@@ -426,10 +426,10 @@ def test_estimates_are_bit_identical_under_a_translation_of_f(spec, r, t):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.floats(-100.0, 100.0), _turn, st.floats(0.05, 1.0), _translation)
 def test_linear_maps_meet_their_closed_forms_within_the_bar(log_c, turn, r, t):
-    # c z + t maps r D onto a disk of radius |c| r.  The n-diameter of its
-    # regular n-gon on the grid of n | m samples has no parabola, so the
-    # rounding floor is its whole bar, and it must cover the rounding of
-    # log distances near 1e+-100.
+    # c z + t maps r D onto a disk of radius |c| r.  At n = 4 and 8, which
+    # divide the 4096 samples, the n-diameter's regular n-gon lies on the
+    # grid and has no parabola, so the rounding floor is its whole bar, and
+    # it must cover the rounding of log distances near 1e+-100.
     c = 10.0**log_c * turn
     spec, size = Polynomial((t * abs(c), c)), abs(c) * r
     cases = [(radius(spec, r), size), (diameter(spec, r), 2.0 * size)]
