@@ -26,7 +26,7 @@ from .analytic import (
 )
 from .errors import DomainError, NormalizationError
 from .functionals import (
-    _area_by_method,
+    _areas,
     _circle_max,
     disk_n_diameter,
     functional_kind,
@@ -172,8 +172,10 @@ def check_don_symmetric(
     """Symmetric two-point bound |f(z) - f(w)| <= Diam f(D) d/(1+sqrt(1-d^2))
     with d the pseudohyperbolic distance of z and w.
 
-    The algebraically equivalent closed form with the sqrt((1-|z|^2)(1-|w|^2))
-    denominator is evaluated as well; their gap is reported in the context.
+    The lhs is read on f - f(0) (spec._centring), so a translation of f
+    moves it by no bit.  The algebraically equivalent closed form with the
+    sqrt((1-|z|^2)(1-|w|^2)) denominator is evaluated as well; their gap is
+    reported in the context.
     The tolerance is at least three times the rhs's share of the estimated
     diameter's error, d/(1+sqrt(1-d^2)) times it; a supplied diam_estimate
     has the error diam_error.
@@ -183,7 +185,8 @@ def check_don_symmetric(
         raise DomainError("z and w must lie in the open unit disk")
     if diam_estimate is None:
         diam_estimate, diam_error = disk_functional_estimate(spec, "diam")
-    lhs = abs(complex(evaluate(spec, z)) - complex(evaluate(spec, w)))
+    centered = spec._centring[0]
+    lhs = abs(complex(evaluate(centered, z)) - complex(evaluate(centered, w)))
     denom = 1.0 - np.conj(w) * z
     delta = abs(z - w) / abs(denom)
     root = 1.0 + math.sqrt(max(1.0 - delta * delta, 0.0))
@@ -269,14 +272,14 @@ def check_polya_chain(
     Returns the Polya report (against the capacity upper bound) and the
     n-diameter report, with estimator errors folded into each tolerance.
     """
-    area_method, a = _area_by_method(spec, r, area_method, resolution)
+    [a] = _areas(spec, [r], area_method, resolution)
     dn = n_diameter(spec, r, n, m=m, seed=seed)
     norm = disk_n_diameter(n)
     cap_upper = dn.value / norm + dn.abs_error / norm
     rhs_polya = np.pi * cap_upper * cap_upper
     rhs_dn = np.pi * (dn.value / norm) ** 2
     rhs_err = 2.0 * np.pi * (dn.value / norm) * (dn.abs_error / norm)
-    context = {"r": r, "n": n, "area_method": area_method, "area_error": a.abs_error}
+    context = {"r": r, "n": n, "area_method": a.method, "area_error": a.abs_error}
     polya = _make_report(
         "Polya", a.value, rhs_polya, max(tol, 3.0 * (a.abs_error + rhs_err)), dict(context)
     )

@@ -34,7 +34,7 @@ from .functionals import (
     DEFAULT_RESOLUTION,
     KINDS,
     FunctionalValue,
-    _area_by_method,
+    _areas,
     circle_image_length,
     n_diameter,
 )
@@ -171,7 +171,7 @@ def _check_don_symmetric(spec: FunctionSpec, args) -> list:
 
 
 def _check_isoperimetric(spec: FunctionSpec, args) -> list:
-    _, a = _area_by_method(spec, args.r, args.area_method, args.resolution)
+    [a] = _areas(spec, [args.r], args.area_method, args.resolution)
     length = circle_image_length(spec, args.r)
     # Propagate estimator errors through both sides: lhs = 4 pi A, rhs = L^2.
     slack_err = 4.0 * math.pi * a.abs_error + 2.0 * length.value * length.abs_error

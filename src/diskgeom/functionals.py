@@ -66,7 +66,9 @@ LENGTH_QUAD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FunctionalValue:
-    """One functional estimate with an absolute error estimate and witness."""
+    """One functional estimate with an absolute error estimate and witness;
+    an area, and the cap bracket that reads one, names its method: "series"
+    (area_univalent_series) or "raster" (area)."""
 
     kind: str
     value: float
@@ -75,6 +77,7 @@ class FunctionalValue:
     interval: Optional[tuple] = None
     n: Optional[int] = None
     flags: tuple = field(default_factory=tuple)
+    method: Optional[str] = None
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.value, self.abs_error, *(self.interval or ())])):
@@ -696,12 +699,12 @@ def area(spec: FunctionSpec, r: float, resolution: int = DEFAULT_RESOLUTION) -> 
     The boundary curve may use at most SAMPLE_CAP samples; ResourceError
     when it needs more.
     """
-    _, values, (_, y0, _, h) = _boundary_curve(spec._centered(), r, resolution)
+    _, values, (_, y0, _, h) = _boundary_curve(spec._centring[0], r, resolution)
     if h == 0.0:
-        return FunctionalValue(kind="area", value=0.0, abs_error=0.0, flags=("degenerate",))
+        return FunctionalValue("area", 0.0, 0.0, flags=("degenerate",), method="raster")
     value = h * float(np.sum(_sections(values, y0 + 0.5 * h, h, resolution)))
     err = 0.5 * h * float(np.sum(np.abs(np.roll(values.real, -1) - values.real)))
-    return FunctionalValue(kind="area", value=value, abs_error=err)
+    return FunctionalValue(kind="area", value=value, abs_error=err, method="raster")
 
 
 def _contour_terms(spec: FunctionSpec, z: np.ndarray) -> np.ndarray:
@@ -714,7 +717,7 @@ def _contour_terms(spec: FunctionSpec, z: np.ndarray) -> np.ndarray:
 def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
     """Area of f(r D) when f is injective on r D, by Green's theorem: pi
     times the mean of Re(conj(w) z f') over m points of |z| = r, w the
-    samples of f - f(0) (spec._centered()).  The trapezoid sum converges
+    samples of f - f(0) (spec._centring).  The trapezoid sum converges
     geometrically on this periodic analytic integrand (Trefethen and
     Weideman, SIAM Review 56, 2014): m doubles from 64, adding midpoints,
     until two sums agree within 2^-42 of the mean term size, the rounding
@@ -727,7 +730,7 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
     correlate, as the centred samples of a Moebius map near |b| = 1 do.
     ResourceError when a sum is not finite or needs over CONTOUR_CAP points.
     """
-    centered = spec._centered()
+    centered = spec._centring[0]
     sample = sample_circle(centered, r, 64, order=1)
     terms = np.conj(sample.values) * sample.points * sample.derivatives[0]
     last = None
@@ -744,7 +747,7 @@ def area_univalent_series(spec: FunctionSpec, r: float) -> FunctionalValue:
             if abs(check - value) <= rounding:
                 modes = np.abs(np.fft.rfft(terms.real)[-(m // 16) :])
                 spread = np.pi * float(np.hypot.reduce(modes)) / np.sqrt(m * modes.size)
-                return FunctionalValue(kind="area", value=value, abs_error=max(rounding, spread))
+                return FunctionalValue("area", value, max(rounding, spread), method="series")
         if 2 * m > CONTOUR_CAP:
             raise ResourceError(f"the contour sum of the area needs over {m} points")
         midpoints = r * np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m)
@@ -827,7 +830,7 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     zero size) with no search: only an annulus cover, its own centred spec,
     of c below about 1e-13, injective on every disk it admits.
     """
-    spec = spec._centered()
+    spec = spec._centring[0]
     angles, w, (_, _, cell, _) = _boundary_curve(spec, r)
     if cell == 0.0:
         return None
@@ -893,31 +896,21 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
     return UnivalenceResult(True, None, "")
 
 
-def resolve_area_method(spec: FunctionSpec, r: float, method: str) -> tuple:
-    """The area method to use on r D, and the area that "auto" summed to
-    pick it or None: "auto" picks "series", the contour sum of
-    area_univalent_series, when f is injective on r D and the sum converges
-    there, and "raster", the scanline sections of area, otherwise; "series"
-    and "raster" pass through."""
-    if method != "auto":
-        return method, None
-    with suppress(ResourceError):
-        if is_univalent_sampled(spec, r):
-            return "series", area_univalent_series(spec, r)
-    return "raster", None
-
-
-def _area_by_method(
-    spec: FunctionSpec, r: float, method: str, resolution: int = DEFAULT_RESOLUTION
-) -> tuple:
-    """The method resolve_area_method picks and the area of f(r D) by it,
-    the contour sum or the scanline sections of area, summed once."""
-    method, value = resolve_area_method(spec, r, method)
-    if value is not None:
-        return method, value
-    if method == "series":
-        return method, area_univalent_series(spec, r)
-    return method, area(spec, r, resolution=resolution)
+def _areas(spec: FunctionSpec, radii, method: str, resolution: int = DEFAULT_RESOLUTION) -> list:
+    """The area of f(r D) at each of the radii, each labelled with its
+    method: "series", the contour sum of area_univalent_series, or "raster",
+    the scanline sections of area.  "auto" is resolved once, at the largest
+    radius: the contour sum when f is injective on that disk and the sum
+    converges there, which is then that radius's area, and the raster
+    otherwise; every other radius takes the method it resolved to."""
+    outer, summed = max(radii), {}
+    if method == "auto":
+        method = "raster"
+        with suppress(ResourceError):
+            if is_univalent_sampled(spec, outer):
+                summed, method = {outer: area_univalent_series(spec, outer)}, "series"
+    estimate = area_univalent_series if method == "series" else partial(area, resolution=resolution)
+    return [summed[r] if r in summed else estimate(spec, r) for r in radii]
 
 
 # ---- capacity bracket ----
@@ -928,7 +921,7 @@ def _capacity_brackets(
 ) -> list:
     """capacity_bracket at each radius, the d_n tuples of all radii polished
     as the rows of one descent; the estimator of KINDS["cap"]."""
-    areas = [_area_by_method(spec, r, area_method, resolution)[1] for r in radii]
+    areas = _areas(spec, radii, area_method, resolution)
     dns = _n_diameters(spec, radii, n, m=m, seed=seed)
     norm = disk_n_diameter(n)
     brackets = []
@@ -944,7 +937,7 @@ def _capacity_brackets(
         flags = tuple(dn.flags) + (("bracket_inverted",) if lo_raw > hi_raw else ())
         brackets.append(FunctionalValue(
             kind="cap", value=0.5 * (lo + hi), abs_error=0.5 * (hi - lo), witness=dn.witness,
-            interval=(lo, hi), n=n, flags=flags,
+            interval=(lo, hi), n=n, flags=flags, method=a.method,
         ))
     return brackets
 
@@ -976,18 +969,17 @@ class FunctionalKind:
     and cap polish the tuples of all radii in one descent, the other kinds
     loop over the radii.  estimates calls it on a grid and estimate on one
     radius.  norm(r, n) is F(r D), so norm(1, n) is the unit-disk value, and
-    `normalization` labels it.  uses_area marks the kinds that read an area
-    method; a growth curve resolves "auto" for them once, at its outer radius.
-    Growth curves plot the interval's upper end when upper_endpoint is set;
-    F scales as |s|^2 under f -> s f when squared is set.  `report` names
-    the growth inequality report.
+    `normalization` labels it.  area and cap read area_method through
+    _areas, which resolves "auto" once per grid, at its largest radius, and
+    labels each value with its method.  Growth curves plot the interval's
+    upper end when upper_endpoint is set; F scales as |s|^2 under f -> s f
+    when squared is set.  `report` names the growth inequality report.
     """
 
     estimator: Callable[..., FunctionalValue]
     norm: Callable[[float, int], float]
     normalization: str
     report: str
-    uses_area: bool = False
     upper_endpoint: bool = False
     squared: bool = False
 
@@ -1028,13 +1020,13 @@ KINDS = {
         lambda r, n: disk_n_diameter(n) * r, "n^(1/(n-1)) r", "NDiamGrowth",
     ),
     "cap": FunctionalKind(
-        _capacity_brackets, lambda r, n: r, "r", "CapGrowth", uses_area=True, upper_endpoint=True,
+        _capacity_brackets, lambda r, n: r, "r", "CapGrowth", upper_endpoint=True,
     ),
     "area": FunctionalKind(
-        lambda spec, radii, n, resolution, area_method, **_: [
-            _area_by_method(spec, r, area_method, resolution)[1] for r in radii
-        ],
-        lambda r, n: np.pi * r * r, "pi r^2", "AreaGrowth", uses_area=True, squared=True,
+        lambda spec, radii, n, resolution, area_method, **_: _areas(
+            spec, radii, area_method, resolution
+        ),
+        lambda r, n: np.pi * r * r, "pi r^2", "AreaGrowth", squared=True,
     ),
     "perim": FunctionalKind(
         lambda spec, radii, n, **_: [circle_image_length(spec, r) for r in radii],

@@ -22,7 +22,7 @@ from .analytic import (
     spec_hash,
 )
 from .errors import DomainError, GridError
-from .functionals import functional_kind, resolve_area_method
+from .functionals import functional_kind
 
 DEFAULT_GRID_POINTS = 17
 DEFAULT_GRID_RANGE = (0.05, 0.95)
@@ -105,10 +105,11 @@ def phi_curve(
     radii as the rows of one Newton ascent.  knobs are the other estimator
     settings (m, resolution, seed).
 
-    area_method "auto" is resolved once, at the largest grid radius, by
-    resolve_area_method: the contour sum when f is injective on that disk
-    and the sum converges there, otherwise the scanline sections of
-    functionals.area.
+    area_method goes to the estimator as it is; for area and cap, "auto"
+    is resolved once, at the largest grid radius, to the contour sum when
+    f is injective on that disk and the sum converges there, otherwise to
+    the scanline sections of functionals.area, and the curve carries the
+    resolved method as an area_method=... flag.
     The capacity curve takes the bracket's upper endpoint as its value, so
     its verdicts test the estimator, not the true capacity; the curve
     carries a cap_upper_estimate flag as a reminder.
@@ -120,15 +121,13 @@ def phi_curve(
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise DomainError("r_grid must lie inside (0, 1)")
 
-    flags: tuple = ()
-    if fk.uses_area and area_method == "auto":
-        area_method = resolve_area_method(spec, float(grid[-1]), area_method)[0]
-        flags = flags + (f"area_method={area_method}",)
-    if fk.upper_endpoint:
-        flags = flags + ("cap_upper_estimate",)
-
     radii = [float(r) for r in grid]
     values = fk.estimates(spec, radii, n, area_method=area_method, **knobs)
+    flags: tuple = ()
+    if area_method == "auto" and values[-1].method:
+        flags = flags + (f"area_method={values[-1].method}",)
+    if fk.upper_endpoint:
+        flags = flags + ("cap_upper_estimate",)
 
     phi = np.empty(grid.size)
     errs = np.empty(grid.size)

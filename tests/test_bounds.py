@@ -205,6 +205,20 @@ def test_don_symmetric_strict_for_koebe_like():
     assert not rep.equality
 
 
+def test_don_symmetric_lhs_ignores_a_translation_of_f():
+    # lhs is |g(z) - g(w)| on g = f - f(0), so a small image far from 0
+    # keeps its digits: on f itself, Moebius(1e15, 0.5, 1) read 0.290786.
+    z, w = 0.3, -0.2j
+    base = check_don_symmetric(AUTOMORPHISM, z, w, diam_estimate=2.0).lhs
+    assert base == 0.3165580244378586
+    quadratic = check_don_symmetric(Polynomial((0.0, 1.0, 0.3)), z, w, diam_estimate=2.0).lhs
+    for t in (1.0, -1e5j, 1e10 + 1e10j, -1e15, 1e15j, 7e14 + 7e14j):
+        moved = check_don_symmetric(Moebius(t, 0.5, 1.0), z, w, diam_estimate=2.0)
+        assert moved.lhs.hex() == base.hex()
+        moved = check_don_symmetric(Polynomial((t, 1.0, 0.3)), z, w, diam_estimate=2.0)
+        assert moved.lhs.hex() == quadratic.hex()
+
+
 def test_poukka_equality_for_monomials():
     for n in (1, 2, 5):
         coeffs = (0.0,) * n + (1.0,)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import diskgeom
-from diskgeom import bounds, cli
+from diskgeom import bounds, cli, functionals
 from diskgeom import (
     AnnulusCover,
     Moebius,
@@ -301,6 +301,41 @@ def test_check_all_estimates_the_disk_diameter_once(capsys, monkeypatch):
     assert kinds.count("diam") == 1
     reports = {p["name"]: p for p in map(json.loads, out.splitlines()) if "skipped" not in p}
     assert reports["Don"]["context"]["diam_estimate"] == 2.0 * reports["Poukka"]["rhs"]
+
+
+@pytest.mark.parametrize("argv, refinements, same_curve, verdicts, sums", [
+    (["check", "all", "--spec", "poly[0,1,0.2]", "--r", "0.5"], 3, 2, 2, 2),
+    (["check", "all", "--spec", "annulus(3)", "--r", "0.9"], 5, 4, 2, 0),
+    (["eval", "--kind", "area", "--spec", "annulus(3)", "--r", "0.9"], 2, 2, 1, 0),
+], ids=["check-all-poly", "check-all-annulus", "eval-area-annulus"])
+def test_repeated_boundary_work_stays_within_its_counts(
+    capsys, monkeypatch, argv, refinements, same_curve, verdicts, sums
+):
+    # Upper bounds on the work that one command repeats: isoperimetry and
+    # Polya each test univalence and compute the area, and the area of a
+    # map that is not univalent refines the curve that its verdict refined.
+    curves, calls = [], {"is_univalent_sampled": 0, "area_univalent_series": 0}
+    refine = functionals._refine_circle
+
+    def refining(spec, r, angles, values, step):
+        curves.append((spec, r, step))
+        return refine(spec, r, angles, values, step)
+
+    def counting(name, original):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(functionals, "_refine_circle", refining)
+    for name in calls:
+        monkeypatch.setattr(functionals, name, counting(name, getattr(functionals, name)))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(curves) <= refinements
+    assert max(map(curves.count, curves)) <= same_curve
+    assert calls["is_univalent_sampled"] <= verdicts
+    assert calls["area_univalent_series"] <= sums
 
 
 def test_check_density_honours_tol(capsys):

@@ -10,6 +10,7 @@ import contextlib
 import math
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -575,7 +576,17 @@ def test_contour_area_of_an_annulus_cover_below_its_threshold(c, share):
     assert abs(fv.value - expected) <= fv.abs_error <= 1e-12 * expected
 
 
-def test_contour_area_stops_at_its_budget():
+def counting_contour_sums(monkeypatch) -> list:
+    """Wrap functionals.area_univalent_series; each call appends its
+    arguments to the list returned."""
+    calls, contour = [], functionals.area_univalent_series
+    monkeypatch.setattr(
+        functionals, "area_univalent_series", lambda *args: calls.append(args) or contour(*args)
+    )
+    return calls
+
+
+def test_contour_area_stops_at_its_budget(monkeypatch):
     # annulus(0.1) is injective on every disk it admits; its contour sum
     # converges in 65,536 points at r = 0.999, where f' near z = +-1 carries
     # a few hundred rounding errors of 1 - z^2, and would need about 2^22
@@ -583,7 +594,12 @@ def test_contour_area_stops_at_its_budget():
     assert area_univalent_series(AnnulusCover(0.1), 0.999).abs_error <= 1e-10
     with pytest.raises(ResourceError, match="131072 points"):
         area_univalent_series(AnnulusCover(0.1), 0.9999)
-    assert functionals.resolve_area_method(AnnulusCover(0.1), 0.9999, "auto") == ("raster", None)
+    calls = counting_contour_sums(monkeypatch)
+    [fv] = functionals._areas(AnnulusCover(0.1), [0.9999], "auto", resolution=64)
+    assert fv == area(AnnulusCover(0.1), 0.9999, resolution=64)
+    assert fv.method == "raster"
+    # The one sum that ran is the one that gave up.
+    assert calls == [(AnnulusCover(0.1), 0.9999)]
 
 
 def test_contour_area_that_overflows_stops_at_once(monkeypatch):
@@ -596,27 +612,56 @@ def test_contour_area_that_overflows_stops_at_once(monkeypatch):
     assert calls == []
 
 
-def test_auto_area_reads_the_contour_of_every_univalent_variant():
+def test_auto_area_reads_the_contour_of_every_univalent_variant(monkeypatch):
     for spec, r in ((KOEBE_LIKE, 0.6), (Moebius(0.5, 0.5j, 1.0), 0.9), (AnnulusCover(1.0), 0.8)):
-        expected = ("series", area_univalent_series(spec, r))
-        assert functionals.resolve_area_method(spec, r, "auto") == expected
-        assert functionals._area_by_method(spec, r, "auto") == expected
-    # Not injective: z^2, and the cover past its threshold.
+        expected = area_univalent_series(spec, r)
+        assert expected.method == "series"
+        assert functionals._areas(spec, [r], "auto") == [expected]
+    # Not injective: z^2, and the cover past its threshold.  No contour sum runs.
+    calls = counting_contour_sums(monkeypatch)
     for spec, r in ((SQUARE, 0.5), (AnnulusCover(1.0), 0.95)):
-        assert functionals.resolve_area_method(spec, r, "auto") == ("raster", None)
-        assert functionals._area_by_method(spec, r, "auto") == ("raster", area(spec, r))
+        [fv] = functionals._areas(spec, [r], "auto")
+        assert fv == area(spec, r)
+        assert fv.method == "raster"
+    assert calls == []
 
 
 def test_auto_area_sums_the_contour_once(monkeypatch):
-    calls = []
-    contour = functionals.area_univalent_series
-    monkeypatch.setattr(
-        functionals, "area_univalent_series", lambda *args: calls.append(args) or contour(*args)
-    )
-    assert functionals._area_by_method(AnnulusCover(0.1), 0.999, "auto")[0] == "series"
+    calls = counting_contour_sums(monkeypatch)
+    assert functionals._areas(AnnulusCover(0.1), [0.999], "auto")[0].method == "series"
     [polya, _] = check_polya_chain(KOEBE_LIKE, 0.6)
     assert polya.context["area_method"] == "series"
     assert calls == [(AnnulusCover(0.1), 0.999), (KOEBE_LIKE, 0.6)]
+
+
+def resolved_method(spec, r) -> str:
+    """The method that "auto" takes on r D: the contour sum when f is
+    injective there and the sum converges, otherwise the raster."""
+    with contextlib.suppress(ResourceError):
+        if is_univalent_sampled(spec, r):
+            area_univalent_series(spec, r)
+            return "series"
+    return "raster"
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    st.lists(st.builds(complex, _unit, _unit), min_size=1, max_size=5), st.floats(0.5, 4.0),
+    st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4, unique=True),
+)
+def test_auto_areas_take_the_method_of_the_largest_radius(tail, fill, radii):
+    # z + tail with sum k |a_k| = fill: injective on the closed disk for
+    # fill < 1, and above that on the smaller disks only, so a grid can hold radii
+    # where "auto" alone would take the contour sum below one where it
+    # takes the raster.
+    weight = np.arange(2, len(tail) + 2)
+    tail = np.array(tail) * (fill / max(float(np.sum(weight * np.abs(tail))), 1e-300))
+    spec, grid = Polynomial((0.0, 1.0, *tail)), sorted(radii)
+    method = resolved_method(spec, grid[-1])
+    estimate = area_univalent_series if method == "series" else partial(area, resolution=128)
+    areas = functionals._areas(spec, grid, "auto", resolution=128)
+    assert [repr(fv) for fv in areas] == [repr(estimate(spec, r)) for r in grid]
+    assert {fv.method for fv in areas} == {method}
 
 
 def test_area_resource_cap(monkeypatch):
@@ -1278,8 +1323,8 @@ def test_univalence_searches_a_small_image_far_from_0_on_its_own_scale(monkeypat
         assert is_univalent_sampled(Polynomial(coeffs), 0.5)
         assert [pairs <= 2 * size for size, pairs in found] == [True]
     # So "auto" reads the exact series area.
-    method, fv = functionals._area_by_method(Polynomial((1e6, 1e-8)), 0.5, "auto")
-    assert method == "series"
+    [fv] = functionals._areas(Polynomial((1e6, 1e-8)), [0.5], "auto")
+    assert fv.method == "series"
     assert abs(fv.value - np.pi * 1e-16 * 0.25) <= fv.abs_error
 
 

@@ -91,6 +91,43 @@ def test_area_curve_of_a_moebius_map_routes_to_the_contour_sum():
     assert np.max(np.abs(np.array(curve.phi) - expected)) <= 1e-12
 
 
+def counting(monkeypatch, name) -> list:
+    """Wrap functionals.<name>; each call appends its arguments to the list
+    returned."""
+    calls, original = [], getattr(functionals, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("kind, knobs", [("area", {}), ("cap", {"m": 512})])
+def test_auto_sweep_sums_the_contour_once_per_radius(monkeypatch, kind, knobs):
+    # "auto" resolves at the outer radius, and the sum that resolved it is
+    # that radius's area: 17 sums on the default grid, not 18.
+    sums = counting(monkeypatch, "area_univalent_series")
+    curve = phi_curve(KOEBE_LIKE, kind, **knobs)
+    assert "area_method=series" in curve.flags
+    assert len(curve.r_grid) == 17
+    assert [r for _, r in sums] == [curve.r_grid[-1], *curve.r_grid[:-1]]
+
+
+def test_auto_sweep_past_a_critical_point_tests_univalence_once(monkeypatch):
+    # f' = 1 + 1.6 z vanishes at -0.625, inside the outer disk: one verdict,
+    # no contour sum, and the raster at each radius.
+    verdicts = counting(monkeypatch, "is_univalent_sampled")
+    sums = counting(monkeypatch, "area_univalent_series")
+    rasters = counting(monkeypatch, "area")
+    curve = phi_curve(Polynomial((0.0, 1.0, 0.8)), "area", resolution=256)
+    assert "area_method=raster" in curve.flags
+    assert [r for _, r in verdicts] == [curve.r_grid[-1]]
+    assert sums == []
+    assert [r for _, r in rasters] == list(curve.r_grid)
+
+
 def test_cap_curve_carries_upper_estimate_flag():
     curve = phi_curve(KOEBE_LIKE, "cap", GRID7, n=4, m=512, seed=SEED)
     assert "cap_upper_estimate" in curve.flags
