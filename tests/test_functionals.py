@@ -651,9 +651,9 @@ def resolved_method(spec, r) -> str:
 )
 def test_auto_areas_take_the_method_of_the_largest_radius(tail, fill, radii):
     # z + tail with sum k |a_k| = fill: injective on the closed disk for
-    # fill < 1, and above that on the smaller disks only, so a grid can hold radii
-    # where "auto" alone would take the contour sum below one where it
-    # takes the raster.
+    # fill < 1, and above that on the smaller disks only, so a grid can
+    # hold radii where "auto" alone would take the contour sum below one
+    # where it takes the raster.
     weight = np.arange(2, len(tail) + 2)
     tail = np.array(tail) * (fill / max(float(np.sum(weight * np.abs(tail))), 1e-300))
     spec, grid = Polynomial((0.0, 1.0, *tail)), sorted(radii)
