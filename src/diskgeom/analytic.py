@@ -50,6 +50,13 @@ def _number(v, real: bool = False):
     return w.real if real else w
 
 
+def _unit_scale(size):
+    """2^-e for the binary exponent e of size, a number or array of them,
+    capped at 2^1000 for subnormal ones: scaling by it is exact and brings
+    size into [1/2, 1), so products of such scaled numbers stay finite."""
+    return 2.0 ** np.minimum(-np.frexp(size)[1], 1000)
+
+
 class _Spec:
     """A variant is a frozen dataclass with fields typed tuple, complex or
     float, a JSON kind, a CLI shorthand (name, brackets) and the methods
@@ -135,10 +142,9 @@ class Polynomial(_Spec):
             # f' vanishes everywhere; 0 stands for every point.
             return np.zeros(1, dtype=complex)
         # f' scaled by a power of two that brings its largest coefficient
-        # near 1 (by 2^1000 at most, for subnormal ones) has the same zeros,
-        # and its coefficients and the divisions of np.roots stay finite.
-        unit = 2.0 ** min(-float(np.frexp(np.abs(a).max())[1]), 1000.0)
-        d = a * unit * np.arange(1, a.size + 1)
+        # near 1 has the same zeros, and its coefficients and the divisions
+        # of np.roots stay finite.
+        d = a * _unit_scale(np.abs(a).max()) * np.arange(1, a.size + 1)
         # Leading terms below 2^-52 of the largest coefficient change f' on
         # the closed disk by less than the rounding of its values, but their
         # zeros far outside it would cost np.roots the digits of those near it.
@@ -342,11 +348,6 @@ def derivative(spec: FunctionSpec, z, order: int = 1):
     if order < 1:
         raise DomainError("derivative order must be >= 1")
     return _pointwise(spec, z, "_derivative", order)
-
-
-def second_derivative(spec: FunctionSpec, z):
-    """f'' at arbitrary points (internal; used for discretization estimates)."""
-    return _pointwise(spec, z, "_derivative", 2)
 
 
 def jet(spec: FunctionSpec, z, order: int):

@@ -26,7 +26,8 @@ from .analytic import (
 )
 from .errors import DomainError, NormalizationError
 from .functionals import (
-    _areas,
+    DEFAULT_RESOLUTION,
+    DEFAULT_SAMPLES,
     _circle_max,
     disk_n_diameter,
     functional_kind,
@@ -262,17 +263,18 @@ def check_polya_chain(
     r: float,
     n: int = 4,
     tol: float = DEFAULT_EQUALITY_TOL,
-    m: int = 4096,
-    resolution: int = 512,
+    m: int = DEFAULT_SAMPLES,
+    resolution: int = DEFAULT_RESOLUTION,
     seed: int = 0,
     area_method: str = "auto",
 ) -> list:
     """Capacity chain on the image set: Area <= pi Cap^2 <= pi (d_n / n^(1/(n-1)))^2.
 
     Returns the Polya report (against the capacity upper bound) and the
-    n-diameter report, with estimator errors folded into each tolerance.
+    n-diameter report, with estimator errors folded into each tolerance;
+    the context names the method of KINDS["area"] that read the area.
     """
-    [a] = _areas(spec, [r], area_method, resolution)
+    a = functional_kind("area").estimate(spec, r, resolution=resolution, area_method=area_method)
     dn = n_diameter(spec, r, n, m=m, seed=seed)
     norm = disk_n_diameter(n)
     cap_upper = dn.value / norm + dn.abs_error / norm

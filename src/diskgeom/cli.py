@@ -31,10 +31,10 @@ from .bounds import (
 from .counterexample import check_not_log_convex
 from .errors import DiskGeomError, DomainError, NormalizationError
 from .functionals import (
+    AREA_METHODS,
     DEFAULT_RESOLUTION,
     KINDS,
     FunctionalValue,
-    _areas,
     circle_image_length,
     n_diameter,
 )
@@ -171,7 +171,9 @@ def _check_don_symmetric(spec: FunctionSpec, args) -> list:
 
 
 def _check_isoperimetric(spec: FunctionSpec, args) -> list:
-    [a] = _areas(spec, [args.r], args.area_method, args.resolution)
+    a = KINDS["area"].estimate(
+        spec, args.r, resolution=args.resolution, area_method=args.area_method
+    )
     length = circle_image_length(spec, args.r)
     # Propagate estimator errors through both sides: lhs = 4 pi A, rhs = L^2.
     slack_err = 4.0 * math.pi * a.abs_error + 2.0 * length.value * length.abs_error
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in (p_eval, p_sweep, p_check):
         sub.add_argument("--n", type=int, default=4)
         sub.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-        sub.add_argument("--area-method", choices=("auto", "raster", "series"), default="auto")
+        sub.add_argument("--area-method", choices=AREA_METHODS, default=AREA_METHODS[0])
 
     p_cx = commands.add_parser(
         "counterexample", help="annulus-cover area study across the univalence threshold"

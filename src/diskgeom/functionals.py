@@ -38,7 +38,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analytic import FunctionSpec, critical_points, derivative, evaluate, jet, sample_circle
+from .analytic import (
+    FunctionSpec, _unit_scale, critical_points, derivative, evaluate, jet, sample_circle,
+)
 from .errors import DomainError, OptimizationWarning, ResourceError
 from .quadrature import integrate
 
@@ -62,6 +64,8 @@ SAMPLE_CAP = 2**24
 CONTOUR_CAP = 2**17
 # Absolute and relative quadrature tolerance of the curve length of f(r T).
 LENGTH_QUAD_TOL = 1e-10
+# The methods of _areas, the default first; the contour sum alone is not one.
+AREA_METHODS = ("auto", "raster")
 
 
 @dataclass(frozen=True)
@@ -389,10 +393,9 @@ def _neg_log_sum(spec: FunctionSpec, r, theta: np.ndarray):
     d2w = -z * f1 - z * z * f2
     diff = w[:, :, None] - w[:, None, :]
     gaps = _gaps(w)
-    # S's derivatives do not change when f is scaled.  Scaling a row by a
-    # power of two is exact, and bringing w' near 1 (or by 2^1000, for a
-    # subnormal image) keeps w'^2 from overflowing.
-    unit = 2.0 ** np.minimum(-np.frexp(np.abs(dw).max(axis=1, keepdims=True))[1], 1000)
+    # S's derivatives do not change when f is scaled.  Scaling a row by the
+    # power of two that brings w' near 1 keeps w'^2 from overflowing.
+    unit = _unit_scale(np.abs(dw).max(axis=1, keepdims=True))
     diff, dw, d2w = diff * unit[:, :, None], dw * unit, d2w * unit
     # Unit distances keep the rows with a coincident pair finite until they
     # are overwritten.
@@ -834,7 +837,7 @@ def _self_crossing(spec: FunctionSpec, r: float, min_sep: float):
     angles, w, (_, _, cell, _) = _boundary_curve(spec, r)
     if cell == 0.0:
         return None
-    unit = 2.0 ** min(-float(np.frexp(np.max(np.abs(w)))[1]), 1000.0)
+    unit = _unit_scale(np.max(np.abs(w)))
     w = w * unit
     seg = np.roll(w, -1) - w
     mid = w + 0.5 * seg
@@ -897,19 +900,21 @@ def is_univalent_sampled(spec: FunctionSpec, r: float) -> UnivalenceResult:
 
 
 def _areas(spec: FunctionSpec, radii, method: str, resolution: int = DEFAULT_RESOLUTION) -> list:
-    """The area of f(r D) at each of the radii, each labelled with its
-    method: "series", the contour sum of area_univalent_series, or "raster",
-    the scanline sections of area.  "auto" is resolved once, at the largest
-    radius: the contour sum when f is injective on that disk and the sum
-    converges there, which is then that radius's area, and the raster
-    otherwise; every other radius takes the method it resolved to."""
-    outer, summed = max(radii), {}
+    """The area of f(r D) at each of the radii by one of AREA_METHODS, each
+    value labelled with what it read: "series", the contour sum of
+    area_univalent_series, or "raster", the scanline sections of area.
+    "auto" is resolved once, at the largest radius: the contour sum when f
+    is injective on that disk and the sum converges there, which is then
+    that radius's area, and the raster otherwise; every other radius takes
+    the method it resolved to.  DomainError for any other method."""
+    if method not in AREA_METHODS:
+        raise DomainError(f"area method must be one of {AREA_METHODS}, got {method!r}")
+    outer, summed, estimate = max(radii), {}, partial(area, resolution=resolution)
     if method == "auto":
-        method = "raster"
         with suppress(ResourceError):
             if is_univalent_sampled(spec, outer):
-                summed, method = {outer: area_univalent_series(spec, outer)}, "series"
-    estimate = area_univalent_series if method == "series" else partial(area, resolution=resolution)
+                summed = {outer: area_univalent_series(spec, outer)}
+                estimate = area_univalent_series
     return [summed[r] if r in summed else estimate(spec, r) for r in radii]
 
 
@@ -944,7 +949,7 @@ def _capacity_brackets(
 
 def capacity_bracket(
     spec: FunctionSpec, r: float, n: int = 8, m: int = DEFAULT_SAMPLES,
-    resolution: int = DEFAULT_RESOLUTION, seed: int = 0, area_method: str = "raster",
+    resolution: int = DEFAULT_RESOLUTION, seed: int = 0, area_method: str = "auto",
 ) -> FunctionalValue:
     """Two-sided bracket for the logarithmic capacity of f(r D).
 
@@ -969,11 +974,12 @@ class FunctionalKind:
     and cap polish the tuples of all radii in one descent, the other kinds
     loop over the radii.  estimates calls it on a grid and estimate on one
     radius.  norm(r, n) is F(r D), so norm(1, n) is the unit-disk value, and
-    `normalization` labels it.  area and cap read area_method through
-    _areas, which resolves "auto" once per grid, at its largest radius, and
-    labels each value with its method.  Growth curves plot the interval's
-    upper end when upper_endpoint is set; F scales as |s|^2 under f -> s f
-    when squared is set.  `report` names the growth inequality report.
+    `normalization` labels it.  area and cap read area_method, one of
+    AREA_METHODS, through _areas, which resolves "auto" once per grid, at
+    its largest radius, and labels each value with its method.  Growth
+    curves plot the interval's upper end when upper_endpoint is set; F
+    scales as |s|^2 under f -> s f when squared is set.  `report` names the
+    growth inequality report.
     """
 
     estimator: Callable[..., FunctionalValue]
@@ -992,7 +998,7 @@ class FunctionalKind:
         m: int = DEFAULT_SAMPLES,
         resolution: int = DEFAULT_RESOLUTION,
         seed: int = 0,
-        area_method: str = "raster",
+        area_method: str = "auto",
     ) -> list:
         return self.estimator(
             spec, radii, n, m=m, resolution=resolution, seed=seed, area_method=area_method
@@ -1023,9 +1029,8 @@ KINDS = {
         _capacity_brackets, lambda r, n: r, "r", "CapGrowth", upper_endpoint=True,
     ),
     "area": FunctionalKind(
-        lambda spec, radii, n, resolution, area_method, **_: _areas(
-            spec, radii, area_method, resolution
-        ),
+        lambda spec, radii, n, resolution, area_method, **_:
+            _areas(spec, radii, area_method, resolution),
         lambda r, n: np.pi * r * r, "pi r^2", "AreaGrowth", squared=True,
     ),
     "perim": FunctionalKind(

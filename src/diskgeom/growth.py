@@ -16,11 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import (
-    FunctionSpec,
-    derivative,
-    spec_hash,
-)
+from .analytic import FunctionSpec, derivative, spec_hash
 from .errors import DomainError, GridError
 from .functionals import functional_kind
 
@@ -96,20 +92,16 @@ def phi_curve(
     r_grid: Optional[Sequence[float]] = None,
     *,
     n: int = 4,
-    area_method: str = "auto",
     **knobs,
 ) -> GrowthCurve:
     """Normalized growth curve of one functional kind (a key of
     functionals.KINDS) over a radius grid, from one FunctionalKind.estimates
     call on the whole grid: diam, ndiam and cap polish the tuples of all
     radii as the rows of one Newton ascent.  knobs are the other estimator
-    settings (m, resolution, seed).
+    settings (m, resolution, seed, area_method).
 
-    area_method goes to the estimator as it is; for area and cap, "auto"
-    is resolved once, at the largest grid radius, to the contour sum when
-    f is injective on that disk and the sum converges there, otherwise to
-    the scanline sections of functionals.area, and the curve carries the
-    resolved method as an area_method=... flag.
+    An area or cap curve carries the method its outer estimate read as an
+    area_method=... flag.
     The capacity curve takes the bracket's upper endpoint as its value, so
     its verdicts test the estimator, not the true capacity; the curve
     carries a cap_upper_estimate flag as a reminder.
@@ -122,9 +114,9 @@ def phi_curve(
         raise DomainError("r_grid must lie inside (0, 1)")
 
     radii = [float(r) for r in grid]
-    values = fk.estimates(spec, radii, n, area_method=area_method, **knobs)
+    values = fk.estimates(spec, radii, n, **knobs)
     flags: tuple = ()
-    if area_method == "auto" and values[-1].method:
+    if values[-1].method:
         flags = flags + (f"area_method={values[-1].method}",)
     if fk.upper_endpoint:
         flags = flags + ("cap_upper_estimate",)
@@ -238,14 +230,12 @@ def limit_at_zero(spec: FunctionSpec, kind: str, **knobs) -> LimitCheck:
     """phi at r = 1e-3 against the analytic limit |f'(0)| (its square for
     area).  The comparison allows one percent relative slack to absorb
     the genuine O(r) deviation at the probe radius.  knobs are the
-    estimator settings of FunctionalKind.estimate; area_method defaults to
-    "auto"."""
+    estimator settings of FunctionalKind.estimate."""
     fk = functional_kind(kind)
     target = abs(complex(derivative(spec, 0.0)))
     if fk.squared:
         target = target * target
     r = LIMIT_RADIUS
-    knobs = {"area_method": "auto", **knobs}
     fv = fk.estimate(spec, r, **knobs)
     norm = fk.norm(r, knobs.get("n", 4))
     value = fk.curve_value(fv) / norm

@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import FunctionSpec, derivative, evaluate
 from .bounds import InequalityReport, _make_report
 from .errors import CriticalPointError, DomainError
-from .functionals import _boundary_curve, area
+from .functionals import DEFAULT_RESOLUTION, _boundary_curve, area
 from .growth import GrowthCurve, phi_curve
 
 # Radius standing in for the open unit disk when a region area is needed.
@@ -63,7 +63,7 @@ def density_via_cover(spec: FunctionSpec, z: complex) -> float:
 def check_density_lower_bound(
     spec: FunctionSpec,
     z: complex,
-    resolution: int = 1024,
+    resolution: int = DEFAULT_RESOLUTION,
     tol: float = 1e-9,
 ) -> InequalityReport:
     """Density lower bound rho(w) >= sqrt(pi / Area) for the covered

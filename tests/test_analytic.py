@@ -23,13 +23,12 @@ from diskgeom import (
     evaluate,
     sample_circle,
     scale_spec,
-    second_derivative,
     spec_from_json,
     spec_hash,
     spec_to_json,
     taylor_coefficients,
 )
-from diskgeom.analytic import _unit_circle, critical_points, jet
+from diskgeom.analytic import _unit_circle, _unit_scale, critical_points, jet
 from diskgeom.quadrature import integrate
 
 EXACT = 1e-14
@@ -171,8 +170,19 @@ def test_derivative_matches_finite_difference():
             - 2 * complex(evaluate(spec, z))
             + complex(evaluate(spec, z - h2))
         ) / h2**2
-        assert abs(complex(second_derivative(spec, z)) - fd2) <= 1e-5
-        assert derivative(spec, z, 2) == second_derivative(spec, z)
+        assert abs(complex(derivative(spec, z, 2)) - fd2) <= 1e-5
+
+
+def test_unit_scale_is_the_power_of_two_that_brings_a_size_near_1():
+    sizes = np.array([3.0, 0.75, 1.0, 1e300, 1e-300, 5e-324, 0.0])
+    unit = _unit_scale(sizes)
+    assert np.array_equal(np.frexp(unit)[0], np.full(sizes.size, 0.5))
+    scaled = sizes[:-2] * unit[:-2]
+    assert np.all((0.5 <= scaled) & (scaled < 1.0))
+    # A subnormal size is scaled by 2^1000 at most, and 0 by 1.
+    assert unit[-2:].tolist() == [2.0**1000, 1.0]
+    assert _unit_scale(3.0) == 0.25
+    assert _unit_scale(np.array([[3.0], [1e-9]])).shape == (2, 1)
 
 
 def test_derivative_of_any_order_matches_taylor_series():
@@ -328,7 +338,7 @@ def test_non_spec_objects_are_unsupported():
     calls = [
         lambda: evaluate("z", 0.1),
         lambda: derivative(None, 0.1),
-        lambda: second_derivative(1.0, 0.1),
+        lambda: derivative(1.0, 0.1, 2),
         lambda: taylor_coefficients((0.0, 1.0), 3),
         lambda: sample_circle([0.0, 1.0], 0.5, 8),
         lambda: spec_to_json({"kind": "polynomial", "coeffs": [[0, 0]]}),

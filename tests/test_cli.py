@@ -96,9 +96,9 @@ def test_non_finite_spec_exits_2_with_json_error(capsys):
     ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "raster",
      "--resolution", "-3"],
     ["check", "density", "--spec", "moebius(0,0.5,1)", "--resolution", "0"],
-    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "series", "--r", "1.5"],
-    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "series", "--r", "-0.5"],
-    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "series", "--r", "nan"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "auto", "--r", "1.5"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "auto", "--r", "-0.5"],
+    ["eval", "--spec", "poly[0,1]", "--kind", "area", "--area-method", "auto", "--r", "nan"],
     ["check", "don", "--spec", "moebius(0,0.5,1)", "--z", "nan"],
     ["check", "don-symmetric", "--spec", "moebius(0,0.5,1)", "--z", "nan", "--w", "0.1"],
     ["counterexample", "--c", "0.5", "--points", "5", "--tol", "0"],
@@ -123,8 +123,10 @@ def test_out_of_domain_number_exits_2_with_json_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    *(["eval", "--spec", "poly[0,1e200,1e200]", "--kind", "area", "--r", "0.4",
-       "--area-method", method] for method in ("raster", "series", "auto")),
+    # The default is "auto": f is injective on 0.4 D, so it sums the
+    # contour, which overflows, and then reads the raster, which does too.
+    *(["eval", "--spec", "poly[0,1e200,1e200]", "--kind", "area", "--r", "0.4", *method]
+      for method in (["--area-method", "raster"], [], ["--area-method", "auto"])),
     *(["eval", "--spec", "poly[0,1e160,3e159]", "--kind", kind, "--r", "0.5"]
       for kind in ("cap", "diam", "rad")),
     *(["eval", "--spec", "poly[0,1e308,1e308,1e308]", "--kind", kind, "--r", "0.9"]
@@ -168,19 +170,52 @@ def test_eval_json_payload(capsys):
 
 
 @pytest.mark.parametrize("spec, r, expected", [
-    # The contour sum samples f - f(0), so f(0) = 1e20 costs no digits,
-    # where the raster reads the image as a point.
+    # Both maps are injective on r D, so "auto" reads the contour sum.  It
+    # samples f - f(0), so f(0) = 1e20 costs no digits, where the raster
+    # reads the image as a point.
     ("poly[1e20,1,0.3]", "0.9", np.pi * (0.81 + 2.0 * 0.09 * 0.9**4)),
     # It exited 2 while only coefficient-backed specs had a series area.
     ("moebius(0,0.5,1)", "0.5", np.pi * 0.4**2),
 ])
 def test_series_area_is_exact_on_every_variant(capsys, spec, r, expected):
     code, out, _ = run_cli(
-        capsys, "eval", "--spec", spec, "--kind", "area", "--r", r, "--area-method", "series",
+        capsys, "eval", "--spec", spec, "--kind", "area", "--r", r, "--area-method", "auto",
     )
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["value"] - expected) <= payload["abs_error"] <= 1e-12 * expected
+
+
+def test_area_method_series_is_config_error(capsys):
+    # The contour sum counts multiplicity on a map that is not injective:
+    # forced onto z^2 at 0.7 it read 2 pi 0.7^4, twice the set area.
+    code, out, err = run_cli(
+        capsys, "eval", "--spec", "poly[0,0,1]", "--kind", "area", "--r", "0.7",
+        "--area-method", "series",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("kind", ["area", "cap"])
+def test_growth_check_of_the_identity_is_equality_to_rounding(capsys, kind):
+    # "auto" reads the contour sum of the injective identity, on the unit
+    # circle and at r, so the bar leaves the tolerance at --tol.
+    code, out, _ = run_cli(capsys, "check", "growth", "--spec", "poly[0,1]", "--kind", kind)
+    assert code == 0
+    report = json.loads(out)
+    assert report["equality"] and report["passed"]
+    assert report["context"]["tol"] == 1e-9
+    assert abs(report["lhs"] - report["rhs"]) <= 1e-13
+
+
+def test_sweep_flags_the_area_method_it_was_given(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--spec", "poly[0,1,0.2]", "--kind", "area", "--points", "3",
+        "--resolution", "64", "--area-method", "raster", "--format", "json",
+    )
+    assert code == 0
+    assert "area_method=raster" in json.loads(out)["flags"]
 
 
 def test_auto_area_past_the_contour_budget_prints_the_raster(capsys):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from diskgeom import (
     AnnulusCover,
+    DomainError,
     Moebius,
     OptimizationWarning,
     Polynomial,
@@ -610,6 +611,19 @@ def test_contour_area_that_overflows_stops_at_once(monkeypatch):
     with pytest.raises(ResourceError):
         area_univalent_series(Polynomial((0.0, 1e200, 1e200)), 0.4)
     assert calls == []
+
+
+@pytest.mark.parametrize("method", ["series", "Auto", "", "raster "])
+def test_areas_reject_a_method_outside_area_methods(method):
+    assert functionals.AREA_METHODS == ("auto", "raster")
+    with pytest.raises(DomainError):
+        functionals._areas(IDENTITY, [0.5], method)
+
+
+def test_area_defaults_are_auto():
+    # The identity is injective, so "auto" reads the contour sum.
+    assert functionals.KINDS["area"].estimate(IDENTITY, 0.5).method == "series"
+    assert capacity_bracket(IDENTITY, 0.5, m=256).method == "series"
 
 
 def test_auto_area_reads_the_contour_of_every_univalent_variant(monkeypatch):
@@ -1486,12 +1500,12 @@ def test_capacity_bracket_identity_is_tight():
 
 
 def test_capacity_bracket_orders_endpoints():
-    # With the exact series area the raw endpoints resolve their true
-    # margin of about 1.2e-4; the midpoint error of the sections swamps it
-    # at low resolution (see the next test).
-    fv = capacity_bracket(
-        KOEBE_LIKE, 0.6, n=6, m=1024, seed=SEED, area_method="series"
-    )
+    # With the exact series area, which "auto" reads on this injective map,
+    # the raw endpoints resolve their true margin of about 1.2e-4; the
+    # midpoint error of the sections swamps it at low resolution (see the
+    # next test).
+    fv = capacity_bracket(KOEBE_LIKE, 0.6, n=6, m=1024, seed=SEED)
+    assert fv.method == "series"
     lo, hi = fv.interval
     assert lo <= hi
     assert "bracket_inverted" not in fv.flags

@@ -9,6 +9,7 @@ import pytest
 
 from diskgeom import (
     AnnulusCover,
+    DomainError,
     GridError,
     GrowthCurve,
     Moebius,
@@ -89,6 +90,11 @@ def test_area_curve_of_a_moebius_map_routes_to_the_contour_sum():
     assert "area_method=series" in curve.flags
     expected = (0.75 / (1.0 - 0.25 * np.array(curve.r_grid) ** 2)) ** 2
     assert np.max(np.abs(np.array(curve.phi) - expected)) <= 1e-12
+
+
+def test_area_curve_rejects_an_unknown_area_method():
+    with pytest.raises(DomainError):
+        phi_curve(KOEBE_LIKE, "area", GRID7, area_method="Auto")
 
 
 def counting(monkeypatch, name) -> list:
@@ -279,7 +285,7 @@ def test_sweep_matches_per_radius_estimates(monkeypatch, spec, kind, n):
 
 
 @pytest.mark.parametrize("spec, area_method", [
-    (KOEBE_LIKE, "series"), (Moebius(0.0, 0.5, 1.0), "raster"), (AnnulusCover(1.0), "raster"),
+    (KOEBE_LIKE, "auto"), (Moebius(0.0, 0.5, 1.0), "raster"), (AnnulusCover(1.0), "raster"),
 ], ids=["quadratic", "moebius", "annulus"])
 def test_cap_sweep_matches_per_radius_brackets(monkeypatch, spec, area_method):
     # The d_n tuples of all radii go to one descent; each bracket is the
